@@ -14,7 +14,7 @@
 and :mod:`liborlab.cli` the config-driven command-line harness.
 """
 
-from .affine import CirParams, CirFlow, cir_flow, moment_domain, simulate_cir
+from .affine import CirParams, cir_flow, moment_domain, simulate_cir
 from .affine_libor import (
     MartingaleFamily,
     caplet_price_chi2,
@@ -26,11 +26,8 @@ from .affine_libor import (
 )
 from .config import ExperimentConfig, parse_config, serialize_config
 from .drift_approx import (
-    PicardState,
-    TaylorState,
     frozen_drift_law,
     frozen_drift_simulate,
-    picard_coefficients,
     picard_simulate,
     taylor_simulate,
 )
@@ -78,7 +75,7 @@ from .markov_functional import (
     terminal_bond_functional,
 )
 from .pricing import CapletQuote, black_caplet, implied_vol, mc_caplet, mc_swaption
-from .tenor import InitialCurve, TenorStructure, density_chain_weight, read_curve_file
+from .tenor import InitialCurve, TenorStructure, read_curve_file
 from .volatility import VolatilitySurface
 
 __all__ = [name for name in dir() if not name.startswith("_")]

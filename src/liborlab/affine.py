@@ -130,27 +130,6 @@ def cir_flow(params: CirParams, t, u):
     return phi[()] if phi.ndim == 0 else phi, psi[()] if psi.ndim == 0 else psi
 
 
-class CirFlow:
-    """Callable view of the flow of one parameter set."""
-
-    def __init__(self, params: CirParams):
-        self.params = params
-
-    def phi(self, t, u):
-        return cir_flow(self.params, t, u)[0]
-
-    def psi(self, t, u):
-        return cir_flow(self.params, t, u)[1]
-
-    def moment_domain(self, horizon: float):
-        return moment_domain(self.params, horizon)
-
-    def exponential_moment(self, t, u, x):
-        """E_x[exp(u X_t)] = exp(phi + psi x)."""
-        phi, psi = cir_flow(self.params, t, u)
-        return np.exp(phi + psi * np.asarray(x, dtype=float))
-
-
 def transition_constants(params: CirParams, dt: float):
     """Scale, degrees of freedom and noncentrality multiplier for one step.
 

@@ -110,22 +110,22 @@ def _floats(text: str) -> tuple:
 def parse_config(source) -> ExperimentConfig:
     """Parse a config file path or literal text into an ExperimentConfig.
 
-    ``source`` is a path, an open text file, or the config text itself.  A
-    string without a newline is taken as a path: no one-line text holds the
-    required sections, so a missing file is reported as missing rather than
-    parsed as text.
+    ``source`` is a path (``str`` or ``os.PathLike``), an open text file, or
+    the config text itself.  A string without a newline is taken as a path:
+    no one-line text holds the required sections, so a missing file is
+    reported as missing rather than parsed as text.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         if hasattr(source, "read"):
             parser.read_file(source)
-        elif "\n" not in source:
+        elif isinstance(source, os.PathLike) or "\n" not in source:
             with open(source, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
         else:
             parser.read_string(source)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file {source!r} does not exist") from exc
+        raise ConfigError(f"config file {os.fspath(source)!r} does not exist") from exc
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 

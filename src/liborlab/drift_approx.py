@@ -23,7 +23,6 @@ All three exponentiate, so approximate rates stay strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,50 +32,14 @@ from .levy import DriverPathSet
 from .lmm import (
     LiborPathSet,
     LmmModel,
-    _FrozenWeights,
-    _PicardWeights,
-    _TaylorWeights,
+    _FrozenStep,
+    _PicardStep,
+    _TaylorStep,
     _drift_all,
     _JumpQuadrature,
     _simulate_core,
     forward_price_weights,
-    picard_tables_row,
 )
-
-
-@dataclass(frozen=True)
-class PicardState:
-    """Constant zeroth iterate and the per-interval SDE coefficient tables.
-
-    ``w0[k] = delta L(0,T_k) / (1 + delta L(0,T_k))`` and the tables hold
-    the drift and diffusion coefficients of the weight process of each rate
-    on each tenor interval, both evaluated at ``w0``.
-    """
-
-    w0: np.ndarray = field(repr=False)
-    drift_table: np.ndarray = field(repr=False)
-    vol_table: np.ndarray = field(repr=False)
-
-
-def picard_coefficients(model: LmmModel) -> PicardState:
-    """Tabulate the Gaussian first-iterate coefficients per tenor interval.
-
-    Raises
-    ------
-    UnsupportedSchemeError
-        For jump drivers; the iterate's derivation assumes continuous paths.
-    """
-    if model.chars.has_jumps:
-        raise UnsupportedSchemeError("Picard approximation requires a continuous driver")
-    n = model.tenor.n
-    w0 = forward_price_weights(model.curve.libors, model.tenor.delta)
-    drift_table = np.zeros((n, n))
-    vol_table = np.zeros((n, n))
-    for j in range(n):
-        drift_table[j], vol_table[j] = picard_tables_row(
-            w0, model.vols.values[j], model.chars.diffusion_c
-        )
-    return PicardState(w0=w0, drift_table=drift_table, vol_table=vol_table)
 
 
 def frozen_drift_simulate(
@@ -90,10 +53,9 @@ def frozen_drift_simulate(
     antithetic: bool = False,
 ) -> LiborPathSet:
     """Simulation with the weights frozen at their time-zero values."""
-    w0 = forward_price_weights(np.asarray(model.curve.libors), model.tenor.delta)
-    provider = _FrozenWeights(w0)
     return _simulate_core(
-        model, grid, n_paths, seed, provider, "frozen", driver, store_dates, store_grid, antithetic
+        model, grid, n_paths, seed, _FrozenStep(model), "frozen",
+        driver, store_dates, store_grid, antithetic,
     )
 
 
@@ -119,18 +81,10 @@ def picard_simulate(
         raise UnsupportedSchemeError("Picard approximation requires a continuous driver")
     if order not in (0, 1):
         raise LiborLabError(f"Picard order must be 0 or 1, got {order}")
-    provider = _PicardWeights(model, n_paths, order)
+    step = _FrozenStep(model) if order == 0 else _PicardStep(model)
     return _simulate_core(
-        model,
-        grid,
-        n_paths,
-        seed,
-        provider,
-        f"picard{order}",
-        driver,
-        store_dates,
-        store_grid,
-        antithetic,
+        model, grid, n_paths, seed, step, f"picard{order}",
+        driver, store_dates, store_grid, antithetic,
     )
 
 
@@ -156,40 +110,10 @@ def taylor_simulate(
     L(0, T_l) exp(Y(t, T_l)), which decouples the system while tracking the
     realized weights to first order.
     """
-    quad = _JumpQuadrature(model.chars, model.quad_order) if model.chars.has_jumps else None
-    provider = _TaylorWeights(model, n_paths, quad)
     return _simulate_core(
-        model, grid, n_paths, seed, provider, "taylor", driver, store_dates, store_grid, antithetic
+        model, grid, n_paths, seed, _TaylorStep(model), "taylor",
+        driver, store_dates, store_grid, antithetic,
     )
-
-
-@dataclass(frozen=True)
-class TaylorState:
-    """Frozen drift table and first-variation paths of the Taylor scheme."""
-
-    beta0_table: np.ndarray = field(repr=False)
-    y_dates: np.ndarray = field(repr=False)
-    grid: np.ndarray = field(repr=False)
-
-
-def taylor_first_variation(
-    model: LmmModel, grid, driver: DriverPathSet
-) -> TaylorState:
-    """First-variation paths Y recorded at the tenor dates of ``grid``."""
-    grid = np.asarray(grid, dtype=float)
-    table = frozen_drift_table(model, grid)
-    dh = driver.increments(model.chars)
-    y = np.zeros((driver.n_paths, model.tenor.n))
-    dates = [t for t in model.tenor.dates if t <= grid[-1] + 1e-10]
-    y_dates = np.zeros((driver.n_paths, len(dates), model.tenor.n))
-    d = 1
-    for i in range(len(grid) - 1):
-        lam_row = model.vols.values[model.tenor.index_of(grid[i])]
-        y += table[i] * (grid[i + 1] - grid[i]) + lam_row * dh[i][:, None]
-        if d < len(dates) and abs(grid[i + 1] - dates[d]) <= 1e-10:
-            y_dates[:, d, :] = y
-            d += 1
-    return TaylorState(beta0_table=table, y_dates=y_dates, grid=grid)
 
 
 def frozen_drift_table(model: LmmModel, grid) -> np.ndarray:

@@ -36,8 +36,9 @@ import numpy as np
 
 from .errors import DomainError, LiborLabError
 from .fourier import damped_call_expectation, select_damping
-from .levy import DriverPathSet, LevyCharacteristics, simulate_driver
-from .lmm import LiborPathSet, _check_grid
+from .levy import DriverPathSet, LevyCharacteristics
+from .lmm import LiborPathSet, _simulate_core
+from .pricing import implied_vol_or_none
 from .tenor import InitialCurve, TenorStructure
 from .volatility import VolatilitySurface
 
@@ -131,71 +132,34 @@ def simulate_fpm(
     are exact; the only randomness enters through the shared driver
     increments.  Rates are reported as (F - 1) / delta and may be negative.
     """
-    grid = np.asarray(grid, dtype=float)
-    _check_grid(model.tenor, grid)
-    if driver is None:
-        driver = simulate_driver(model.chars, grid, n_paths, seed, antithetic=antithetic)
-    elif driver.n_steps != len(grid) - 1 or not np.allclose(driver.grid, grid):
-        raise LiborLabError("driver path set does not match the simulation grid")
-    else:
-        n_paths = driver.n_paths
-        antithetic = driver.antithetic
-
-    tenor = model.tenor
-    n = tenor.n
-    delta = tenor.delta
-    l0 = np.asarray(model.curve.libors)
-    dh = driver.increments(model.chars)
-    dts = driver.dts
-
-    log_f = np.tile(np.log1p(delta * l0), (driver.n_paths, 1))
-    fixings = np.full((driver.n_paths, n), np.nan)
-    fixings[:, 0] = l0[0]
-    fixing_weights = np.ones((driver.n_paths, n))
-
-    date_idx = {}
-    for d, t in enumerate(tenor.dates):
-        hits = np.nonzero(np.abs(grid - t) <= _GRID_ATOL)[0]
-        if hits.size:
-            date_idx[int(hits[0])] = d
-    n_dates = max(date_idx.values()) + 1
-    date_values = np.empty((driver.n_paths, n_dates, n)) if store_dates else None
-    grid_values = np.empty((driver.n_paths, len(grid), n)) if store_grid else None
-
-    def record(i_grid: int):
-        d = date_idx.get(i_grid)
-        if d is None and not store_grid:
-            return
-        libors = np.expm1(log_f) / delta
-        if store_grid:
-            grid_values[:, i_grid, :] = libors
-        if d is None:
-            return
-        if store_dates:
-            date_values[:, d, :] = libors
-        if 1 <= d <= n - 1:
-            fixings[:, d] = libors[:, d]
-            ratios = np.exp(log_f[:, d + 1 : n]) / (1.0 + delta * l0[d + 1 : n])
-            fixing_weights[:, d] = np.prod(ratios, axis=1)
-
-    record(0)
-    for i in range(len(grid) - 1):
-        j = tenor.index_of(grid[i])
-        log_f += model.drift_table[j] * dts[i] + model.vols.values[j] * dh[i][:, None]
-        record(i + 1)
-
-    return LiborPathSet(
-        tenor=tenor,
-        scheme="fpm",
-        seed=int(seed),
-        grid=grid,
-        initial_libors=l0,
-        fixings=fixings,
-        fixing_weights=fixing_weights,
-        date_values=date_values,
-        grid_values=grid_values,
-        antithetic=antithetic,
+    return _simulate_core(
+        model, grid, n_paths, seed, _FpmStep(model), "fpm",
+        driver, store_dates, store_grid, antithetic,
     )
+
+
+class _FpmStep:
+    """Log forward-price state log(1 + delta L) with the deterministic drift table."""
+
+    def __init__(self, model: FpmModel):
+        self.delta = model.tenor.delta
+        self.log_f0 = np.log1p(self.delta * np.asarray(model.curve.libors))
+        self.drift_table = model.drift_table
+
+    def start(self, n_paths: int) -> np.ndarray:
+        return np.tile(self.log_f0, (n_paths, 1))
+
+    def rate(self, log_f):
+        return np.expm1(log_f) / self.delta
+
+    def forward_price(self, log_f, libors):
+        return np.exp(log_f)
+
+    def drift(self, log_f, j: int, lam_row):
+        return self.drift_table[j]
+
+    def advance(self, lam_row, dt, dw, dh):
+        pass
 
 
 def write_caplet_table(path, model: FpmModel, strikes) -> None:
@@ -205,29 +169,14 @@ def write_caplet_table(path, model: FpmModel, strikes) -> None:
     nonnegative-rate bounds of the Black formula (possible here: the model
     admits negative fixings).
     """
-    from .errors import PriceBoundsError
-    from .pricing import implied_vol
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,strike,price,implied_vol\n")
         for k in model.tenor.rate_indices:
             for strike in strikes:
                 price = caplet_price_fourier(model, k, strike)
-                iv = ""
-                if strike > 0.0 and model.curve.libor(k) > 0.0:
-                    try:
-                        value = implied_vol(
-                            price,
-                            model.curve.libor(k),
-                            strike,
-                            model.delta,
-                            model.curve.bond(k + 1),
-                            expiry=model.tenor.dates[k],
-                        )
-                        iv = f"{value:.17g}"
-                    except PriceBoundsError:
-                        iv = ""
-                fh.write(f"{k},{strike:.17g},{price:.17g},{iv}\n")
+                iv = implied_vol_or_none(price, model.curve, k, strike)
+                iv_text = "" if iv is None else f"{iv:.17g}"
+                fh.write(f"{k},{strike:.17g},{price:.17g},{iv_text}\n")
 
 
 def negative_rate_fraction(paths: LiborPathSet, k: Optional[int] = None) -> float:

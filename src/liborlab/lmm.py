@@ -147,10 +147,15 @@ class LmmModel:
         """Richardson-style check of the drift quadrature at build time."""
         lam_row = self.vols.values[0]
         w = forward_price_weights(self.curve.libors[None, :], self.tenor.delta)
-        lo = _drift_all(w, lam_row, self.chars, _JumpQuadrature(self.chars, self.quad_order))
-        hi = _drift_all(w, lam_row, self.chars, _JumpQuadrature(self.chars, 2 * self.quad_order))
-        err = np.max(np.abs(hi - lo))
-        if err > 1e-9:
+        lo, hi = (_JumpQuadrature(self.chars, q) for q in (self.quad_order, 2 * self.quad_order))
+        for quad in (lo, hi):
+            if not (np.all(np.isfinite(quad.nodes)) and np.all(np.isfinite(quad.weights))):
+                raise QuadratureError(
+                    f"jump-size quadrature of order {quad.order} has non-finite nodes or weights"
+                )
+        drifts = [_drift_all(w, lam_row, self.chars, quad) for quad in (lo, hi)]
+        err = np.max(np.abs(drifts[1] - drifts[0]))
+        if not err <= 1e-9:
             raise QuadratureError(
                 f"jump-drift quadrature of order {self.quad_order} off by {err:.2e} (> 1e-9)"
             )
@@ -265,13 +270,19 @@ class LiborPathSet:
         return np.prod(ratios, axis=1)
 
     def min_rate(self) -> float:
-        """Smallest stored rate; ignores fixings beyond the simulated horizon."""
-        vals = [np.nanmin(self.fixings)]
+        """Smallest stored rate; ignores fixings beyond the simulated horizon.
+
+        A NaN rate anywhere else makes the result NaN, so it fails every
+        positivity test.
+        """
+        dates = np.asarray(self.tenor.dates[: self.tenor.n])
+        reached = int(np.sum(dates <= self.grid[-1] + _GRID_ATOL))
+        vals = [np.min(self.fixings[:, :reached])]
         if self.date_values is not None:
             vals.append(np.min(self.date_values))
         if self.grid_values is not None:
             vals.append(np.min(self.grid_values))
-        return float(min(vals))
+        return float(np.min(vals))
 
 
 def simulation_grid(
@@ -306,38 +317,53 @@ def _check_grid(tenor: TenorStructure, grid: np.ndarray) -> None:
             raise LiborLabError(f"grid must contain tenor date {t}")
 
 
-class _WeightProvider:
-    """Left-endpoint drift weights for one scheme; see ``_simulate_core``."""
+class _LmmStep:
+    """Log-rate state of one market-model scheme; see ``_simulate_core``.
 
-    needs_jumps = True
+    The state is log L and the schemes differ only in the forward-price
+    weights fed to the drift.
+    """
+
+    def __init__(self, model: LmmModel):
+        self.delta = model.tenor.delta
+        self.chars = model.chars
+        self.log_l0 = _safe_log(np.asarray(model.curve.libors))
+        self.w0 = forward_price_weights(np.asarray(model.curve.libors), self.delta)[None, :]
+        self.quad = _JumpQuadrature(self.chars, model.quad_order) if self.chars.has_jumps else None
+        self.e_table = None
+
+    def start(self, n_paths: int) -> np.ndarray:
+        return np.tile(self.log_l0, (n_paths, 1))
+
+    def rate(self, log_state):
+        return np.exp(log_state)
+
+    def forward_price(self, log_state, libors):
+        return 1.0 + self.delta * libors
 
     def weights(self, log_state):
+        """Left-endpoint weights w = delta L / (1 + delta L) seen by the drift."""
         raise NotImplementedError
 
-    def begin_step(self, lam_row, e_table):
-        """Hook called with the step's loadings before weights are read."""
+    def drift(self, log_state, j: int, lam_row):
+        self.e_table = self.quad.exp_table(lam_row) if self.quad is not None else None
+        return _drift_all(self.weights(log_state), lam_row, self.chars, self.quad, self.e_table)
 
     def advance(self, lam_row, dt, dw, dh):
         """Update any auxiliary state after the main update of a step."""
 
 
-class _ExactWeights(_WeightProvider):
-    def __init__(self, delta):
-        self.delta = delta
-
+class _ExactStep(_LmmStep):
     def weights(self, log_state):
         return forward_price_weights(np.exp(log_state), self.delta)
 
 
-class _FrozenWeights(_WeightProvider):
-    def __init__(self, w0):
-        self.w0 = w0[None, :]
-
+class _FrozenStep(_LmmStep):
     def weights(self, log_state):
         return self.w0
 
 
-class _TaylorWeights(_WeightProvider):
+class _TaylorStep(_LmmStep):
     """First-order expansion of the subsequent rates inside the drift.
 
     The first-variation process of each log-rate accumulates the frozen
@@ -346,46 +372,30 @@ class _TaylorWeights(_WeightProvider):
     frozen initial values.
     """
 
-    def __init__(self, model: LmmModel, n_paths: int, quad):
-        self.delta = model.tenor.delta
-        self.chars = model.chars
-        self.quad = quad
-        self.w0 = forward_price_weights(model.curve.libors, self.delta)[None, :]
-        self.log_l0 = _safe_log(np.asarray(model.curve.libors))
-        self.y = np.zeros((n_paths, model.tenor.n))
-        self._beta0 = None
+    def start(self, n_paths: int) -> np.ndarray:
+        self.y = np.zeros((n_paths, len(self.log_l0)))
+        return super().start(n_paths)
 
     def weights(self, log_state):
         return forward_price_weights(np.exp(self.log_l0[None, :] + self.y), self.delta)
 
-    def begin_step(self, lam_row, e_table):
-        self._beta0 = _drift_all(self.w0, lam_row, self.chars, self.quad, e_table)
-
     def advance(self, lam_row, dt, dw, dh):
-        self.y += self._beta0 * dt + lam_row * dh[:, None]
+        beta0 = _drift_all(self.w0, lam_row, self.chars, self.quad, self.e_table)
+        self.y += beta0 * dt + lam_row * dh[:, None]
 
 
-class _PicardWeights(_WeightProvider):
+class _PicardStep(_LmmStep):
     """Gaussian first Picard iterate of the forward-price weights."""
 
-    needs_jumps = False
-
-    def __init__(self, model: LmmModel, n_paths: int, order: int):
-        if model.chars.has_jumps:
-            raise LiborLabError("Picard scheme requires a continuous driver")
-        self.order = order
-        w0 = forward_price_weights(model.curve.libors, model.tenor.delta)
-        self.w0 = w0[None, :]
-        self.z = None if order == 0 else np.tile(w0, (n_paths, 1))
-        self.c = model.chars.diffusion_c
+    def start(self, n_paths: int) -> np.ndarray:
+        self.z = np.tile(self.w0[0], (n_paths, 1))
+        return super().start(n_paths)
 
     def weights(self, log_state):
-        return self.w0 if self.order == 0 else self.z
+        return self.z
 
     def advance(self, lam_row, dt, dw, dh):
-        if self.order == 0:
-            return
-        drift, vol = picard_tables_row(self.w0[0], lam_row, self.c)
+        drift, vol = picard_tables_row(self.w0[0], lam_row, self.chars.diffusion_c)
         self.z += drift * dt + vol * dw[:, None]
 
 
@@ -414,17 +424,31 @@ def _safe_log(values: np.ndarray) -> np.ndarray:
 
 
 def _simulate_core(
-    model: LmmModel,
+    model,
     grid,
     n_paths: int,
     seed: int,
-    provider: _WeightProvider,
+    step,
     scheme: str,
     driver: Optional[DriverPathSet],
     store_dates: bool,
     store_grid: bool,
     antithetic: bool,
 ) -> LiborPathSet:
+    """Log-Euler recursion shared by the market-model schemes and the FPM.
+
+    ``model`` supplies the tenor, curve, loadings and driver law.  ``step``
+    owns the log-state s of the rates: ``start(n_paths)`` gives its initial
+    value, ``drift(s, j, lam_row)`` the left-endpoint drift on tenor
+    interval j, ``advance`` any auxiliary state after each step, and
+    ``rate(s)`` / ``forward_price(s, L)`` map the state to the rates L and
+    the forward prices 1 + delta L.  Every step applies
+
+        s += drift * dt + lam_row * dH,
+
+    and the kernel records fixings, terminal-measure density weights and
+    optional snapshots at the grid points.
+    """
     grid = np.asarray(grid, dtype=float)
     _check_grid(model.tenor, grid)
     if driver is None:
@@ -438,18 +462,11 @@ def _simulate_core(
     tenor = model.tenor
     n = tenor.n
     delta = tenor.delta
-    chars = model.chars
     l0 = np.asarray(model.curve.libors)
-    log_l0 = _safe_log(l0)
-
-    quad = None
-    if chars.has_jumps and provider.needs_jumps:
-        quad = _JumpQuadrature(chars, model.quad_order)
-
-    dh = driver.increments(chars)
+    dh = driver.increments(model.chars)
     dts = driver.dts
 
-    log_state = np.tile(log_l0, (n_paths, 1))
+    state = step.start(n_paths)
     fixings = np.full((n_paths, n), np.nan)  # nan until the fixing date is reached
     fixings[:, 0] = l0[0]
     fixing_weights = np.ones((n_paths, n))
@@ -468,28 +485,24 @@ def _simulate_core(
         d = date_idx.get(i_grid)
         if d is None and not store_grid:
             return
-        state = np.exp(log_state)
+        libors = step.rate(state)
         if store_grid:
-            grid_values[:, i_grid, :] = state
+            grid_values[:, i_grid, :] = libors
         if d is None:
             return
         if store_dates:
-            date_values[:, d, :] = state
+            date_values[:, d, :] = libors
         if 1 <= d <= n - 1:
-            fixings[:, d] = state[:, d]
-            ratios = (1.0 + delta * state[:, d + 1 : n]) / (1.0 + delta * l0[d + 1 : n])
-            fixing_weights[:, d] = np.prod(ratios, axis=1)
+            fixings[:, d] = libors[:, d]
+            forward = step.forward_price(state[:, d + 1 : n], libors[:, d + 1 : n])
+            fixing_weights[:, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n]), axis=1)
 
     record(0)
     for i in range(len(grid) - 1):
-        t = grid[i]
-        lam_row = model.vols.values[tenor.index_of(t)]
-        e_table = quad.exp_table(lam_row) if quad is not None else None
-        provider.begin_step(lam_row, e_table)
-        w = provider.weights(log_state)
-        drift = _drift_all(w, lam_row, chars, quad, e_table)
-        log_state += drift * dts[i] + lam_row * dh[i][:, None]
-        provider.advance(lam_row, dts[i], driver.dw[i], dh[i])
+        j = tenor.index_of(grid[i])
+        lam_row = model.vols.values[j]
+        state += step.drift(state, j, lam_row) * dts[i] + lam_row * dh[i][:, None]
+        step.advance(lam_row, dts[i], driver.dw[i], dh[i])
         record(i + 1)
 
     return LiborPathSet(
@@ -523,19 +536,7 @@ def simulate_exact(
     values of the subsequent rates.  Rates are constant after their reset
     dates (their loadings vanish there).
     """
-    provider = _ExactWeights(model.tenor.delta)
     return _simulate_core(
-        model, grid, n_paths, seed, provider, "exact", driver, store_dates, store_grid, antithetic
+        model, grid, n_paths, seed, _ExactStep(model), "exact",
+        driver, store_dates, store_grid, antithetic,
     )
-
-
-def dump_paths_csv(path, paths: LiborPathSet) -> None:
-    """Debug dump ``path_id,t,k,L`` of a grid-storing path set."""
-    if paths.grid_values is None:
-        raise LiborLabError("path set was simulated without grid storage")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path_id,t,k,L\n")
-        for p in range(paths.n_paths):
-            for i, t in enumerate(paths.grid):
-                for k in range(1, paths.tenor.n):
-                    fh.write(f"{p},{t:.17g},{k},{paths.grid_values[p, i, k]:.17g}\n")

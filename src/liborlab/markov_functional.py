@@ -182,18 +182,20 @@ def black_digital_strike(
     )
 
 
-class _LogShiftedInterp:
-    """Monotone cubic of log(f - 1) with linear extension outside the nodes.
+class _MonotoneLogInterp:
+    """Monotone cubic of log(f - shift) with linear extension outside the nodes.
 
-    Evaluates functions f >= 1 that behave like 1 + exp(linear) in the
-    tails (reciprocal numeraires and their conditional expectations).
+    ``shift = 0`` interpolates positive rates in log(rate).  ``shift = 1``
+    evaluates functions f > 1 that behave like 1 + exp(linear) in the tails
+    (reciprocal numeraires and their conditional expectations).
     """
 
-    def __init__(self, x_nodes: np.ndarray, values: np.ndarray):
+    def __init__(self, x_nodes: np.ndarray, values: np.ndarray, shift: float):
         self.x = np.asarray(x_nodes, dtype=float)
-        shifted = np.asarray(values, dtype=float) - 1.0
+        self.shift = shift
+        shifted = np.asarray(values, dtype=float) - shift
         if np.any(shifted <= 0.0):
-            raise CalibrationError("reciprocal numeraire must exceed 1 at every node")
+            raise CalibrationError(f"interpolated functional must exceed {shift} at every node")
         self.logv = np.log(shifted)
         self._pchip = PchipInterpolator(self.x, self.logv, extrapolate=False)
         d = self._pchip.derivative()
@@ -212,13 +214,24 @@ class _LogShiftedInterp:
         return out
 
     def __call__(self, x):
-        return 1.0 + np.exp(self.log_shifted(x))
+        return self.shift + np.exp(self.log_shifted(x))
 
     def tail_coeffs(self, upper: bool):
-        """(a, b) of the tail form 1 + exp(a + b x)."""
+        """(a, b) of the tail form shift + exp(a + b x)."""
         if upper:
             return self.logv[-1] - self.slope_hi * self.x[-1], self.slope_hi
         return self.logv[0] - self.slope_lo * self.x[0], self.slope_lo
+
+    def inverse(self, value: float) -> float:
+        """State x with f(x) = value."""
+        logv = math.log(value - self.shift)
+        if logv <= self.logv[0]:
+            return self.x[0] + (logv - self.logv[0]) / self.slope_lo
+        if logv >= self.logv[-1]:
+            return self.x[-1] + (logv - self.logv[-1]) / self.slope_hi
+        return float(
+            brentq(lambda x: float(self._pchip(x)) - logv, self.x[0], self.x[-1], xtol=1e-14)
+        )
 
 
 def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
@@ -262,7 +275,7 @@ class FunctionalGrid:
         """L(T_i, T_i; x) with monotone-cubic interpolation between nodes."""
         if self.deterministic:
             return np.full_like(np.asarray(x, dtype=float), self.curve.libor(i))[()]
-        return np.exp(self._rate_interp[i](np.asarray(x, dtype=float)))
+        return self._rate_interp[i](x)
 
     def reciprocal_numeraire(self, i: int, x):
         """1 / B(T_i, T_N; x)."""
@@ -321,7 +334,7 @@ def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
         j_edge = j_nodes[-1] if upper else j_nodes[0]
         if j_edge - 1.0 <= _TAIL_EPS:
             return float(base)
-        interp = _j_tail_interp(grid, i, x, j_nodes)
+        interp = _MonotoneLogInterp(x, j_nodes, shift=1.0)
         a, b = interp.tail_coeffs(upper)
         return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
 
@@ -332,10 +345,6 @@ def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
     total = t_vals[0] + tail(False)
     grid._tails_cache[i] = (t_vals, total)
     return t_vals, total
-
-
-def _j_tail_interp(grid: FunctionalGrid, i: int, x: np.ndarray, j_nodes: np.ndarray):
-    return _LogShiftedInterp(x, j_nodes)
 
 
 def calibrate_backward(
@@ -431,43 +440,10 @@ def calibrate_backward(
         grid.j_values[i] = j_nodes
         rho = (1.0 + tenor.delta * strikes) * j_nodes
         grid.numeraire_values[i] = 1.0 / rho
-        grid._rho_interp[i] = _LogShiftedInterp(nodes, rho)
-        grid._rate_interp[i] = _MonotoneLogInterp(nodes, strikes)
+        grid._rho_interp[i] = _MonotoneLogInterp(nodes, rho, shift=1.0)
+        grid._rate_interp[i] = _MonotoneLogInterp(nodes, strikes, shift=0.0)
 
     return grid
-
-
-class _MonotoneLogInterp:
-    """Monotone cubic of log(rate) with linear extension outside the nodes."""
-
-    def __init__(self, x_nodes: np.ndarray, rates: np.ndarray):
-        self.x = np.asarray(x_nodes, dtype=float)
-        self.logr = np.log(np.asarray(rates, dtype=float))
-        self._pchip = PchipInterpolator(self.x, self.logr, extrapolate=False)
-        d = self._pchip.derivative()
-        self.slope_lo = float(d(self.x[0]))
-        self.slope_hi = float(d(self.x[-1]))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self._pchip(x)
-        below = x < self.x[0]
-        above = x > self.x[-1]
-        if np.any(below):
-            out = np.where(below, self.logr[0] + self.slope_lo * (x - self.x[0]), out)
-        if np.any(above):
-            out = np.where(above, self.logr[-1] + self.slope_hi * (x - self.x[-1]), out)
-        return out
-
-    def inverse(self, rate: float) -> float:
-        logr = math.log(rate)
-        if logr <= self.logr[0]:
-            return self.x[0] + (logr - self.logr[0]) / self.slope_lo
-        if logr >= self.logr[-1]:
-            return self.x[-1] + (logr - self.logr[-1]) / self.slope_hi
-        return float(
-            brentq(lambda x: float(self._pchip(x)) - logr, self.x[0], self.x[-1], xtol=1e-14)
-        )
 
 
 def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
@@ -489,7 +465,7 @@ def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     j_nodes = np.asarray(grid.j_value(i, x))
     j_interp = None
     if j_nodes[0] - 1.0 > _TAIL_EPS and j_nodes[-1] - 1.0 > _TAIL_EPS:
-        j_interp = _LogShiftedInterp(x, j_nodes)
+        j_interp = _MonotoneLogInterp(x, j_nodes, shift=1.0)
 
     def tail_beyond(c: float, upper: bool) -> float:
         base = norm.sf(c / sd) if upper else norm.cdf(c / sd)

@@ -102,6 +102,23 @@ def implied_vol(
     return total
 
 
+def implied_vol_or_none(price: float, curve: InitialCurve, k: int, strike: float):
+    """Annualized implied vol of a caplet on rate k, or None where Black has none.
+
+    None for a nonpositive strike or initial rate, and for prices outside
+    the no-arbitrage band (models that admit negative rates produce them).
+    """
+    l0 = curve.libor(k)
+    if strike <= 0.0 or l0 <= 0.0:
+        return None
+    try:
+        return implied_vol(
+            price, l0, strike, curve.tenor.delta, curve.bond(k + 1), expiry=curve.tenor.dates[k]
+        )
+    except PriceBoundsError:
+        return None
+
+
 def _mc_mean_stderr(samples: np.ndarray, antithetic: bool):
     """Mean and standard error; antithetic pairs are averaged first."""
     if antithetic:
@@ -128,18 +145,11 @@ def mc_caplet(
         raise LiborLabError(f"caplet index {k} outside 1..{n - 1}")
     if np.isnan(paths.fixings[:, k]).any():
         raise LiborLabError(f"paths do not cover the fixing date of rate {k}")
-    discount = curve.bond(k + 1)
     payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]
     mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
-    scale = discount * paths.delta
+    scale = curve.bond(k + 1) * paths.delta
     price = scale * mean
-    iv = None
-    l0 = curve.libor(k)
-    if strike > 0.0 and l0 > 0.0:
-        try:
-            iv = implied_vol(price, l0, strike, paths.delta, discount, expiry=paths.tenor.dates[k])
-        except PriceBoundsError:
-            iv = None
+    iv = implied_vol_or_none(price, curve, k, strike)
     return CapletQuote(k=k, strike=strike, price=price, stderr=scale * stderr, implied_vol=iv)
 
 

@@ -158,24 +158,6 @@ class InitialCurve:
         return self.bond(k) / self.bond(l)
 
 
-def density_chain_weight(curve: InitialCurve, forward_prices, k: int):
-    """Radon-Nikodym weight dP_{T_k}/dP_{T_N} at the state of one path.
-
-    ``forward_prices`` holds the path's current F(t, T_j, T_N) indexed by j
-    (scalar entries or arrays over paths).  The weight is
-
-        F(t, T_k, T_N) / F(0, T_k, T_N),
-
-    which is positive, equals 1 at t = 0 and for k = N, and has unit
-    expectation under the terminal measure.
-    """
-    f_t = np.asarray(forward_prices[k], dtype=float)
-    if np.any(f_t <= 0.0):
-        raise CurveError("forward price on path must be positive")
-    f_0 = curve.forward_price(k, curve.tenor.n)
-    return f_t / f_0
-
-
 def read_curve_file(path) -> InitialCurve:
     """Read a curve file with one ``T_k,B(0,T_k)`` line per tenor date."""
     dates = []

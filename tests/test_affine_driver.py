@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from liborlab.affine import (
-    CirFlow,
     CirParams,
     cir_flow,
     explosion_threshold,
@@ -106,11 +105,11 @@ def test_moment_domain_shrinks_with_horizon(params):
 
 
 def test_flow_monotone_in_u_and_psi_sign(params):
-    flow = CirFlow(params)
     us = np.linspace(-1.0, 2.0, 13)
-    vals = [flow.exponential_moment(1.0, u, 0.4) for u in us]
+    phi, psi = cir_flow(params, 1.0, us)
+    vals = np.exp(phi + psi * 0.4)  # E_x[exp(u X_1)] at x = 0.4
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-    assert np.all(flow.psi(1.0, us[us >= 0.0]) >= 0.0)
+    assert np.all(psi[us >= 0.0] >= 0.0)
 
 
 def test_exact_simulation_nonnegative_and_deterministic(params):

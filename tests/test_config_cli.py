@@ -115,6 +115,8 @@ def test_config_validation_errors():
         parse_config(SMALL_COMPARE.replace("seed = 99", "seed = quux"))
     with pytest.raises(ConfigError, match=r"'no_such_experiment\.cfg' does not exist"):
         parse_config("no_such_experiment.cfg")
+    committed = Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg"
+    assert parse_config(committed) == parse_config(str(committed))
 
 
 def test_override_replaces_fields():
@@ -129,6 +131,26 @@ def test_run_compare_zero_vols_all_differences_zero(tmp_path):
     for rows in result.diffs.values():
         assert rows  # zero-vol quotes are exact, so implied vols exist
         assert all(dv == 0.0 for _, _, dv in rows)
+
+
+def test_run_compare_positivity_fails_on_nan(monkeypatch):
+    # a NaN fixing must not pass the positivity test that guards the quotes
+    import numpy as np
+
+    from liborlab import experiment
+    from liborlab.errors import LiborLabError
+
+    frozen = experiment._LMM_SCHEMES["lmm-frozen"]
+
+    def frozen_with_nan(*args, **kwargs):
+        paths = frozen(*args, **kwargs)
+        paths.fixings[0, 1] = np.nan
+        return paths
+
+    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", frozen_with_nan)
+    cfg = override(parse_config(SMALL_COMPARE), n_paths=64)
+    with pytest.raises(LiborLabError, match="positivity violated by scheme lmm-frozen"):
+        run_compare(cfg)
 
 
 def test_run_compare_scheme_ordering_and_determinism(tmp_path):
@@ -158,6 +180,35 @@ def test_run_verify_expected_pattern(tmp_path):
     assert by_key[("affine", "martingale")].status == "PASS"
     assert by_key[("affine", "structure")].status == "PASS"
     assert (tmp_path / "verify_report.txt").exists()
+
+
+def test_run_verify_positivity_fails_on_nan(monkeypatch):
+    # a NaN rate functional or affine rate must fail the run, not only print FAIL
+    import numpy as np
+
+    from liborlab import affine_libor, markov_functional
+
+    calibrate, libor_value = markov_functional.calibrate_backward, affine_libor.libor_value
+
+    def calibrate_with_nan(*args, **kwargs):
+        grid = calibrate(*args, **kwargs)
+        grid.libor_values[1] = grid.libor_values[1].copy()
+        grid.libor_values[1][0] = np.nan
+        return grid
+
+    def libor_value_with_nan(*args, **kwargs):
+        vals = np.array(libor_value(*args, **kwargs), dtype=float)
+        vals.flat[0] = np.nan
+        return vals
+
+    monkeypatch.setattr(markov_functional, "calibrate_backward", calibrate_with_nan)
+    monkeypatch.setattr(affine_libor, "libor_value", libor_value_with_nan)
+    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = mfm, affine"))
+    report = run_verify(override(cfg, n_paths=500))
+    by_key = {(c.model, c.check): c for c in report.checks}
+    assert by_key[("mfm", "positivity")].genuine_failure
+    assert by_key[("affine", "positivity")].genuine_failure
+    assert report.failed
 
 
 def test_run_price_writes_table(tmp_path):

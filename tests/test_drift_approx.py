@@ -7,14 +7,18 @@ from liborlab.drift_approx import (
     frozen_drift_law,
     frozen_drift_simulate,
     frozen_drift_table,
-    picard_coefficients,
     picard_simulate,
-    taylor_first_variation,
     taylor_simulate,
 )
 from liborlab.errors import UnsupportedSchemeError
 from liborlab.levy import LevyCharacteristics, NormalJumps, simulate_driver
-from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
+from liborlab.lmm import (
+    LmmModel,
+    forward_price_weights,
+    picard_tables_row,
+    simulate_exact,
+    simulation_grid,
+)
 from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
 
@@ -123,27 +127,23 @@ def test_frozen_paths_consistent_with_law(model, tenor):
     assert np.max(np.abs(resid - mean)) < 1e-10
 
 
-def test_picard_coefficients_arithmetic(model):
-    state = picard_coefficients(model)
-    w0 = DELTA * 0.04 / (1.0 + DELTA * 0.04)
-    assert state.w0[1] == pytest.approx(0.02 / 1.02, rel=1e-14)
+def test_picard_tables_row_arithmetic(model):
+    w0 = forward_price_weights(model.curve.libors, DELTA)
+    drift, vol = picard_tables_row(w0, model.vols.values[0], model.chars.diffusion_c)
+    assert w0[1] == pytest.approx(0.02 / 1.02, rel=1e-14)
+    w0 = w0[1]
     # diffusion coefficient: w0 (1 - w0) lambda sqrt(c)
-    assert state.vol_table[0, 2] == pytest.approx(w0 * (1.0 - w0) * 0.2, rel=1e-12)
+    assert vol[2] == pytest.approx(w0 * (1.0 - w0) * 0.2, rel=1e-12)
     # drift coefficient at the terminal rate: only its own lambda survives
     expected = -0.2 * w0 * (1.0 - w0) * (w0 * 0.2)
-    assert state.drift_table[0, 4] == pytest.approx(expected, rel=1e-12)
+    assert drift[4] == pytest.approx(expected, rel=1e-12)
     # zero rate: the weight and both coefficients vanish
-    tenor = model.tenor
-    flat0 = LmmModel(
-        tenor,
-        InitialCurve.flat(tenor, 0.0),
-        model.vols,
-        model.chars,
-    )
-    state0 = picard_coefficients(flat0)
-    assert np.all(state0.w0 == 0.0)
-    assert np.all(state0.vol_table == 0.0)
-    assert np.all(state0.drift_table == 0.0)
+    w_zero = forward_price_weights(np.zeros(5), DELTA)
+    assert np.all(w_zero == 0.0)
+    for row in model.vols.values:
+        drift0, vol0 = picard_tables_row(w_zero, row, model.chars.diffusion_c)
+        assert np.all(vol0 == 0.0)
+        assert np.all(drift0 == 0.0)
 
 
 def test_picard_first_iterate_starts_at_zeroth(model, tenor):
@@ -158,8 +158,6 @@ def test_picard_first_iterate_starts_at_zeroth(model, tenor):
 
 
 def test_picard_rejects_jump_driver(jump_model, tenor):
-    with pytest.raises(UnsupportedSchemeError):
-        picard_coefficients(jump_model)
     with pytest.raises(UnsupportedSchemeError):
         picard_simulate(jump_model, simulation_grid(tenor, 4), 16, seed=1)
 
@@ -178,12 +176,18 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
             assert table[i, k] == pytest.approx(direct, rel=1e-12)
 
 
-def test_taylor_first_variation_recorded_at_dates(model, tenor):
+def test_taylor_first_variation_starts_at_zero(model, tenor):
+    # Y(0) = 0, so the first step of the Taylor scheme evaluates the drift at
+    # the initial rates, like the frozen scheme; later steps track Y
     grid = simulation_grid(tenor, 4)
     driver = simulate_driver(model.chars, grid, 16, seed=9)
-    state = taylor_first_variation(model, grid, driver)
-    assert state.y_dates.shape == (16, 5, 5)
-    assert np.all(state.y_dates[:, 0, :] == 0.0)
+    frozen = frozen_drift_simulate(model, grid, 16, seed=9, driver=driver, store_grid=True)
+    taylor = taylor_simulate(model, grid, 16, seed=9, driver=driver, store_grid=True)
+    gv_t, gv_f = taylor.grid_values, frozen.grid_values
+    assert gv_t.shape == (16, len(grid), 5)
+    assert np.all(gv_t[:, 0, :] == gv_f[:, 0, :])
+    assert np.allclose(gv_t[:, 1, :], gv_f[:, 1, :], rtol=1e-14, atol=0.0)
+    assert not np.allclose(gv_t[:, 4, :], gv_f[:, 4, :], rtol=1e-12, atol=0.0)
 
 
 def test_scheme_error_ordering_pathwise(model, tenor):

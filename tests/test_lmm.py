@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from liborlab.errors import DomainError, LiborLabError
+from liborlab.drift_approx import picard_simulate
+from liborlab.errors import DomainError, LiborLabError, QuadratureError
+from liborlab.experiment import _LMM_SCHEMES
+from liborlab.forward_price import FpmModel, simulate_fpm
 from liborlab.levy import (
     DoubleExponentialJumps,
     LevyCharacteristics,
@@ -255,3 +258,63 @@ def test_partial_horizon_marks_unreached_fixings(tenor, curve, vols, brownian):
     assert paths.min_rate() > 0.0
     with pytest.raises(LiborLabError):
         mc_caplet(paths, 3, 0.04, curve)
+
+
+@pytest.mark.parametrize("scheme", [*_LMM_SCHEMES, "lmm-picard0", "fpm"])
+def test_driver_sets_the_path_count(scheme, tenor, curve, vols, brownian):
+    # a supplied driver fixes the path count; the n_paths argument is ignored
+    grid = simulation_grid(tenor, 4)
+    driver = simulate_driver(brownian, grid, 20, seed=3)
+    model = LmmModel(tenor, curve, vols, brownian)
+    if scheme == "fpm":
+        paths = simulate_fpm(FpmModel(tenor, curve, vols, brownian), grid, 10, 3, driver=driver)
+    elif scheme == "lmm-picard0":
+        paths = picard_simulate(model, grid, 10, 3, order=0, driver=driver)
+    else:
+        paths = _LMM_SCHEMES[scheme](model, grid, 10, 3, driver=driver)
+    assert paths.n_paths == 20
+    assert paths.fixing_weights.shape == (20, tenor.n)
+
+
+@pytest.mark.parametrize("order", [96, 192])
+def test_quadrature_check_rejects_non_finite_rules(order, tenor, curve):
+    # Gauss-Laguerre weights overflow at order 192: the model must be refused
+    # when either the order or its 2x check order has non-finite weights
+    chars = LevyCharacteristics(
+        drift_b=0.0, diffusion_c=0.4, jump_intensity=0.6,
+        jump_law=DoubleExponentialJumps(0.45, 9.0, 7.0),
+    )
+    vols = VolatilitySurface.flat(tenor, 0.15)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError):
+        LmmModel(tenor, curve, vols, chars, quad_order=order)
+
+
+def test_min_rate_does_not_hide_nan(tenor, curve, vols, brownian):
+    model = LmmModel(tenor, curve, vols, brownian)
+    paths = simulate_exact(model, simulation_grid(tenor, 4, horizon=1.0), 32, seed=6)
+    assert paths.min_rate() > 0.0  # fixings past the horizon are ignored
+    paths.fixings[5, 2] = np.nan
+    assert np.isnan(paths.min_rate())
+
+
+def test_density_weight_chain_rule_pathwise(tenor, curve, vols, brownian):
+    # dP_{T_m}/dP_{T_{m+1}} * dP_{T_{m+1}}/dP_{T_N} == dP_{T_m}/dP_{T_N} on
+    # every path, with the one-step factor F(t, T_m, T_{m+1}) / F(0, T_m, T_{m+1})
+    model = LmmModel(tenor, curve, vols, brownian)
+    paths = simulate_exact(model, simulation_grid(tenor, 4), 200, seed=8, store_dates=True)
+    n = tenor.n
+    for d in range(paths.date_values.shape[1]):
+        state = paths.date_values[:, d, :]
+        assert np.all(paths.density_weight(d, n) == 1.0)  # T_N is the terminal measure
+        for m in range(1, n):
+            w_m = paths.density_weight(d, m)
+            step = (1.0 + DELTA * state[:, m]) / curve.forward_price(m, m + 1)
+            assert np.allclose(step * paths.density_weight(d, m + 1), w_m, rtol=1e-12, atol=0.0)
+            if d == 0:
+                assert np.allclose(w_m, 1.0, rtol=0.0, atol=1e-15)
+            if m == d + 1:
+                assert np.array_equal(w_m, paths.fixing_weights[:, d])
+    with pytest.raises(LiborLabError):
+        paths.density_weight(1, 0)
+    with pytest.raises(LiborLabError):
+        simulate_exact(model, simulation_grid(tenor, 4), 8, seed=8).density_weight(1, 2)

@@ -5,7 +5,6 @@ from liborlab.errors import CurveError
 from liborlab.tenor import (
     InitialCurve,
     TenorStructure,
-    density_chain_weight,
     read_curve_file,
     write_curve_file,
 )
@@ -70,33 +69,6 @@ def test_forward_price_same_date_and_telescoping(tenor):
         curve.forward_price(3, 2)
     # decreasing curve => factor >= 1
     assert curve.forward_price(1, 4) >= 1.0
-
-
-def test_density_chain_weight_normalization(tenor):
-    curve = InitialCurve.flat(tenor, 0.04)
-    f0 = np.array([curve.forward_price(k, 5) for k in range(6)])
-    # at time zero the weight is one for every index
-    for k in range(6):
-        assert density_chain_weight(curve, f0, k) == pytest.approx(1.0, abs=1e-15)
-    # k = N is the same measure regardless of the path state
-    state = f0 * np.array([1.1, 1.05, 1.02, 0.99, 1.0, 1.0])
-    assert density_chain_weight(curve, state, 5) == 1.0
-    with pytest.raises(CurveError):
-        density_chain_weight(curve, -f0, 2)
-
-
-def test_density_chain_rule_pathwise(tenor):
-    curve = InitialCurve.flat(tenor, 0.04)
-    rng = np.random.default_rng(0)
-    libors = 0.04 * np.exp(rng.normal(0.0, 0.3, size=5))
-    fwd = np.ones(6)
-    fwd[:-1] = np.cumprod((1.0 + 0.5 * libors)[::-1])[::-1]
-    # dP_k/dP_{k+1} * dP_{k+1}/dP_N == dP_k/dP_N pathwise
-    for k in range(4):
-        w_k = density_chain_weight(curve, fwd, k)
-        w_k1 = density_chain_weight(curve, fwd, k + 1)
-        ratio_k_k1 = (fwd[k] / fwd[k + 1]) / (curve.bond(k) / curve.bond(k + 1))
-        assert ratio_k_k1 * w_k1 == pytest.approx(w_k, rel=1e-10)
 
 
 def test_curve_file_round_trip(tenor, tmp_path):
