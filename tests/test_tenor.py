@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liborlab.errors import CurveError
+from liborlab.errors import CurveError, LiborLabError
+from liborlab.lmm import LiborPathSet
 from liborlab.tenor import (
     InitialCurve,
     TenorStructure,
@@ -69,6 +70,48 @@ def test_forward_price_same_date_and_telescoping(tenor):
         curve.forward_price(3, 2)
     # decreasing curve => factor >= 1
     assert curve.forward_price(1, 4) >= 1.0
+
+
+def _path_set_at_dates(tenor, curve, date_values):
+    # a path set whose only content is hand-made rate snapshots at tenor dates
+    n_paths = date_values.shape[0]
+    return LiborPathSet(
+        tenor=tenor, scheme="exact", seed=0, grid=np.asarray(tenor.dates),
+        initial_libors=curve.libors, fixings=np.zeros((n_paths, tenor.n)),
+        fixing_weights=np.ones((n_paths, tenor.n)), date_values=date_values,
+    )
+
+
+def test_density_chain_weight_normalization(tenor):
+    curve = InitialCurve.flat(tenor, 0.04)
+    state = curve.libors * np.array([1.1, 1.05, 1.02, 0.99, 1.0])
+    paths = _path_set_at_dates(tenor, curve, np.stack([curve.libors, state])[None])
+    # at time zero the weight is one for every measure
+    for k in range(1, 6):
+        assert paths.density_weight(0, k) == pytest.approx(1.0, abs=1e-15)
+    # k = N is the same measure regardless of the path state
+    assert paths.density_weight(1, 5)[0] == 1.0
+    with pytest.raises(LiborLabError):
+        paths.density_weight(1, 0)
+    with pytest.raises(LiborLabError):
+        paths.density_weight(1, 6)
+
+
+def test_density_chain_rule_pathwise(tenor):
+    curve = InitialCurve.flat(tenor, 0.04)
+    rng = np.random.default_rng(0)
+    libors = 0.04 * np.exp(rng.normal(0.0, 0.3, size=(3, 5)))
+    paths = _path_set_at_dates(tenor, curve, libors[:, None, :])
+    fwd = np.ones((3, 6))
+    fwd[:, :-1] = np.cumprod((1.0 + 0.5 * libors)[:, ::-1], axis=1)[:, ::-1]
+    for k in range(1, 5):
+        w_k = paths.density_weight(0, k)
+        w_k1 = paths.density_weight(0, k + 1)
+        # the weight is F(t, T_k, T_N) / F(0, T_k, T_N)
+        assert np.allclose(w_k, fwd[:, k] / curve.forward_price(k, 5), rtol=1e-12, atol=0.0)
+        # dP_k/dP_{k+1} * dP_{k+1}/dP_N == dP_k/dP_N pathwise
+        ratio_k_k1 = (fwd[:, k] / fwd[:, k + 1]) / (curve.bond(k) / curve.bond(k + 1))
+        assert np.allclose(ratio_k_k1 * w_k1, w_k, rtol=1e-10, atol=0.0)
 
 
 def test_curve_file_round_trip(tenor, tmp_path):
