@@ -113,15 +113,19 @@ def parse_config(source) -> ExperimentConfig:
     ``source`` is a path (``str`` or ``os.PathLike``), an open text file, or
     the config text itself.  A string without a newline is taken as a path:
     no one-line text holds the required sections, so a missing file is
-    reported as missing rather than parsed as text.
+    reported as missing rather than parsed as text.  A relative ``[curve]
+    file`` is resolved against the config file's directory when reading
+    from a path, and against the working directory otherwise.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    base_dir = ""
     try:
         if hasattr(source, "read"):
             parser.read_file(source)
         elif isinstance(source, os.PathLike) or "\n" not in source:
             with open(source, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
+            base_dir = os.path.dirname(os.fspath(source))
         else:
             parser.read_string(source)
     except FileNotFoundError as exc:
@@ -154,7 +158,7 @@ def parse_config(source) -> ExperimentConfig:
         if parser.has_option("curve", "flat_libor"):
             kwargs["flat_libor"] = float(parser.get("curve", "flat_libor"))
         if parser.has_option("curve", "file"):
-            kwargs["curve_file"] = parser.get("curve", "file")
+            kwargs["curve_file"] = os.path.join(base_dir, parser.get("curve", "file"))
         drv = "driver"
         kwargs.update(
             driver_type=get(drv, "type", "brownian"),

@@ -146,8 +146,11 @@ class _FpmStep:
         self.log_f0 = np.log1p(self.delta * np.asarray(model.curve.libors))
         self.drift_table = model.drift_table
 
-    def start(self, n_paths: int) -> np.ndarray:
-        return np.tile(self.log_f0, (n_paths, 1))
+    def interval(self, j: int, lam_row):
+        return self.drift_table[j]
+
+    def start(self, n_paths: int):
+        return np.tile(self.log_f0, (n_paths, 1)), None
 
     def rate(self, log_f):
         return np.expm1(log_f) / self.delta
@@ -155,10 +158,10 @@ class _FpmStep:
     def forward_price(self, log_f, libors):
         return np.exp(log_f)
 
-    def drift(self, log_f, j: int, lam_row):
-        return self.drift_table[j]
+    def drift(self, log_f, aux, lam_row, table):
+        return table
 
-    def advance(self, lam_row, dt, dw, dh):
+    def advance(self, aux, lam_row, table, dt, dw, dh):
         pass
 
 

@@ -102,10 +102,21 @@ class DoubleExponentialJumps:
         return nodes, weights
 
     def sample(self, rng: np.random.Generator, shape):
-        up = rng.random(size=shape) < self.p
-        mag_up = rng.exponential(1.0 / self.alpha_pos, size=shape)
-        mag_dn = rng.exponential(1.0 / self.alpha_neg, size=shape)
-        return np.where(up, mag_up, -mag_dn)
+        # Same generator calls, in the same order, as drawing u = rng.random,
+        # then rng.exponential(1/alpha_pos) and rng.exponential(1/alpha_neg)
+        # and choosing +up or -down by u < p; the exponential draw is the
+        # standard one times its scale, so the bits agree.  Two buffers are
+        # reused instead of five arrays of this shape.
+        mag_up = np.empty(shape)
+        rng.random(out=mag_up)
+        up = mag_up < self.p
+        rng.standard_exponential(out=mag_up)
+        mag_up *= 1.0 / self.alpha_pos
+        sizes = np.empty(shape)
+        rng.standard_exponential(out=sizes)
+        sizes *= -1.0 / self.alpha_neg
+        np.copyto(sizes, mag_up, where=up)
+        return sizes
 
     def __repr__(self):
         return (
@@ -293,8 +304,8 @@ def simulate_driver(
         jump_sums = np.zeros((n_steps, n_base))
         if m > 0:
             sizes = chars.jump_law.sample(rng, (n_steps, n_base, m))
-            mask = np.arange(m) < counts[..., None]
-            jump_sums = np.sum(sizes * mask, axis=2)
+            sizes *= np.arange(m) < counts[..., None]
+            jump_sums = np.sum(sizes, axis=2)
 
     if antithetic:
         dw = np.concatenate([dw, -dw], axis=1)

@@ -28,7 +28,10 @@ fixing date.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +44,7 @@ from .volatility import VolatilitySurface
 
 _STEP_RTOL = 1e-9
 _GRID_ATOL = 1e-10
+_BLOCK_PATHS = 4096  # paths per block of the simulation kernel
 
 
 def jump_tilt_factor(libor, delta: float, loading: float, x):
@@ -70,9 +74,9 @@ class _JumpQuadrature:
         self.intensity = chars.jump_intensity
         self.mean_rate = chars.jump_mean_rate
 
-    def exp_table(self, lam_row: np.ndarray) -> np.ndarray:
-        """exp(lambda_k * x_q) for every (rate, node) pair."""
-        return np.exp(np.outer(lam_row, self.nodes))
+    def expm1_table(self, lam_row: np.ndarray) -> np.ndarray:
+        """exp(lambda_k * x_q) - 1 for every (rate, node) pair."""
+        return np.exp(np.outer(lam_row, self.nodes)) - 1.0
 
 
 def _drift_all(
@@ -80,13 +84,15 @@ def _drift_all(
     lam_row: np.ndarray,
     chars: LevyCharacteristics,
     quad: Optional[_JumpQuadrature],
-    e_table: Optional[np.ndarray] = None,
+    em1_table: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Log-rate drift of every rate given left-endpoint weights.
 
     ``w`` has shape (paths, N) or (1, N); ``lam_row`` are the loadings at
     the current time (zero for already-fixed rates, which removes them from
     the sums and products automatically).  Returns the same leading shape.
+    Every reduction runs within a row, so a path's drift does not depend on
+    which other paths share the call.
     """
     c = chars.diffusion_c
     b = chars.drift_b
@@ -97,19 +103,31 @@ def _drift_all(
     drift = -lam_row * b - 0.5 * c * lam_row**2 - c * lam_row * tail
 
     if quad is not None and quad.intensity > 0.0:
-        if e_table is None:
-            e_table = quad.exp_table(lam_row)
-        n = len(lam_row)
-        prod = np.ones((w.shape[0], len(quad.nodes)))
+        if em1_table is None:
+            em1_table = quad.expm1_table(lam_row)
+        # prod is the running product prod_{l > k} gamma_l at the nodes; it
+        # is 1 for the last live rate, whose integrand is then the same on
+        # every path
+        prod = None
         jump = np.zeros_like(drift)
-        for k in range(n - 1, 0, -1):
-            if lam_row[k] != 0.0:
-                integrand = (e_table[k] - 1.0) * prod
-                jump[:, k] = quad.intensity * (
-                    integrand @ quad.weights
-                ) - lam_row[k] * quad.mean_rate
-                # extend the running product prod_{l > k-1} gamma_l
-                prod = prod * (1.0 + w[:, k, None] * (e_table[k] - 1.0))
+        for k in range(len(lam_row) - 1, 0, -1):
+            if lam_row[k] == 0.0:
+                continue
+            if prod is None:
+                tmp = em1_table[k] * quad.weights
+                integral = tmp.sum()
+                prod = np.multiply(w[:, k, None], em1_table[k])
+                prod += 1.0
+                tmp = np.empty_like(prod)
+            else:
+                np.multiply(em1_table[k], prod, out=tmp)
+                tmp *= quad.weights
+                integral = tmp.sum(axis=1)
+                if k > 1:
+                    np.multiply(w[:, k, None], em1_table[k], out=tmp)
+                    tmp += 1.0
+                    prod *= tmp
+            jump[:, k] = quad.intensity * integral - lam_row[k] * quad.mean_rate
         drift = drift - jump
     return drift
 
@@ -321,7 +339,8 @@ class _LmmStep:
     """Log-rate state of one market-model scheme; see ``_simulate_core``.
 
     The state is log L and the schemes differ only in the forward-price
-    weights fed to the drift.
+    weights fed to the drift.  The object holds read-only data only; the
+    state of a path block is what ``start`` returns.
     """
 
     def __init__(self, model: LmmModel):
@@ -330,10 +349,14 @@ class _LmmStep:
         self.log_l0 = _safe_log(np.asarray(model.curve.libors))
         self.w0 = forward_price_weights(np.asarray(model.curve.libors), self.delta)[None, :]
         self.quad = _JumpQuadrature(self.chars, model.quad_order) if self.chars.has_jumps else None
-        self.e_table = None
 
-    def start(self, n_paths: int) -> np.ndarray:
-        return np.tile(self.log_l0, (n_paths, 1))
+    def interval(self, j: int, lam_row):
+        """Read-only tables of tenor interval j, shared by every path block."""
+        return self.quad.expm1_table(lam_row) if self.quad is not None else None
+
+    def start(self, n_paths: int):
+        """Log-state and auxiliary state of a block of ``n_paths`` paths."""
+        return np.tile(self.log_l0, (n_paths, 1)), None
 
     def rate(self, log_state):
         return np.exp(log_state)
@@ -341,62 +364,72 @@ class _LmmStep:
     def forward_price(self, log_state, libors):
         return 1.0 + self.delta * libors
 
-    def weights(self, log_state):
-        """Left-endpoint weights w = delta L / (1 + delta L) seen by the drift."""
+    def drift(self, log_state, aux, lam_row, table):
+        """Drift of the log-rates with the scheme's left-endpoint weights."""
         raise NotImplementedError
 
-    def drift(self, log_state, j: int, lam_row):
-        self.e_table = self.quad.exp_table(lam_row) if self.quad is not None else None
-        return _drift_all(self.weights(log_state), lam_row, self.chars, self.quad, self.e_table)
-
-    def advance(self, lam_row, dt, dw, dh):
-        """Update any auxiliary state after the main update of a step."""
+    def advance(self, aux, lam_row, table, dt, dw, dh):
+        """Update the auxiliary state after the main update of a step."""
 
 
 class _ExactStep(_LmmStep):
-    def weights(self, log_state):
-        return forward_price_weights(np.exp(log_state), self.delta)
+    def drift(self, log_state, aux, lam_row, table):
+        w = forward_price_weights(np.exp(log_state), self.delta)
+        return _drift_all(w, lam_row, self.chars, self.quad, table)
 
 
 class _FrozenStep(_LmmStep):
-    def weights(self, log_state):
-        return self.w0
+    """Deterministic drift beta0, the exact drift at the time-zero weights."""
+
+    def interval(self, j: int, lam_row):
+        return _drift_all(self.w0, lam_row, self.chars, self.quad)
+
+    def drift(self, log_state, aux, lam_row, table):
+        return table
 
 
 class _TaylorStep(_LmmStep):
     """First-order expansion of the subsequent rates inside the drift.
 
-    The first-variation process of each log-rate accumulates the frozen
-    (deterministic) drift plus the loaded driver increments; the drift of
-    the main state is then evaluated at rates L(0) * exp(Y) instead of the
-    frozen initial values.
+    The first-variation process Y of each log-rate (the auxiliary state)
+    accumulates the frozen (deterministic) drift plus the loaded driver
+    increments; the drift of the main state is then evaluated at rates
+    L(0) * exp(Y) instead of the frozen initial values.
     """
 
-    def start(self, n_paths: int) -> np.ndarray:
-        self.y = np.zeros((n_paths, len(self.log_l0)))
-        return super().start(n_paths)
+    def interval(self, j: int, lam_row):
+        em1 = super().interval(j, lam_row)
+        return em1, _drift_all(self.w0, lam_row, self.chars, self.quad, em1)
 
-    def weights(self, log_state):
-        return forward_price_weights(np.exp(self.log_l0[None, :] + self.y), self.delta)
+    def start(self, n_paths: int):
+        return np.tile(self.log_l0, (n_paths, 1)), np.zeros((n_paths, len(self.log_l0)))
 
-    def advance(self, lam_row, dt, dw, dh):
-        beta0 = _drift_all(self.w0, lam_row, self.chars, self.quad, self.e_table)
-        self.y += beta0 * dt + lam_row * dh[:, None]
+    def drift(self, log_state, y, lam_row, table):
+        w = forward_price_weights(np.exp(self.log_l0[None, :] + y), self.delta)
+        return _drift_all(w, lam_row, self.chars, self.quad, table[0])
+
+    def advance(self, y, lam_row, table, dt, dw, dh):
+        y += table[1] * dt + lam_row * dh[:, None]
 
 
 class _PicardStep(_LmmStep):
-    """Gaussian first Picard iterate of the forward-price weights."""
+    """Gaussian first Picard iterate z of the forward-price weights.
 
-    def start(self, n_paths: int) -> np.ndarray:
-        self.z = np.tile(self.w0[0], (n_paths, 1))
-        return super().start(n_paths)
+    Only continuous drivers reach this step, so the drift has no jump part.
+    """
 
-    def weights(self, log_state):
-        return self.z
+    def interval(self, j: int, lam_row):
+        return picard_tables_row(self.w0[0], lam_row, self.chars.diffusion_c)
 
-    def advance(self, lam_row, dt, dw, dh):
-        drift, vol = picard_tables_row(self.w0[0], lam_row, self.chars.diffusion_c)
-        self.z += drift * dt + vol * dw[:, None]
+    def start(self, n_paths: int):
+        return np.tile(self.log_l0, (n_paths, 1)), np.tile(self.w0[0], (n_paths, 1))
+
+    def drift(self, log_state, z, lam_row, table):
+        return _drift_all(z, lam_row, self.chars, None)
+
+    def advance(self, z, lam_row, table, dt, dw, dh):
+        drift, vol = table
+        z += drift * dt + vol * dw[:, None]
 
 
 def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
@@ -423,6 +456,14 @@ def _safe_log(values: np.ndarray) -> np.ndarray:
         return np.log(values)
 
 
+def _n_workers() -> int:
+    """Threads for the path blocks: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _simulate_core(
     model,
     grid,
@@ -438,16 +479,22 @@ def _simulate_core(
     """Log-Euler recursion shared by the market-model schemes and the FPM.
 
     ``model`` supplies the tenor, curve, loadings and driver law.  ``step``
-    owns the log-state s of the rates: ``start(n_paths)`` gives its initial
-    value, ``drift(s, j, lam_row)`` the left-endpoint drift on tenor
-    interval j, ``advance`` any auxiliary state after each step, and
-    ``rate(s)`` / ``forward_price(s, L)`` map the state to the rates L and
-    the forward prices 1 + delta L.  Every step applies
+    owns the log-state s of the rates: ``interval(j, lam_row)`` builds the
+    read-only tables of tenor interval j, ``start(n)`` gives the initial
+    state and auxiliary state of a block of n paths, ``drift`` the
+    left-endpoint drift, ``advance`` updates the auxiliary state after each
+    step, and ``rate(s)`` / ``forward_price(s, L)`` map the state to the
+    rates L and the forward prices 1 + delta L.  Every step applies
 
         s += drift * dt + lam_row * dH,
 
     and the kernel records fixings, terminal-measure density weights and
     optional snapshots at the grid points.
+
+    The paths run in blocks of ``_BLOCK_PATHS`` through the whole grid, so
+    a block's state stays in cache, and the blocks run on a thread pool
+    (numpy releases the GIL).  Every operation is local to a path, so the
+    results do not depend on the block size or the number of threads.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(model.tenor, grid)
@@ -463,10 +510,10 @@ def _simulate_core(
     n = tenor.n
     delta = tenor.delta
     l0 = np.asarray(model.curve.libors)
-    dh = driver.increments(model.chars)
     dts = driver.dts
+    intervals = [tenor.index_of(t) for t in grid[:-1]]
+    tables = {j: step.interval(j, model.vols.values[j]) for j in set(intervals)}
 
-    state = step.start(n_paths)
     fixings = np.full((n_paths, n), np.nan)  # nan until the fixing date is reached
     fixings[:, 0] = l0[0]
     fixing_weights = np.ones((n_paths, n))
@@ -481,29 +528,43 @@ def _simulate_core(
     date_values = np.empty((n_paths, n_dates, n)) if store_dates else None
     grid_values = np.empty((n_paths, len(grid), n)) if store_grid else None
 
-    def record(i_grid: int):
+    def record(rows: slice, state, i_grid: int):
         d = date_idx.get(i_grid)
         if d is None and not store_grid:
             return
         libors = step.rate(state)
         if store_grid:
-            grid_values[:, i_grid, :] = libors
+            grid_values[rows, i_grid, :] = libors
         if d is None:
             return
         if store_dates:
-            date_values[:, d, :] = libors
+            date_values[rows, d, :] = libors
         if 1 <= d <= n - 1:
-            fixings[:, d] = libors[:, d]
+            fixings[rows, d] = libors[:, d]
             forward = step.forward_price(state[:, d + 1 : n], libors[:, d + 1 : n])
-            fixing_weights[:, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n]), axis=1)
+            fixing_weights[rows, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n]), axis=1)
 
-    record(0)
-    for i in range(len(grid) - 1):
-        j = tenor.index_of(grid[i])
-        lam_row = model.vols.values[j]
-        state += step.drift(state, j, lam_row) * dts[i] + lam_row * dh[i][:, None]
-        step.advance(lam_row, dts[i], driver.dw[i], dh[i])
-        record(i + 1)
+    def run_block(lo: int):
+        rows = slice(lo, min(lo + _BLOCK_PATHS, n_paths))
+        jumps = None if driver.jump_sums is None else driver.jump_sums[:, rows]
+        block = dataclasses.replace(driver, dw=driver.dw[:, rows], jump_sums=jumps)
+        dh = block.increments(model.chars)
+        state, aux = step.start(block.n_paths)
+        record(rows, state, 0)
+        for i, j in enumerate(intervals):
+            lam_row = model.vols.values[j]
+            state += step.drift(state, aux, lam_row, tables[j]) * dts[i] + lam_row * dh[i][:, None]
+            step.advance(aux, lam_row, tables[j], dts[i], block.dw[i], dh[i])
+            record(rows, state, i + 1)
+
+    starts = range(0, n_paths, _BLOCK_PATHS)
+    workers = min(_n_workers(), len(starts))
+    if workers == 1:
+        for lo in starts:
+            run_block(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_block, starts))
 
     return LiborPathSet(
         tenor=tenor,

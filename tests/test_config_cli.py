@@ -303,6 +303,23 @@ def test_cli_calibrate_mfm(tmp_path):
     assert (out / "mfm_grid.csv").exists()
 
 
+def test_cli_curve_file_beside_config(tmp_path):
+    # a relative [curve] file is found next to the config file, not in the
+    # working directory of the command
+    from liborlab.tenor import InitialCurve, TenorStructure, write_curve_file
+
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    write_curve_file(cfg_dir / "curve.txt", InitialCurve.flat(TenorStructure(delta=0.5, n=4), 0.04))
+    (cfg_dir / "exp.cfg").write_text(VERIFY_ALL.replace("flat_libor = 0.04", "file = curve.txt"))
+    proc = _run_cli(
+        ["calibrate-mfm", "cfgdir/exp.cfg", "--out-dir", "mout", "--quad-order", "48"],
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "mout" / "mfm_grid.csv").exists()
+
+
 def test_fpm_caplet_table(tmp_path):
     from liborlab.experiment import build_fpm
     from liborlab.forward_price import write_caplet_table

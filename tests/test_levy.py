@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,3 +185,43 @@ def test_tilted_law_integrates_to_mgf(jump_kou):
         assert shifted_compensator_factor(jump_kou, lam_sum, 0.3) == pytest.approx(
             math.exp(0.3 * lam_sum), rel=1e-15
         )
+
+
+def _plain_driver(chars, grid, n_paths, seed):
+    # the sampling formula written out with whole-array temporaries
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    dts = np.diff(grid)
+    dw = rng.normal(0.0, np.sqrt(dts)[:, None], size=(len(dts), n_paths))
+    counts = rng.poisson(chars.jump_intensity * dts[:, None], size=dw.shape)
+    m = int(counts.max())
+    shape = (*dw.shape, m)
+    law = chars.jump_law
+    up = rng.random(size=shape) < law.p
+    mag_up = rng.exponential(1.0 / law.alpha_pos, size=shape)
+    mag_dn = rng.exponential(1.0 / law.alpha_neg, size=shape)
+    sizes = np.where(up, mag_up, -mag_dn)
+    return dw, np.sum(sizes * (np.arange(m) < counts[..., None]), axis=2), m
+
+
+@pytest.mark.parametrize("seed", [4, 4711])
+def test_driver_sampling_matches_plain_formula_bitwise(jump_kou, seed):
+    grid = np.linspace(0.0, 2.0, 17)
+    dw, jump_sums, _ = _plain_driver(jump_kou, grid, 5_001, seed)
+    paths = simulate_driver(jump_kou, grid, 5_001, seed)
+    assert paths.dw.tobytes() == dw.tobytes()
+    assert paths.jump_sums.tobytes() == jump_sums.tobytes()
+
+
+def test_driver_jump_sampling_memory(jump_kou):
+    # jump sampling holds two float buffers of the (steps x paths x max jumps)
+    # shape at a time; the whole-array formula peaks at about four and a half
+    grid = np.linspace(0.0, 2.0, 9)
+    m = _plain_driver(jump_kou, grid, 40_000, 8)[2]
+    cube_bytes = 8 * 40_000 * m * 8
+    tracemalloc.start()
+    try:
+        simulate_driver(jump_kou, grid, 40_000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cube_bytes

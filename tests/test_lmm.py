@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liborlab.drift_approx import picard_simulate
+from liborlab import lmm
+from liborlab.drift_approx import picard_simulate, taylor_simulate
 from liborlab.errors import DomainError, LiborLabError, QuadratureError
 from liborlab.experiment import _LMM_SCHEMES
 from liborlab.forward_price import FpmModel, simulate_fpm
@@ -16,6 +17,7 @@ from liborlab.levy import (
 from liborlab.lmm import (
     LmmModel,
     _JumpQuadrature,
+    _drift_all,
     forward_measure_characteristics,
     forward_price_weights,
     jump_tilt_factor,
@@ -318,3 +320,38 @@ def test_density_weight_chain_rule_pathwise(tenor, curve, vols, brownian):
         paths.density_weight(1, 0)
     with pytest.raises(LiborLabError):
         simulate_exact(model, simulation_grid(tenor, 4), 8, seed=8).density_weight(1, 2)
+
+
+@pytest.mark.parametrize("block, n_paths", [(1, 203), (7, 4_099), (2_048, 4_099), (None, 4_099)])
+def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jumpy, block, n_paths):
+    # the jump drift of a path is the same whichever rows share the call, and
+    # the kernel gives the same bits for any block size and thread count
+    # (block None is the default size, 4,096: one full block and a rest)
+    size = block or lmm._BLOCK_PATHS
+    rng = np.random.default_rng(n_paths)
+    w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(n_paths, 5))), DELTA)
+    quad = _JumpQuadrature(jumpy, 48)
+    whole = _drift_all(w, vols.values[0], jumpy, quad)
+    blocks = [_drift_all(w[lo : lo + size], vols.values[0], jumpy, quad) for lo in range(0, n_paths, size)]
+    assert np.array_equal(whole, np.concatenate(blocks))
+
+    grid = simulation_grid(tenor, 4)
+    driver = simulate_driver(jumpy, grid, n_paths, seed=8)
+    model = LmmModel(tenor, curve, vols, jumpy)
+    fpm = FpmModel(tenor, curve, vols, jumpy)
+
+    def run_all():
+        return [
+            simulate_exact(model, grid, n_paths, 8, driver=driver),
+            taylor_simulate(model, grid, n_paths, 8, driver=driver),
+            simulate_fpm(fpm, grid, n_paths, 8, driver=driver),
+        ]
+
+    monkeypatch.setattr(lmm, "_BLOCK_PATHS", n_paths)
+    monkeypatch.setattr(lmm, "_n_workers", lambda: 1)
+    reference = run_all()
+    monkeypatch.setattr(lmm, "_BLOCK_PATHS", size)
+    monkeypatch.setattr(lmm, "_n_workers", lambda: 2)
+    for ref, split in zip(reference, run_all()):
+        assert ref.fixings.tobytes() == split.fixings.tobytes()
+        assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
