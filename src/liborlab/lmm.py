@@ -105,18 +105,15 @@ def _drift_all(
     if quad is not None and quad.intensity > 0.0:
         if em1_table is None:
             em1_table = quad.expm1_table(lam_row)
-        # prod is the running product prod_{l > k} gamma_l at the nodes; it
-        # is 1 for the last live rate, whose integrand is then the same on
-        # every path
-        prod = None
+        prod = None  # prod_{l > k} gamma_l at the nodes, updated in place
         jump = np.zeros_like(drift)
         for k in range(len(lam_row) - 1, 0, -1):
             if lam_row[k] == 0.0:
                 continue
             if prod is None:
-                tmp = em1_table[k] * quad.weights
-                integral = tmp.sum()
-                prod = np.multiply(w[:, k, None], em1_table[k])
+                # the product is still 1, so the integrand is the same on every path
+                integral = (em1_table[k] * quad.weights).sum()
+                prod = w[:, k, None] * em1_table[k]
                 prod += 1.0
                 tmp = np.empty_like(prod)
             else:
@@ -557,14 +554,8 @@ def _simulate_core(
             step.advance(aux, lam_row, tables[j], dts[i], block.dw[i], dh[i])
             record(rows, state, i + 1)
 
-    starts = range(0, n_paths, _BLOCK_PATHS)
-    workers = min(_n_workers(), len(starts))
-    if workers == 1:
-        for lo in starts:
-            run_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
+    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
+        list(pool.map(run_block, range(0, n_paths, _BLOCK_PATHS)))
 
     return LiborPathSet(
         tenor=tenor,
