@@ -102,11 +102,10 @@ class DoubleExponentialJumps:
         return nodes, weights
 
     def sample(self, rng: np.random.Generator, shape):
-        # Same generator calls, in the same order, as drawing u = rng.random,
-        # then rng.exponential(1/alpha_pos) and rng.exponential(1/alpha_neg)
-        # and choosing +up or -down by u < p; the exponential draw is the
-        # standard one times its scale, so the bits agree.  Two buffers are
-        # reused instead of five arrays of this shape.
+        # u = rng.random, then rng.exponential(1/alpha_pos) and
+        # rng.exponential(1/alpha_neg), choosing +up or -down by u < p, drawn
+        # into two reused buffers; an exponential draw is the standard one
+        # times its scale, so these are the same bits.
         mag_up = np.empty(shape)
         rng.random(out=mag_up)
         up = mag_up < self.p

@@ -28,11 +28,10 @@ fixing date.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -544,7 +543,7 @@ def _simulate_core(
     def run_block(lo: int):
         rows = slice(lo, min(lo + _BLOCK_PATHS, n_paths))
         jumps = None if driver.jump_sums is None else driver.jump_sums[:, rows]
-        block = dataclasses.replace(driver, dw=driver.dw[:, rows], jump_sums=jumps)
+        block = replace(driver, dw=driver.dw[:, rows], jump_sums=jumps)
         dh = block.increments(model.chars)
         state, aux = step.start(block.n_paths)
         record(rows, state, 0)
