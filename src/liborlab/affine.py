@@ -98,14 +98,15 @@ def moment_domain(params: CirParams, horizon: float):
 def cir_flow(params: CirParams, t, u):
     """The pair (phi_t(u), psi_t(u)); broadcasts over t and u.
 
-    Accepts complex u with the domain condition on the real part (the
-    denominator then stays in the right half plane, so the principal log
-    is the correct analytic continuation).
+    Accepts complex u.  The closed form is singular only on its branch
+    cut, real u at or beyond the explosion boundary; off the real axis the
+    denominator 1 - u sigma^2 s(t) / 2 stays off (-inf, 0], so the principal
+    log gives the analytic continuation of the moments.
 
     Raises
     ------
     DomainError
-        If Re(u) sits at or beyond the explosion boundary for horizon t;
+        If a real u sits at or beyond the explosion boundary for horizon t;
         the error carries the maximal admissible u.
     """
     t = np.asarray(t, dtype=float)
@@ -114,9 +115,9 @@ def cir_flow(params: CirParams, t, u):
         raise LiborLabError("flow horizon must be >= 0")
     ec, slope = _decay_slope(params, t)
     half_s2 = 0.5 * params.vol_of_vol**2
-    arg = -u * half_s2 * slope  # explosion when Re(arg) <= -1
+    arg = -u * half_s2 * slope  # branch cut: real arg <= -1
     tb, argb = np.broadcast_arrays(t, arg)
-    bad = np.real(argb) <= -1.0
+    bad = (np.real(argb) <= -1.0) & (np.imag(argb) == 0.0)
     if np.any(bad):
         bad_t = float(np.max(tb[bad]))
         raise DomainError(

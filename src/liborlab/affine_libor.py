@@ -45,6 +45,7 @@ from .tenor import InitialCurve, TenorStructure
 
 _FIT_RTOL = 1e-10
 _DOMAIN_MARGIN = 1.0 - 1e-9
+_POLE_GAP = 0.25
 
 
 @dataclass(frozen=True)
@@ -164,19 +165,22 @@ def libor_value(family: MartingaleFamily, k: int, t: float, x) -> np.ndarray:
     return (np.expm1(a + b * x) / family.tenor.delta)[()]
 
 
-def forward_measure_mgf(
-    family: MartingaleFamily, k: int, v, s: float, r: float, x_s
-) -> np.ndarray:
-    """E^{T_k}[ exp(v X_r) | X_s = x_s ] in exponential-affine closed form.
+def forward_measure_mgf(family: MartingaleFamily, k: int, v, s: float, r: float, x_s):
+    """E^{T_k}[ exp(v X_r) | X_s = x_s ], see :func:`forward_measure_cgf`."""
+    return np.exp(forward_measure_cgf(family, k, v, s, r, x_s))[()]
+
+
+def forward_measure_cgf(family: MartingaleFamily, k: int, v, s: float, r: float, x_s):
+    """log E^{T_k}[ exp(v X_r) | X_s = x_s ] in affine closed form.
 
     The measure change to the T_k forward measure tilts the driver by
     psi_{T_N - r}(u_k); composing the flow gives
 
-        exp( phi_{r-s}(q + v) - phi_{r-s}(q)
-             + [psi_{r-s}(q + v) - psi_{r-s}(q)] x_s ),   q = psi_{T_N - r}(u_k).
+        phi_{r-s}(q + v) - phi_{r-s}(q)
+        + [psi_{r-s}(q + v) - psi_{r-s}(q)] x_s,   q = psi_{T_N - r}(u_k).
 
-    ``v`` may be complex (Fourier pricing); the domain condition applies to
-    its real part.
+    ``v`` may be complex (Fourier pricing): off the real axis this is the
+    analytic continuation, which :func:`cir_flow` evaluates.
     """
     if not 0.0 <= s <= r <= family.horizon:
         raise LiborLabError("need 0 <= s <= r <= horizon")
@@ -185,7 +189,7 @@ def forward_measure_mgf(
     q = cir_flow(family.params, family.horizon - r, family.u_seq[k])[1]
     phi_qv, psi_qv = cir_flow(family.params, r - s, q + np.asarray(v))
     phi_q, psi_q = cir_flow(family.params, r - s, q)
-    return np.exp(phi_qv - phi_q + (psi_qv - psi_q) * np.asarray(x_s))[()]
+    return phi_qv - phi_q + (psi_qv - psi_q) * np.asarray(x_s)
 
 
 def _caplet_setup(family: MartingaleFamily, k: int, strike: float):
@@ -202,33 +206,42 @@ def _caplet_setup(family: MartingaleFamily, k: int, strike: float):
 def caplet_price_fourier(family: MartingaleFamily, k: int, strike: float) -> float:
     """Caplet value B(0,T_{k+1}) delta E^{T_{k+1}}[(L(T_k,T_k) - K)^+].
 
-    The accrual-scaled payoff is a call on exp(A + B X_{T_k}) with strike
-    1 + delta K, priced by damped Fourier inversion against the forward
-    measure's exponential moment of X_{T_k}.
+    The accrual-scaled payoff is e^A times a call on exp(B X_{T_k}) with
+    strike K' = (1 + delta K) e^{-A}, priced by damped Fourier inversion of
+    the forward measure's cumulant function of B X_{T_k} on a rotated ray.
+    The ray crosses the real axis at the saddle of K'^{-w} E[e^{w B X}], so
+    the integrand decays from its start even when X is nearly deterministic.
     """
     delta, t_fix, a, b = _caplet_setup(family, k, strike)
     discount = family.curve.bond(k + 1)
-    strike_factor = 1.0 + delta * strike
+    log_k = math.log1p(delta * strike) - a
 
     if b <= 1e-14:
         # deterministic rate exp(A) - 1; with u_k = u_{k+1} it is zero
         intrinsic = max(math.expm1(a) / delta - strike, 0.0)
         return discount * delta * intrinsic
 
-    # moment function of S = A + B X_{T_k} under the T_{k+1} forward measure
-    def moment(w):
-        return np.exp(w * a) * forward_measure_mgf(
-            family, k + 1, w * b, 0.0, t_fix, family.params.x0
-        )
-
     # damping bound: Re(w) b + psi_{T_N - T_k}(u_{k+1}) below the explosion
     # threshold of the flow at horizon T_k
     q = cir_flow(family.params, family.horizon - t_fix, family.u_seq[k + 1])[1]
     u_max = float(explosion_threshold(family.params, t_fix)) * _DOMAIN_MARGIN
-    w_max = (u_max - q) / b
-    damping = select_damping(w_max)
-    value = damped_call_expectation(moment, strike_factor, damping)
-    return discount * value
+    damping = cap = select_damping((u_max - q) / b)
+    if log_k > 0.0:
+        # X_{T_k} ~ scale NCChi2(df, nc) under the T_{k+1} measure; the saddle
+        # solves c (df y + nc y^2) = log K' (tilted mean), y = 1 / (1 - 2 c w)
+        scale, df, nc = forward_transition_law(family, k + 1, t_fix)
+        c = scale * b
+        y = 2.0 * (log_k / c) / (df + math.sqrt(df * df + 4.0 * nc * log_k / c))
+        damping = (1.0 - 1.0 / y) / (2.0 * c)
+        for pole in (0.0, 1.0):
+            if abs(damping - pole) < _POLE_GAP:
+                damping = pole + math.copysign(_POLE_GAP, damping - pole)
+        damping = min(damping, cap)
+    value = damped_call_expectation(
+        lambda w: forward_measure_cgf(family, k + 1, w * b, 0.0, t_fix, family.params.x0),
+        math.exp(log_k), damping, rotate=True,
+    )
+    return discount * math.exp(a) * value
 
 
 def forward_transition_law(family: MartingaleFamily, k: int, r: float):

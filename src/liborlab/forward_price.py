@@ -189,8 +189,8 @@ def negative_rate_fraction(paths: LiborPathSet, k: Optional[int] = None) -> floa
     return float(np.mean(fix < 0.0))
 
 
-def log_forward_moment(model: FpmModel, k: int, w) -> complex:
-    """Moment function E^{T_{k+1}}[exp(w log F(T_k, T_k, T_{k+1}))].
+def log_forward_cumulant(model: FpmModel, k: int, w) -> complex:
+    """Cumulant function log E^{T_{k+1}}[exp(w log F(T_k, T_k, T_{k+1}))].
 
     Under the T_{k+1} forward measure the driver is a time-inhomogeneous
     tilt of the terminal one, so the exponent integrates interval by
@@ -210,7 +210,7 @@ def log_forward_moment(model: FpmModel, k: int, w) -> complex:
             + model.chars.cumulant(w * lam + tail)
             - model.chars.cumulant(tail)
         )
-    return np.exp(out)
+    return out
 
 
 def _damping_bound(model: FpmModel, k: int) -> float:
@@ -250,6 +250,6 @@ def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
 
     damping = select_damping(_damping_bound(model, k))
     value = damped_call_expectation(
-        lambda w: log_forward_moment(model, k, w), strike_factor, damping
+        lambda w: log_forward_cumulant(model, k, w), strike_factor, damping
     )
     return discount * value

@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import DomainError, LiborLabError
 
+_DOWN_CHUNK = 1 << 16
+
 
 class NormalJumps:
     """Gaussian jump sizes, mean ``mean`` and standard deviation ``sd``."""
@@ -103,18 +105,20 @@ class DoubleExponentialJumps:
 
     def sample(self, rng: np.random.Generator, shape):
         # u = rng.random, then rng.exponential(1/alpha_pos) and
-        # rng.exponential(1/alpha_neg), choosing +up or -down by u < p, drawn
-        # into two reused buffers; an exponential draw is the standard one
-        # times its scale, so these are the same bits.
-        mag_up = np.empty(shape)
-        rng.random(out=mag_up)
-        up = mag_up < self.p
-        rng.standard_exponential(out=mag_up)
-        mag_up *= 1.0 / self.alpha_pos
+        # rng.exponential(1/alpha_neg), +up or -down by u < p, in one cube;
+        # the down draws come in chunks, the same bits as one whole draw
         sizes = np.empty(shape)
+        rng.random(out=sizes)
+        down = sizes >= self.p
         rng.standard_exponential(out=sizes)
-        sizes *= -1.0 / self.alpha_neg
-        np.copyto(sizes, mag_up, where=up)
+        sizes *= 1.0 / self.alpha_pos
+        flat, flat_down = sizes.reshape(-1), down.reshape(-1)
+        chunk = np.empty(min(_DOWN_CHUNK, flat.size))
+        for lo in range(0, flat.size, _DOWN_CHUNK):
+            part = chunk[: flat.size - lo]
+            rng.standard_exponential(out=part)
+            part *= -1.0 / self.alpha_neg
+            np.copyto(flat[lo : lo + part.size], part, where=flat_down[lo : lo + part.size])
         return sizes
 
     def __repr__(self):
@@ -300,11 +304,12 @@ def simulate_driver(
             raise LiborLabError(
                 f"{m} jumps in one step exceeds the cap {max_jumps_per_step}; refine the grid"
             )
-        jump_sums = np.zeros((n_steps, n_base))
         if m > 0:
             sizes = chars.jump_law.sample(rng, (n_steps, n_base, m))
             sizes *= np.arange(m) < counts[..., None]
             jump_sums = np.sum(sizes, axis=2)
+        else:
+            jump_sums = np.zeros((n_steps, n_base))
 
     if antithetic:
         dw = np.concatenate([dw, -dw], axis=1)

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import CalibrationError, LiborLabError, QuadratureError
 from .tenor import InitialCurve, TenorStructure
@@ -151,7 +151,7 @@ def black_digital_price(L0: float, strike: float, total_vol: float, discount: fl
     if total_vol == 0.0:
         return discount if L0 > strike else 0.0
     d2 = (math.log(L0 / strike) - 0.5 * total_vol**2) / total_vol
-    return discount * norm.cdf(d2)
+    return discount * ndtr(d2)
 
 
 def black_digital_strike(
@@ -237,9 +237,8 @@ class _MonotoneLogInterp:
 def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
     """int e^{b x} phi_var(x) dx over (c, inf) or (-inf, c)."""
     sd = math.sqrt(var)
-    if upper:
-        return math.exp(0.5 * b * b * var) * norm.sf((c - b * var) / sd)
-    return math.exp(0.5 * b * b * var) * norm.cdf((c - b * var) / sd)
+    y = (c - b * var) / sd
+    return math.exp(0.5 * b * b * var) * ndtr(-y if upper else y)
 
 
 @dataclass
@@ -330,7 +329,7 @@ def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
     # tails: J ~ 1 + exp(a + b x); a rate-free J (== 1) has a pure Gaussian tail
     def tail(upper: bool) -> float:
         c = x[-1] if upper else x[0]
-        base = norm.sf(c / sd) if upper else norm.cdf(c / sd)
+        base = ndtr((-c if upper else c) / sd)
         j_edge = j_nodes[-1] if upper else j_nodes[0]
         if j_edge - 1.0 <= _TAIL_EPS:
             return float(base)
@@ -468,7 +467,7 @@ def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
         j_interp = _MonotoneLogInterp(x, j_nodes, shift=1.0)
 
     def tail_beyond(c: float, upper: bool) -> float:
-        base = norm.sf(c / sd) if upper else norm.cdf(c / sd)
+        base = ndtr((-c if upper else c) / sd)
         if j_interp is None:
             return float(base)
         a, b = j_interp.tail_coeffs(upper)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import LiborLabError, PriceBoundsError
 from .lmm import LiborPathSet
@@ -55,7 +55,7 @@ def black_caplet(
         return discount * delta * max(L0 - strike, 0.0)
     d1 = (math.log(L0 / strike) + 0.5 * total_vol**2) / total_vol
     d2 = d1 - total_vol
-    return discount * delta * (L0 * norm.cdf(d1) - strike * norm.cdf(d2))
+    return discount * delta * (L0 * ndtr(d1) - strike * ndtr(d2))
 
 
 def implied_vol(

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -97,6 +98,22 @@ def test_moment_domain_shape(params):
     with pytest.raises(DomainError) as err:
         cir_flow(params, 1.0, hi * (1.0 + 1e-9))
     assert err.value.max_admissible == pytest.approx(hi, rel=1e-12)
+
+
+def test_flow_continues_off_the_real_axis(params):
+    # only real u at or past the boundary lies on the branch cut; off the
+    # real axis the closed form is the analytic continuation
+    hi = moment_domain(params, 1.0)[1]
+    slope = -math.expm1(-params.mean_reversion) / params.mean_reversion
+    gamma = 2.0 * params.mean_reversion * params.long_run_level / params.vol_of_vol**2
+    for u in (2.0 * hi - 0.5j, 3.0 * hi - 1e-3j, 2.0 * hi + 4.0j):
+        den = 1.0 - 0.5 * u * params.vol_of_vol**2 * slope
+        phi, psi = cir_flow(params, 1.0, np.array([u]))
+        assert psi[0] == pytest.approx(u * math.exp(-params.mean_reversion) / den, rel=1e-12)
+        assert phi[0] == pytest.approx(-gamma * cmath.log(den), rel=1e-12)
+    for u in (1.5 * hi, complex(1.5 * hi, 0.0)):
+        with pytest.raises(DomainError):
+            cir_flow(params, 1.0, np.array([u]))
 
 
 def test_moment_domain_shrinks_with_horizon(params):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ncx2
 
 from liborlab.affine import CirParams, cir_flow
@@ -178,12 +180,47 @@ def test_forward_transition_law_is_tilted_ncx2(family, params):
         assert abs(sample.mean() - target) <= 3.0 * se
 
 
-def test_caplet_fourier_matches_chi2(family):
-    for k in (1, 3, 4):
-        for strike in (0.01, 0.04, 0.09):
-            pf = caplet_price_fourier(family, k, strike)
-            pc = caplet_price_chi2(family, k, strike)
-            assert pf == pytest.approx(pc, abs=5e-10)
+def test_caplet_fourier_matches_chi2(family, params):
+    # long tenors too: the transform rule has a fixed node count
+    longer = [
+        fit_initial_curve(InitialCurve.flat(TenorStructure(delta=DELTA, n=n), 0.04), params)
+        for n in (20, 40)
+    ]
+    for fam in [family, *longer]:
+        n = fam.tenor.n
+        for k in sorted({1, 3, 4, n // 2, n - 1}):
+            for strike in (0.01, 0.04, 0.09):
+                pf = caplet_price_fourier(fam, k, strike)
+                pc = caplet_price_chi2(fam, k, strike)
+                assert pf == pytest.approx(pc, abs=5e-10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    mean_reversion=st.floats(0.05, 4.0),
+    long_run_level=st.floats(1e-3, 0.5),
+    vol_of_vol=st.floats(0.02, 2.0),
+    x0=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    n=st.integers(2, 40),
+    index=st.floats(0.0, 1.0, exclude_max=True),
+    factor=st.floats(0.05, 4.0),
+    rate=st.floats(1e-3, 0.2),
+)
+def test_caplet_fourier_matches_chi2_property(
+    mean_reversion, long_run_level, vol_of_vol, x0, n, index, factor, rate
+):
+    # df = 4 a theta / sigma^2 > 0, so the chi-square form applies
+    params = CirParams(mean_reversion, long_run_level, vol_of_vol, x0)
+    curve = InitialCurve.flat(TenorStructure(delta=DELTA, n=n), rate)
+    try:
+        fam = fit_initial_curve(curve, params)
+    except FitInfeasibleError:
+        assume(False)
+    k = 1 + int(index * (n - 1))
+    strike = factor * curve.libor(k)
+    pf = caplet_price_fourier(fam, k, strike)
+    assert pf >= 0.0
+    assert pf == pytest.approx(caplet_price_chi2(fam, k, strike), abs=5e-10)
 
 
 def test_caplet_fourier_matches_mc(family, curve):

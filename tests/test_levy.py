@@ -225,3 +225,18 @@ def test_driver_jump_sampling_memory(jump_kou):
     finally:
         tracemalloc.stop()
     assert peak < 3 * cube_bytes
+
+
+def test_driver_jump_sampling_holds_one_cube(jump_kou):
+    # the up/down choice is a bool array and the down magnitudes go into the
+    # one float cube in chunks; two whole float buffers peaked at 2.9 cubes
+    grid = np.linspace(0.0, 2.0, 9)
+    m = _plain_driver(jump_kou, grid, 40_000, 8)[2]
+    cube_bytes = 8 * 40_000 * m * 8
+    tracemalloc.start()
+    try:
+        simulate_driver(jump_kou, grid, 40_000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cube_bytes

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from liborlab.errors import LiborLabError, PriceBoundsError
 from liborlab.levy import LevyCharacteristics
 from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
+from liborlab.markov_functional import black_digital_price
 from liborlab.pricing import (
     black_caplet,
     forward_swap_value,
@@ -161,3 +164,19 @@ def test_swaption_needs_snapshots(tenor, curve):
     paths = simulate_exact(model, simulation_grid(tenor, 4), 64, seed=1)
     with pytest.raises(LiborLabError):
         mc_swaption(paths, 1, 4, 0.04, curve)
+
+
+def test_normal_cdf_matches_scipy_norm_bitwise():
+    # ndtr(x) and ndtr(-x) are the scalar norm.cdf(x) and norm.sf(x)
+    for x in np.concatenate([np.linspace(-40.0, 40.0, 8001), [-1e-300, 0.0, 1e-300]]):
+        assert ndtr(x) == norm.cdf(x)
+        assert ndtr(-x) == norm.sf(x)
+    for vol in (0.01, 0.2, 1.5):
+        for strike in (0.005, 0.03, 0.04, 0.2):
+            d1 = (math.log(0.04 / strike) + 0.5 * vol**2) / vol
+            d2 = d1 - vol
+            assert black_caplet(0.04, strike, vol, 0.5, 0.97) == 0.97 * 0.5 * (
+                0.04 * norm.cdf(d1) - strike * norm.cdf(d2)
+            )
+            d2 = (math.log(0.04 / strike) - 0.5 * vol**2) / vol
+            assert black_digital_price(0.04, strike, vol, 0.97) == 0.97 * norm.cdf(d2)
