@@ -226,10 +226,10 @@ def caplet_price_fourier(family: MartingaleFamily, k: int, strike: float) -> flo
     q = cir_flow(family.params, family.horizon - t_fix, family.u_seq[k + 1])[1]
     u_max = float(explosion_threshold(family.params, t_fix)) * _DOMAIN_MARGIN
     damping = cap = select_damping((u_max - q) / b)
-    if log_k > 0.0:
+    scale, df, nc = forward_transition_law(family, k + 1, t_fix)
+    if log_k > 0.0 and df + nc > 0.0:
         # X_{T_k} ~ scale NCChi2(df, nc) under the T_{k+1} measure; the saddle
         # solves c (df y + nc y^2) = log K' (tilted mean), y = 1 / (1 - 2 c w)
-        scale, df, nc = forward_transition_law(family, k + 1, t_fix)
         c = scale * b
         y = 2.0 * (log_k / c) / (df + math.sqrt(df * df + 4.0 * nc * log_k / c))
         damping = (1.0 - 1.0 / y) / (2.0 * c)

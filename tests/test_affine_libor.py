@@ -246,6 +246,18 @@ def test_caplet_worthless_when_rate_identically_zero(curve, params):
     assert caplet_price_fourier(fam, 1, 0.02) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_caplet_fourier_with_zero_driver(curve):
+    # x0 = 0 and no long-run level: X stays at 0, every rate is 0, and the
+    # transform has no saddle to place its ray at
+    params = CirParams(mean_reversion=1.0, long_run_level=0.0, vol_of_vol=0.5, x0=0.0)
+    fam = MartingaleFamily(
+        curve=curve, params=params, u_seq=np.array([1.2, 1.0, 0.8, 0.5, 0.3, 0.0])
+    )
+    for strike in (0.0, 0.01, 0.5):
+        assert caplet_price_fourier(fam, 2, strike) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_affine_paths_weighted_martingale(family, curve):
     paths = simulate_affine_paths(family, 150_000, seed=23)
     for k in range(1, 5):
