@@ -47,12 +47,12 @@ def _transform_quotes():
     family = experiment.build_affine_family(cfg)
     for k in range(1, cfg.n):
         for strike in experiment.strikes_for(cfg, curve, k):
-            yield "fpm", forward_price.caplet_price_fourier, fpm, k, strike
-            yield "affine", affine_libor.caplet_price_fourier, family, k, strike
+            yield forward_price.caplet_price_fourier, fpm, k, strike
+            yield affine_libor.caplet_price_fourier, family, k, strike
 
 
 def test_transform_prices_nonnegative_on_price_config():
-    prices = [pricer(model, k, strike) for _, pricer, model, k, strike in _transform_quotes()]
+    prices = [pricer(model, k, strike) for pricer, model, k, strike in _transform_quotes()]
     assert len(prices) == 90
     assert min(prices) >= 0.0
 
@@ -73,7 +73,7 @@ def test_transform_quote_evaluates_under_1000_points(monkeypatch):
             return value
 
         monkeypatch.setattr(module, "damped_call_expectation", counting)
-    for _, pricer, model, k, strike in _transform_quotes():
+    for pricer, model, k, strike in _transform_quotes():
         pricer(model, k, strike)
     assert len(counts) == 90
     assert max(counts) < 1000
