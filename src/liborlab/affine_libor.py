@@ -39,13 +39,13 @@ from .affine import (
     transition_constants,
 )
 from .errors import DomainError, FitInfeasibleError, LiborLabError
-from .fourier import damped_call_expectation, select_damping
+from .fourier import damped_call_expectation
 from .lmm import LiborPathSet
 from .tenor import InitialCurve, TenorStructure
 
 _FIT_RTOL = 1e-10
 _DOMAIN_MARGIN = 1.0 - 1e-9
-_POLE_GAP = 0.25
+_RAY_ANGLE = math.pi / 6.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def fit_initial_curve(curve: InitialCurve, params: CirParams) -> MartingaleFamil
                 tenor_index=k,
             )
         hi = None
-        for frac in 1.0 - 0.5 ** np.arange(1, 60):
+        # 1 - 2^-49 keeps u_max * frac below u_max, the edge of the flow's domain
+        for frac in 1.0 - 0.5 ** np.arange(1, 50):
             cand = u_max * frac
             if log_m0(cand) >= target:
                 hi = cand
@@ -209,8 +210,8 @@ def caplet_price_fourier(family: MartingaleFamily, k: int, strike: float) -> flo
     The accrual-scaled payoff is e^A times a call on exp(B X_{T_k}) with
     strike K' = (1 + delta K) e^{-A}, priced by damped Fourier inversion of
     the forward measure's cumulant function of B X_{T_k} on a rotated ray.
-    The ray crosses the real axis at the saddle of K'^{-w} E[e^{w B X}], so
-    the integrand decays from its start even when X is nearly deterministic.
+    B X >= 0 has no linear asymptote in its cumulant, and its power tail
+    decays best on a ray at pi/6.
     """
     delta, t_fix, a, b = _caplet_setup(family, k, strike)
     discount = family.curve.bond(k + 1)
@@ -221,25 +222,13 @@ def caplet_price_fourier(family: MartingaleFamily, k: int, strike: float) -> flo
         intrinsic = max(math.expm1(a) / delta - strike, 0.0)
         return discount * delta * intrinsic
 
-    # damping bound: Re(w) b + psi_{T_N - T_k}(u_{k+1}) below the explosion
-    # threshold of the flow at horizon T_k
+    # strip: Re(w) b + psi_{T_N - T_k}(u_{k+1}) below the explosion threshold
+    # of the flow at horizon T_k
     q = cir_flow(family.params, family.horizon - t_fix, family.u_seq[k + 1])[1]
     u_max = float(explosion_threshold(family.params, t_fix)) * _DOMAIN_MARGIN
-    damping = cap = select_damping((u_max - q) / b)
-    scale, df, nc = forward_transition_law(family, k + 1, t_fix)
-    if log_k > 0.0 and df + nc > 0.0:
-        # X_{T_k} ~ scale NCChi2(df, nc) under the T_{k+1} measure; the saddle
-        # solves c (df y + nc y^2) = log K' (tilted mean), y = 1 / (1 - 2 c w)
-        c = scale * b
-        y = 2.0 * (log_k / c) / (df + math.sqrt(df * df + 4.0 * nc * log_k / c))
-        damping = (1.0 - 1.0 / y) / (2.0 * c)
-        for pole in (0.0, 1.0):
-            if abs(damping - pole) < _POLE_GAP:
-                damping = pole + math.copysign(_POLE_GAP, damping - pole)
-        damping = min(damping, cap)
     value = damped_call_expectation(
         lambda w: forward_measure_cgf(family, k + 1, w * b, 0.0, t_fix, family.params.x0),
-        math.exp(log_k), damping, rotate=True,
+        math.exp(log_k), -math.inf, (u_max - q) / b, _RAY_ANGLE,
     )
     return discount * math.exp(a) * value
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, LiborLabError
-from .fourier import damped_call_expectation, select_damping
+from .fourier import damped_call_expectation
 from .levy import DriverPathSet, LevyCharacteristics
 from .lmm import LiborPathSet, _simulate_core
 from .pricing import implied_vol_or_none
@@ -44,6 +44,7 @@ from .volatility import VolatilitySurface
 
 _GRID_ATOL = 1e-10
 _DOMAIN_MARGIN = 1.0 - 1e-9
+_RAY_ANGLE = math.pi / 12.0
 
 
 @dataclass(frozen=True)
@@ -213,43 +214,47 @@ def log_forward_cumulant(model: FpmModel, k: int, w) -> complex:
     return out
 
 
-def _damping_bound(model: FpmModel, k: int) -> float:
-    """Largest real w with the tilted cumulants finite for rate k."""
+def _damping_strip(model: FpmModel, k: int):
+    """Open interval of real w with the tilted cumulants finite for rate k."""
     bound = model.chars.exp_moment_bound * _DOMAIN_MARGIN
-    if math.isinf(bound):
-        return math.inf
-    w_hi = math.inf
+    w_lo, w_hi = -math.inf, math.inf
     for j in range(k):
         lam = model.vols.values[j, k]
         tail = model.loading_tails[j, k + 1]
-        if lam > 0.0:
-            w_hi = min(w_hi, (bound - tail) / lam)
-        elif lam < 0.0:
-            w_hi = min(w_hi, (-bound - tail) / lam)
-    return w_hi
+        if lam != 0.0:
+            ends = sorted(((bound - tail) / lam, (-bound - tail) / lam))
+            w_lo, w_hi = max(w_lo, ends[0]), min(w_hi, ends[1])
+    return w_lo, w_hi
 
 
 def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
     """Caplet value B(0, T_{k+1}) delta E^{T_{k+1}}[(L(T_k, T_k) - strike)^+].
 
-    The accrual-scaled payoff delta (L - K)^+ equals a call on the forward
-    price with strike 1 + delta K, so a one-dimensional damped Fourier
-    inversion of the forward price's moment function prices it; damping
-    sits at the midpoint of the admissible strip.
+    The accrual-scaled payoff delta (L - K)^+ is a call on the forward price
+    with strike 1 + delta K, priced by damped Fourier inversion of the
+    cumulant of log F centred at s0, log F when the driver neither diffuses
+    nor jumps: a pure-jump law's atom at s0 then decays on the ray too.  The
+    ray stays at a small angle, where Brownian and normal-jump factors decay.
     """
     if not 1 <= k <= model.tenor.n - 1:
         raise LiborLabError(f"rate index {k} outside 1..{model.tenor.n - 1}")
     delta = model.tenor.delta
     if strike <= -1.0 / delta:
         raise LiborLabError(f"strike must exceed -1/delta = {-1.0 / delta}")
-    strike_factor = 1.0 + delta * strike
     discount = model.curve.bond(k + 1)
 
     if not any(model.vols.values[j, k] != 0.0 for j in range(k)):
         return discount * delta * max(model.curve.libor(k) - strike, 0.0)
 
-    damping = select_damping(_damping_bound(model, k))
-    value = damped_call_expectation(
-        lambda w: log_forward_cumulant(model, k, w), strike_factor, damping
+    chars = model.chars
+    slope = chars.drift_b - (chars.jump_intensity * chars.jump_law.jump_mean() if chars.has_jumps else 0.0)
+    s0 = math.log1p(delta * model.curve.libor(k)) + delta * sum(
+        model.drift_table[j, k] + model.vols.values[j, k] * slope for j in range(k)
     )
-    return discount * value
+    value = damped_call_expectation(
+        lambda w: log_forward_cumulant(model, k, w) - w * s0,
+        (1.0 + delta * strike) * math.exp(-s0),
+        *_damping_strip(model, k),
+        _RAY_ANGLE,
+    )
+    return discount * math.exp(s0) * value

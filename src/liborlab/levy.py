@@ -80,10 +80,12 @@ class DoubleExponentialJumps:
         self.alpha_neg = float(alpha_neg)
 
     def mgf(self, z):
-        zr = np.real(np.asarray(z))
+        # the poles are real: off the real axis this is the analytic continuation
+        z = np.asarray(z)
+        zr = np.real(z)[np.imag(z) == 0.0]
         if np.any(zr >= self.alpha_pos) or np.any(zr <= -self.alpha_neg):
             raise DomainError(
-                f"jump-size mgf diverges at Re(z)={zr}",
+                f"jump-size mgf diverges at z={zr}",
                 max_admissible=self.exp_moment_bound(),
             )
         return self.p * self.alpha_pos / (self.alpha_pos - z) + (
@@ -176,16 +178,18 @@ class LevyCharacteristics:
         return self.jump_intensity * self.jump_law.jump_mean()
 
     def check_domain(self, z) -> None:
+        """Reject real z with |z| at or past the bound (complex z: continuation)."""
         bound = self.exp_moment_bound
-        zr = np.abs(np.real(np.asarray(z)))
+        z = np.asarray(z)
+        zr = np.abs(np.real(z))[np.imag(z) == 0.0]
         if np.any(zr >= bound):
             raise DomainError(
-                f"|Re z| = {float(np.max(zr))} outside the moment domain (bound {bound})",
+                f"|z| = {float(np.max(zr))} outside the moment domain (bound {bound})",
                 max_admissible=bound,
             )
 
     def cumulant(self, z):
-        """kappa(z); accepts real or complex arguments inside the domain."""
+        """kappa(z) for real z inside the domain or complex z off the real axis."""
         self.check_domain(z)
         z = np.asarray(z)
         out = self.drift_b * z + 0.5 * self.diffusion_c * z * z

@@ -100,6 +100,16 @@ def test_fit_infeasible_for_degenerate_driver(tenor):
     assert err.value.tenor_index is not None
 
 
+def test_fit_infeasible_past_the_attainable_supremum():
+    # a 12.5% curve is out of reach of this driver: the bracket search must
+    # stop short of the flow's explosion boundary and report the tenor index
+    params = CirParams(mean_reversion=0.05, long_run_level=0.03125, vol_of_vol=1.0, x0=0.0)
+    curve = InitialCurve.flat(TenorStructure(delta=DELTA, n=5), 0.125)
+    with pytest.raises(FitInfeasibleError) as err:
+        fit_initial_curve(curve, params)
+    assert err.value.tenor_index == 3
+
+
 def test_libor_value_nonnegative_and_telescoping(family, params):
     xs = np.linspace(0.0, 3.0, 25)
     for k in range(1, 5):

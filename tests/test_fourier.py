@@ -7,7 +7,7 @@ import pytest
 from liborlab import affine_libor, experiment, forward_price
 from liborlab.config import parse_config
 from liborlab.errors import QuadratureError
-from liborlab.fourier import damped_call_expectation
+from liborlab.fourier import damped_call_expectation, saddle_damping
 from liborlab.pricing import black_caplet
 
 PRICE_ANALYTIC = Path(__file__).resolve().parents[1] / "perfbench" / "price_analytic.cfg"
@@ -17,26 +17,34 @@ def _gaussian_cumulant(mean, var):
     return lambda w: w * mean + 0.5 * var * w * w
 
 
-@pytest.mark.parametrize("damping", [-2.5, -0.4, 0.3, 0.6, 1.8, 6.0])
-@pytest.mark.parametrize("strike", [0.8, 1.0, 1.3])
-def test_residues_give_the_call_from_any_damping(damping, strike):
-    # log-normal e^S with E[e^S] = 1.05: Black's formula for every damping,
-    # with E[e^S] added back below w = 1 and the strike taken off below w = 0
+@pytest.mark.parametrize("angle", [math.pi / 12, math.pi / 6])
+def test_residues_give_the_call_from_every_saddle_region(angle):
+    # log-normal e^S with E[e^S] = 1.05 and variance 0.09: the saddle
+    # (log K - mean) / 0.09 falls below 0, in (0, 1) and above 1 over these
+    # strikes, so E[e^S] is added back below w = 1 and K taken off below 0
     var = 0.09
     cumulant = _gaussian_cumulant(math.log(1.05) - 0.5 * var, var)
-    oracle = black_caplet(1.05, strike, math.sqrt(var), 1.0, 1.0)
-    assert damped_call_expectation(cumulant, strike, damping) == pytest.approx(oracle, abs=1e-13)
+    dampings = []
+    for strike in (0.5, 0.8, 1.0, 1.05, 1.1, 1.3, 2.0):
+        dampings.append(saddle_damping(cumulant, math.log(strike), -math.inf, math.inf))
+        oracle = black_caplet(1.05, strike, math.sqrt(var), 1.0, 1.0)
+        got = damped_call_expectation(cumulant, strike, -math.inf, math.inf, angle)
+        assert got == pytest.approx(oracle, abs=1e-13)
+    assert min(dampings) < 0.0 < min(d for d in dampings if d > 0.0) < 1.0 < max(dampings)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("rotate", [False, True])
-def test_non_finite_cumulant_raises(rotate):
-    with pytest.raises(QuadratureError):
-        damped_call_expectation(lambda w: np.full(w.shape, complex(np.nan)), 1.02, 1.5, rotate)
-    # one bad node is enough: nothing is masked
+@pytest.mark.parametrize("strike", [0.5, 1.02])
+def test_non_finite_cumulant_raises(strike):
     with pytest.raises(QuadratureError):
         damped_call_expectation(
-            lambda w: np.where(np.arange(w.size) == 100, np.nan, 0.0) * w, 0.5, 1.5, rotate
+            lambda w: np.full(w.shape, complex(np.nan)), strike, -math.inf, math.inf, 0.5
+        )
+    # one bad node of the rule is enough: nothing is masked
+    with pytest.raises(QuadratureError):
+        damped_call_expectation(
+            lambda w: np.where(np.arange(w.size) == 100, np.nan, 0.0) * w,
+            strike, -math.inf, math.inf, 0.5,
         )
 
 
