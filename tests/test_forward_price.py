@@ -160,17 +160,41 @@ def test_fourier_zero_vol_is_intrinsic(tenor, curve):
 
 def test_fourier_matches_black_in_brownian_case(tenor, curve):
     # the forward price is log-normal, so the value is Black's formula on
-    # the shifted quantity 1 + delta L
-    model = brownian_model(tenor, curve, vol=0.02)
-    for k in (2, 4):
-        total_vol = math.sqrt(model.vols.total_variance(k))
-        f0 = 1.0 + DELTA * curve.libor(k)
-        for strike in (0.02, 0.04, 0.07):
-            oracle = curve.bond(k + 1) * black_caplet(
-                f0, 1.0 + DELTA * strike, total_vol, 1.0, 1.0
-            )
-            got = caplet_price_fourier(model, k, strike)
-            assert got == pytest.approx(oracle, abs=1e-8)
+    # the shifted quantity 1 + delta L; a 60% vol needs the saddle damping
+    for vol in (0.02, 0.6):
+        model = brownian_model(tenor, curve, vol=vol)
+        for k in (2, 4):
+            total_vol = math.sqrt(model.vols.total_variance(k))
+            f0 = 1.0 + DELTA * curve.libor(k)
+            for strike in (0.02, 0.04, 0.07):
+                oracle = curve.bond(k + 1) * black_caplet(
+                    f0, 1.0 + DELTA * strike, total_vol, 1.0, 1.0
+                )
+                got = caplet_price_fourier(model, k, strike)
+                assert got == pytest.approx(oracle, abs=1e-8)
+
+
+def test_fourier_matches_poisson_sum_without_diffusion(tenor, curve):
+    # pure-jump driver: given n jumps in [0, T_1) log F(T_1) is normal, so the
+    # caplet is a Poisson mixture of Black values (law tilted to the T_2 measure)
+    mu, sd, intensity = -0.05, 0.15, 0.6
+    chars = LevyCharacteristics(0.0, 0.0, intensity, NormalJumps(mu, sd))
+    model = FpmModel(tenor, curve, VolatilitySurface.flat(tenor, 0.15), chars)
+    lam, tail = model.vols.values[0, 1], model.loading_tails[0, 2]
+    rate = DELTA * intensity * math.exp(mu * tail + 0.5 * (sd * tail) ** 2)
+    jump_mean = mu + sd * sd * tail
+    base = math.log(1.0 + DELTA * curve.libor(1)) + DELTA * (
+        model.drift_table[0, 1] - lam * intensity * mu
+    )
+    for strike in (0.02, 0.04, 0.06):
+        value = 0.0
+        for n in range(60):
+            weight = math.exp(-rate) * rate**n / math.factorial(n)
+            mean, var = base + lam * n * jump_mean, (lam * sd) ** 2 * n
+            forward = math.exp(mean + 0.5 * var)
+            value += weight * black_caplet(forward, 1.0 + DELTA * strike, math.sqrt(var), 1.0, 1.0)
+        oracle = curve.bond(2) * value
+        assert caplet_price_fourier(model, 1, strike) == pytest.approx(oracle, abs=5e-10)
 
 
 def test_fourier_matches_mc_with_jumps(tenor, curve):

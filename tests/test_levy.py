@@ -103,6 +103,22 @@ def test_kou_moment_domain_enforced(jump_kou):
     jump_kou.cumulant(5.9)  # inside the open domain
 
 
+def test_kou_cumulant_continues_off_the_real_axis(jump_kou):
+    # the jump-size poles 8 and -6 are real: past them, off the real axis,
+    # the cumulant is the rational closed form; on the real axis it raises
+    law = jump_kou.jump_law
+    for z in (9.0 - 2.0j, -7.5 + 1e-3j, 20.0 - 40.0j):
+        mgf = 0.4 * 8.0 / (8.0 - z) + 0.6 * 6.0 / (6.0 + z)
+        assert law.mgf(np.array([z]))[0] == pytest.approx(mgf, rel=1e-14)
+        expected = 0.5 * 0.3 * z * z + 1.5 * (mgf - 1.0 - z * law.jump_mean())
+        assert jump_kou.cumulant(np.array([z]))[0] == pytest.approx(expected, rel=1e-14)
+    for z in (9.0, complex(9.0, 0.0)):
+        with pytest.raises(DomainError):
+            law.mgf(np.array([z]))
+        with pytest.raises(DomainError):
+            jump_kou.cumulant(np.array([z]))
+
+
 def test_deterministic_driver_all_zero():
     chars = LevyCharacteristics(drift_b=0.0, diffusion_c=0.0)
     paths = simulate_driver(chars, np.linspace(0, 1, 5), 7, seed=1)
