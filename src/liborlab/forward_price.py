@@ -247,7 +247,9 @@ def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
         return discount * delta * max(model.curve.libor(k) - strike, 0.0)
 
     chars = model.chars
-    slope = chars.drift_b - (chars.jump_intensity * chars.jump_law.jump_mean() if chars.has_jumps else 0.0)
+    slope = chars.drift_b  # the cumulant's slope far off the real axis
+    if chars.has_jumps:
+        slope -= chars.jump_intensity * chars.jump_law.jump_mean()
     s0 = math.log1p(delta * model.curve.libor(k)) + delta * sum(
         model.drift_table[j, k] + model.vols.values[j, k] * slope for j in range(k)
     )
