@@ -14,7 +14,7 @@
 and :mod:`liborlab.cli` the config-driven command-line harness.
 """
 
-from .affine import CirParams, cir_flow, moment_domain, simulate_cir
+from .affine import CirParams, cir_flow, simulate_cir
 from .affine_libor import (
     MartingaleFamily,
     caplet_price_chi2,
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .forward_price import (
     FpmModel,
-    forward_price_drift,
     negative_rate_fraction,
     simulate_fpm,
 )
@@ -53,17 +52,14 @@ from .levy import (
     DriverPathSet,
     LevyCharacteristics,
     NormalJumps,
-    shifted_compensator_factor,
     simulate_driver,
 )
 from .lmm import (
     LiborPathSet,
     LmmModel,
     forward_measure_characteristics,
-    jump_tilt_factor,
     simulate_exact,
     simulation_grid,
-    terminal_measure_drift,
 )
 from .markov_functional import (
     FunctionalGrid,

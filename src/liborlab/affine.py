@@ -88,13 +88,6 @@ def explosion_threshold(params: CirParams, t):
         )[()]
 
 
-def moment_domain(params: CirParams, horizon: float):
-    """Open interval of u with E[exp(u X_T)] finite; 0 is always interior."""
-    if horizon <= 0.0:
-        raise LiborLabError(f"horizon must be positive, got {horizon}")
-    return (-math.inf, float(explosion_threshold(params, horizon)))
-
-
 def cir_flow(params: CirParams, t, u):
     """The pair (phi_t(u), psi_t(u)); broadcasts over t and u.
 

@@ -26,6 +26,7 @@ as a cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
@@ -242,7 +243,9 @@ def forward_transition_law(family: MartingaleFamily, k: int, r: float):
 
         scale' = scale / (1 - 2 scale q),   nc' = nc / (1 - 2 scale q).
 
-    Returns (scale', df, nc').
+    Returns (scale', df, nc').  A subnormal nc' is returned as 0, which is
+    the same law to double precision: scipy's ``ncx2`` misreads it
+    (``ncx2.sf(2.0234, 2, 5e-323)`` is 0.509 against 0.364 at 0).
     """
     scale, df, decay = transition_constants(family.params, r)
     nc = family.params.x0 * decay / scale
@@ -250,7 +253,8 @@ def forward_transition_law(family: MartingaleFamily, k: int, r: float):
     shrink = 1.0 - 2.0 * scale * q
     if shrink <= 0.0:
         raise DomainError("forward-measure tilt outside the transition's moment domain")
-    return scale / shrink, df, nc / shrink
+    nc = nc / shrink
+    return scale / shrink, df, nc if nc >= sys.float_info.min else 0.0
 
 
 def caplet_price_chi2(family: MartingaleFamily, k: int, strike: float) -> float:
@@ -288,45 +292,27 @@ def caplet_price_chi2(family: MartingaleFamily, k: int, strike: float) -> float:
     return discount * (exp_piece - strike_factor * prob_piece)
 
 
-def simulate_affine_paths(
-    family: MartingaleFamily,
-    n_paths: int,
-    seed: int,
-    steps_per_period: int = 1,
-    store_dates: bool = False,
-) -> LiborPathSet:
-    """Simulate the model's rates on the tenor dates.
+def simulate_affine_paths(family: MartingaleFamily, n_paths: int, seed: int) -> LiborPathSet:
+    """Simulate the model's rates at their fixing dates.
 
-    The driver transitions are sampled exactly, so the grid only refines
-    the tenor dates for diagnostic purposes.  Fixing weights carry the
-    density M^{u_{k+1}}_{T_k} / M^{u_{k+1}}_0 of each rate's payment
-    measure; rates are frozen at their fixing values after the reset date.
+    The driver transitions are sampled exactly, so the grid holds only the
+    tenor dates up to the last fixing.  Fixing weights carry the density
+    M^{u_{k+1}}_{T_k} / M^{u_{k+1}}_0 of each rate's payment measure.
     """
     tenor = family.tenor
     n = tenor.n
-    horizon = tenor.dates[n - 1]
-    n_steps = (n - 1) * steps_per_period
-    grid = np.linspace(0.0, horizon, n_steps + 1)
+    grid = np.linspace(0.0, tenor.dates[n - 1], n)
     states = simulate_cir(family.params, grid, n_paths, seed)
 
     l0 = np.asarray(family.curve.libors)
     fixings = np.empty((n_paths, n))
     fixings[:, 0] = l0[0]
     fixing_weights = np.ones((n_paths, n))
-    date_values = np.empty((n_paths, n, n)) if store_dates else None
-
-    frozen = np.tile(l0, (n_paths, 1))
-    for d in range(0, n):
-        if d > 0:
-            x_d = states[d * steps_per_period]
-            for k in range(d, n):
-                frozen[:, k] = libor_value(family, k, tenor.dates[d], x_d)
-            fixings[:, d] = frozen[:, d]
-            m_now = martingale_value(family, family.u_seq[d + 1], tenor.dates[d], x_d)
-            m_zero = martingale_value(family, family.u_seq[d + 1], 0.0, family.params.x0)
-            fixing_weights[:, d] = m_now / m_zero
-        if store_dates and d < n:
-            date_values[:, d, :] = frozen
+    for d in range(1, n):
+        fixings[:, d] = libor_value(family, d, tenor.dates[d], states[d])
+        m_now = martingale_value(family, family.u_seq[d + 1], tenor.dates[d], states[d])
+        m_zero = martingale_value(family, family.u_seq[d + 1], 0.0, family.params.x0)
+        fixing_weights[:, d] = m_now / m_zero
 
     return LiborPathSet(
         tenor=tenor,
@@ -336,18 +322,6 @@ def simulate_affine_paths(
         initial_libors=l0,
         fixings=fixings,
         fixing_weights=fixing_weights,
-        date_values=date_values,
         grid_values=None,
         antithetic=False,
     )
-
-
-def export_family_csv(path, family: MartingaleFamily) -> None:
-    """Write the fitted family as ``k,u_k,M0``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,u_k,M0\n")
-        for k in range(1, family.tenor.n + 1):
-            m0 = float(
-                martingale_value(family, family.u_seq[k], 0.0, family.params.x0)
-            )
-            fh.write(f"{k},{family.u_seq[k]:.17g},{m0:.17g}\n")

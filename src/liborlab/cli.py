@@ -8,7 +8,8 @@ Subcommands::
     liborlab calibrate-mfm <config>  Markov-functional backward induction
 
 Common flags ``--seed``, ``--paths``, ``--out-dir`` and ``--quad-order``
-override the config file.  Exit status: 0 on success, 1 when an invariant
+override the config file; ``--quad-order`` sets the Gauss-Hermite order of
+the Markov-functional model only.  Exit status: 0 on success, 1 when an invariant
 check fails, 2 on configuration errors.
 """
 
@@ -42,7 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--paths", type=int, default=None, help="override the path count")
         cmd.add_argument("--out-dir", default=None, help="override the output directory")
-        cmd.add_argument("--quad-order", type=int, default=None, help="override the quadrature order")
+        cmd.add_argument(
+            "--quad-order", type=int, default=None,
+            help="override the Markov-functional Gauss-Hermite order",
+        )
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,9 @@ from .errors import ConfigError, LiborLabError
 from .drift_approx import frozen_drift_simulate, picard_simulate, taylor_simulate
 from .forward_price import FpmModel, caplet_price_fourier, negative_rate_fraction, simulate_fpm
 from .levy import DoubleExponentialJumps, LevyCharacteristics, NormalJumps, simulate_driver
-from .lmm import LiborPathSet, LmmModel, simulate_exact, simulation_grid
+from .lmm import (
+    LiborPathSet, LmmModel, forward_measure_characteristics, simulate_exact, simulation_grid,
+)
 # implied_vol stays importable here: the layer probes in perfbench/tracing.py wrap it
 from .pricing import CapletQuote, implied_vol, implied_vol_or_none, mc_caplet  # noqa: F401
 from .tenor import InitialCurve, TenorStructure, read_curve_file
@@ -38,74 +41,118 @@ _LMM_SCHEMES = {
 }
 
 
-def build_tenor(cfg: ExperimentConfig) -> TenorStructure:
-    return TenorStructure(delta=cfg.delta, n=cfg.n)
+class Context:
+    """What one command builds from its config, each member on first use.
+
+    The tenor, curve, loadings and driver law are built once and shared by
+    every model.  Path sets are not members: a command simulates, quotes and
+    drops one path set before it draws the next.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def tenor(self) -> TenorStructure:
+        return TenorStructure(delta=self.cfg.delta, n=self.cfg.n)
+
+    @cached_property
+    def curve(self) -> InitialCurve:
+        cfg = self.cfg
+        if cfg.curve_file is not None:
+            curve = read_curve_file(cfg.curve_file)
+            if curve.tenor.n != cfg.n or abs(curve.tenor.delta - cfg.delta) > 1e-12:
+                raise ConfigError("curve file tenor disagrees with the [tenor] block")
+            return curve
+        return InitialCurve.flat(self.tenor, cfg.flat_libor)
+
+    @cached_property
+    def chars(self) -> LevyCharacteristics:
+        cfg = self.cfg
+        if cfg.driver_type == "brownian":
+            law, intensity = None, 0.0
+        elif cfg.driver_type == "jump-normal":
+            law, intensity = NormalJumps(cfg.jump_mean, cfg.jump_sd), cfg.jump_intensity
+        else:
+            law = DoubleExponentialJumps(cfg.p_up, cfg.alpha_pos, cfg.alpha_neg)
+            intensity = cfg.jump_intensity
+        return LevyCharacteristics(
+            drift_b=cfg.drift_b,
+            diffusion_c=cfg.diffusion_c,
+            jump_intensity=intensity,
+            jump_law=law,
+        )
+
+    @cached_property
+    def vols(self) -> VolatilitySurface:
+        cfg = self.cfg
+        if cfg.vol_rows:
+            if len(cfg.vol_rows) != cfg.n - 1:
+                raise ConfigError(f"need {cfg.n - 1} vol rows (rate_1..rate_{cfg.n - 1})")
+            return VolatilitySurface.from_columns(self.tenor, list(cfg.vol_rows))
+        return VolatilitySurface.flat(self.tenor, cfg.vol_flat)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return simulation_grid(self.tenor, self.cfg.steps_per_period)
+
+    @cached_property
+    def driver(self):
+        cfg = self.cfg
+        return simulate_driver(
+            self.chars, self.grid, cfg.n_paths, cfg.seed, antithetic=cfg.antithetic
+        )
+
+    @cached_property
+    def lmm(self) -> LmmModel:
+        return LmmModel(self.tenor, self.curve, self.vols, self.chars)
+
+    @cached_property
+    def fpm(self) -> FpmModel:
+        return FpmModel(self.tenor, self.curve, self.vols, self.chars)
+
+    @cached_property
+    def mfm_grid(self) -> markov_functional.FunctionalGrid:
+        cfg = self.cfg
+        sigma = cfg.mfm_sigma if cfg.mfm_sigma is not None else cfg.vol_flat
+        if sigma is None:
+            raise ConfigError("mfm needs [mfm] sigma or a flat vols value")
+        driver = markov_functional.MfmDriver.flat(self.tenor, sigma)
+        return markov_functional.calibrate_backward(self.curve, driver, quad_order=cfg.quad_order)
+
+    @cached_property
+    def affine_family(self) -> affine_libor.MartingaleFamily:
+        cfg = self.cfg
+        params = CirParams(
+            mean_reversion=cfg.affine_mean_reversion,
+            long_run_level=cfg.affine_long_run_level,
+            vol_of_vol=cfg.affine_vol_of_vol,
+            x0=cfg.affine_x0,
+        )
+        return affine_libor.fit_initial_curve(self.curve, params)
+
+    def simulate(self, name: str) -> LiborPathSet:
+        """Path set of a market-model scheme or the FPM on the shared driver."""
+        cfg = self.cfg
+        driver = self.driver  # before the model is built, so this first work call ends set-up
+        if name == "fpm":
+            return simulate_fpm(self.fpm, self.grid, cfg.n_paths, cfg.seed, driver=driver)
+        return _LMM_SCHEMES[name](self.lmm, self.grid, cfg.n_paths, cfg.seed, driver=driver)
+
+    def strikes(self, k: int) -> list:
+        if self.cfg.strikes:
+            return list(self.cfg.strikes)
+        factors = self.cfg.strike_factors or (1.0,)
+        return [f * self.curve.libor(k) for f in factors]
 
 
-def build_curve(cfg: ExperimentConfig) -> InitialCurve:
-    if cfg.curve_file is not None:
-        curve = read_curve_file(cfg.curve_file)
-        if curve.tenor.n != cfg.n or abs(curve.tenor.delta - cfg.delta) > 1e-12:
-            raise ConfigError("curve file tenor disagrees with the [tenor] block")
-        return curve
-    return InitialCurve.flat(build_tenor(cfg), cfg.flat_libor)
-
-
-def build_chars(cfg: ExperimentConfig) -> LevyCharacteristics:
-    if cfg.driver_type == "brownian":
-        law, intensity = None, 0.0
-    elif cfg.driver_type == "jump-normal":
-        law, intensity = NormalJumps(cfg.jump_mean, cfg.jump_sd), cfg.jump_intensity
-    else:
-        law = DoubleExponentialJumps(cfg.p_up, cfg.alpha_pos, cfg.alpha_neg)
-        intensity = cfg.jump_intensity
-    return LevyCharacteristics(
-        drift_b=cfg.drift_b,
-        diffusion_c=cfg.diffusion_c,
-        jump_intensity=intensity,
-        jump_law=law,
-    )
-
-
-def build_vols(cfg: ExperimentConfig) -> VolatilitySurface:
-    tenor = build_tenor(cfg)
-    if cfg.vol_rows:
-        if len(cfg.vol_rows) != cfg.n - 1:
-            raise ConfigError(f"need {cfg.n - 1} vol rows (rate_1..rate_{cfg.n - 1})")
-        return VolatilitySurface.from_columns(tenor, list(cfg.vol_rows))
-    return VolatilitySurface.flat(tenor, cfg.vol_flat)
-
-
+# perfbench/run.py builds these two models for its output checks
 def build_lmm(cfg: ExperimentConfig) -> LmmModel:
-    return LmmModel(build_tenor(cfg), build_curve(cfg), build_vols(cfg), build_chars(cfg))
-
-
-def build_fpm(cfg: ExperimentConfig) -> FpmModel:
-    return FpmModel(build_tenor(cfg), build_curve(cfg), build_vols(cfg), build_chars(cfg))
-
-
-def build_mfm_driver(cfg: ExperimentConfig) -> markov_functional.MfmDriver:
-    sigma = cfg.mfm_sigma if cfg.mfm_sigma is not None else cfg.vol_flat
-    if sigma is None:
-        raise ConfigError("mfm needs [mfm] sigma or a flat vols value")
-    return markov_functional.MfmDriver.flat(build_tenor(cfg), sigma)
+    return Context(cfg).lmm
 
 
 def build_affine_family(cfg: ExperimentConfig) -> affine_libor.MartingaleFamily:
-    params = CirParams(
-        mean_reversion=cfg.affine_mean_reversion,
-        long_run_level=cfg.affine_long_run_level,
-        vol_of_vol=cfg.affine_vol_of_vol,
-        x0=cfg.affine_x0,
-    )
-    return affine_libor.fit_initial_curve(build_curve(cfg), params)
-
-
-def strikes_for(cfg: ExperimentConfig, curve: InitialCurve, k: int) -> list:
-    if cfg.strikes:
-        return list(cfg.strikes)
-    factors = cfg.strike_factors or (1.0,)
-    return [f * curve.libor(k) for f in factors]
+    return Context(cfg).affine_family
 
 
 def _fmt(value) -> str:
@@ -150,8 +197,10 @@ class CheckResult:
 class VerifyReport:
     checks: list = field(default_factory=list)
 
-    def add(self, *args, **kwargs):
-        self.checks.append(CheckResult(*args, **kwargs))
+    def add(self, model: str, check: str, ok: bool, detail: str, witness: bool = False):
+        """One line: WITNESS if ``witness``, else PASS or FAIL by ``ok``; FAIL fails the run."""
+        status = "WITNESS" if witness else ("PASS" if ok else "FAIL")
+        self.checks.append(CheckResult(model, check, status, detail, not (ok or witness)))
 
     @property
     def failed(self) -> bool:
@@ -166,152 +215,95 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _se_ratio_line(paths: LiborPathSet) -> tuple:
-    """Worst martingale gap across rates, in standard-error units."""
-    worst, worst_k = 0.0, 1
+def _worst(values) -> float:
+    """Largest of nonnegative statistics, 0 for none; NaN if any is NaN."""
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
+
+
+def _martingale_line(report: VerifyReport, model: str, paths: LiborPathSet) -> None:
+    """Worst martingale gap across rates, in standard-error units, held to 3 SE."""
+    ratios = []
     for k in paths.tenor.rate_indices:
         gap, se = weighted_martingale_gap(paths, k)
-        ratio = gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)
-        if ratio > worst:
-            worst, worst_k = ratio, k
-    return worst, worst_k
+        ratios.append(gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf))
+    ratios.append(0.0)  # a tenor without rates reports 0 SE at rate 1
+    i = int(np.argmax(ratios))  # the first NaN, else the first largest ratio
+    report.add(model, "martingale", ratios[i] <= 3.0,
+               f"worst martingale gap {ratios[i]:.2f} SE (rate {i + 1})")
 
 
-def _lmm_checks(cfg: ExperimentConfig, report: VerifyReport, models: list,
-                shared: dict) -> None:
-    lmm = shared["lmm_model"]
-    grid = shared["grid"]
-    driver = shared["driver"]
+def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
+    cfg = ctx.cfg
     for name in models:
-        paths = _LMM_SCHEMES[name](lmm, grid, cfg.n_paths, cfg.seed, driver=driver)
-        shared.setdefault("lmm_paths", {})[name] = paths
+        paths = ctx.simulate(name)
         min_rate = paths.min_rate()
-        report.add(
-            name,
-            "positivity",
-            "PASS" if min_rate > 0.0 and np.isfinite(min_rate) else "FAIL",
-            f"min simulated rate {min_rate:.3e}",
-            genuine_failure=not (min_rate > 0.0 and np.isfinite(min_rate)),
-        )
-        worst, worst_k = _se_ratio_line(paths)
-        report.add(
-            name,
-            "martingale",
-            "PASS" if worst <= 3.0 else "FAIL",
-            f"worst martingale gap {worst:.2f} SE (rate {worst_k})",
-            genuine_failure=worst > 3.0,
-        )
+        report.add(name, "positivity", min_rate > 0.0 and np.isfinite(min_rate),
+                   f"min simulated rate {min_rate:.3e}")
+        _martingale_line(report, name, paths)
+        del paths  # one path set at a time
 
-    # structure witness on the exact paths: the measure-change data is state
-    # dependent, so its empirical spread across paths is positive.
-    paths = shared["lmm_paths"][models[0]]
-    state = None
-    if paths.date_values is not None:
-        state = paths.date_values[:, 1, :]
-    else:
-        redo = _LMM_SCHEMES[models[0]](
-            lmm, grid, min(cfg.n_paths, 4096), cfg.seed, store_dates=True
-        )
-        state = redo.date_values[:, 1, :]
-    w = state * lmm.delta / (1.0 + lmm.delta * state)
-    lam_row = lmm.vols.values[1]
+    # structure witness: the measure-change data of rate 1 depends on the
+    # later rates at T_1, so its spread across paths is positive
+    lmm = ctx.lmm
+    redo = _LMM_SCHEMES[models[0]](
+        lmm, ctx.grid, min(cfg.n_paths, 4096), cfg.seed, store_dates=True
+    )
+    shift, factor = forward_measure_characteristics(
+        redo.date_values[:, 1, :], lmm.tenor.dates[1], 1, lmm.chars, lmm.vols, lmm.delta
+    )
     if lmm.chars.has_jumps:
-        x_probe = 0.25 / max(lmm.vols.max_abs, 1e-12)
-        factors = 1.0 + w[:, 2:] * np.expm1(lam_row[2:] * x_probe)
-        witness = float(np.var(np.prod(factors, axis=1)))
+        witness = float(np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12))))
         label = "compensator factor"
     else:
-        witness = float(np.var(np.sum(w[:, 2:] * lam_row[2:], axis=1)))
+        witness = float(np.var(shift))
         label = "Brownian shift"
-    status = "WITNESS" if witness > 0.0 else ("PASS" if cfg.n <= 2 else "FAIL")
-    report.add(
-        models[0],
-        "structure",
-        status,
-        f"forward-measure {label} variance {witness:.3e} (> 0: structure not preserved)",
-        genuine_failure=status == "FAIL",
-    )
+    report.add(models[0], "structure", cfg.n <= 2,
+               f"forward-measure {label} variance {witness:.3e} (> 0: structure not preserved)",
+               witness=witness > 0.0)
 
 
-def _fpm_checks(cfg: ExperimentConfig, report: VerifyReport, shared: dict) -> None:
-    fpm = shared["fpm_model"]
-    grid = shared["grid"]
-    driver = shared["driver"]
-    paths = simulate_fpm(fpm, grid, cfg.n_paths, cfg.seed, driver=driver)
-    shared["fpm_paths"] = paths
+def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
+    paths = ctx.simulate("fpm")
+    fpm, grid = ctx.fpm, ctx.grid
     frac = negative_rate_fraction(paths)
-    report.add(
-        "fpm",
-        "positivity",
-        "WITNESS" if frac > 0.0 else "PASS",
-        f"negative fixing fraction {frac:.4f}" + (" (reported, not a failure)" if frac else ""),
-    )
-    worst, worst_k = _se_ratio_line(paths)
-    report.add(
-        "fpm",
-        "martingale",
-        "PASS" if worst <= 3.0 else "FAIL",
-        f"worst martingale gap {worst:.2f} SE (rate {worst_k})",
-        genuine_failure=worst > 3.0,
-    )
+    note = " (reported, not a failure)" if frac else ""
+    report.add("fpm", "positivity", True, f"negative fixing fraction {frac:.4f}{note}",
+               witness=frac > 0.0)
+    _martingale_line(report, "fpm", paths)
     # structure: the log density against the terminal measure minus the loaded
     # driver integral must be the same constant on every path.
-    dh = driver.increments(fpm.chars)
+    dh = ctx.driver.increments(fpm.chars)
     spreads = []
-    for k in range(1, cfg.n - 1):
+    for k in range(1, ctx.cfg.n - 1):
         steps = np.searchsorted(grid, fpm.tenor.dates[k], side="left")
         tail_vals = np.array(
             [fpm.loading_tails[fpm.tenor.index_of(grid[i]), k + 1] for i in range(steps)]
         )
         stoch = tail_vals @ dh[:steps]
         resid = np.log(paths.fixing_weights[:, k]) - stoch
-        spreads.append(float(np.max(resid) - np.min(resid)))
-    spread = max(spreads) if spreads else 0.0
-    report.add(
-        "fpm",
-        "structure",
-        "PASS" if spread <= 1e-10 else "FAIL",
-        f"density exponent spread across paths {spread:.3e}",
-        genuine_failure=spread > 1e-10,
-    )
+        spreads.append(np.max(resid) - np.min(resid))
+    spread = _worst(spreads)
+    report.add("fpm", "structure", spread <= 1e-10,
+               f"density exponent spread across paths {spread:.3e}")
 
 
-def _mfm_checks(cfg: ExperimentConfig, report: VerifyReport, shared: dict) -> None:
-    grid = markov_functional.calibrate_backward(
-        build_curve(cfg), build_mfm_driver(cfg), quad_order=cfg.quad_order
-    )
-    shared["mfm_grid"] = grid
-    min_rate = float(np.min([np.min(grid.libor_values[i]) for i in range(1, cfg.n)]))
-    report.add(
-        "mfm",
-        "positivity",
-        "PASS" if min_rate >= 0.0 else "FAIL",
-        f"min rate functional {min_rate:.3e}",
-        genuine_failure=not min_rate >= 0.0,
-    )
-    worst = 0.0
-    for i in range(1, cfg.n):
+def _mfm_checks(ctx: Context, report: VerifyReport) -> None:
+    grid = ctx.mfm_grid
+    n = ctx.cfg.n
+    min_rate = float(np.min([np.min(grid.libor_values[i]) for i in range(1, n)]))
+    report.add("mfm", "positivity", min_rate >= 0.0, f"min rate functional {min_rate:.3e}")
+    errors = []
+    for i in range(1, n):
         target = grid.curve.bond(i + 1)
-        got = markov_functional.initial_bond_repricing(grid, i)
-        worst = max(worst, abs(got - target) / target)
-    report.add(
-        "mfm",
-        "martingale",
-        "PASS" if worst <= 1e-7 else "FAIL",
-        f"worst initial-curve repricing error {worst:.2e} (tol 1e-7)",
-        genuine_failure=worst > 1e-7,
-    )
-    report.add(
-        "mfm",
-        "structure",
-        "PASS",
-        "all functionals are functions of the scalar driver state",
-    )
+        errors.append(abs(markov_functional.initial_bond_repricing(grid, i) - target) / target)
+    worst = _worst(errors)
+    report.add("mfm", "martingale", worst <= 1e-7,
+               f"worst initial-curve repricing error {worst:.2e} (tol 1e-7)")
+    report.add("mfm", "structure", True, "all functionals are functions of the scalar driver state")
 
 
-def _affine_checks(cfg: ExperimentConfig, report: VerifyReport, shared: dict) -> None:
-    family = build_affine_family(cfg)
-    shared["affine_family"] = family
+def _affine_checks(ctx: Context, report: VerifyReport) -> None:
+    cfg, family = ctx.cfg, ctx.affine_family
     tenor = family.tenor
     x_grid = np.linspace(0.0, 8.0 * max(family.params.x0, family.params.long_run_level, 0.1), 33)
     min_rate = math.inf
@@ -319,25 +311,12 @@ def _affine_checks(cfg: ExperimentConfig, report: VerifyReport, shared: dict) ->
         for t in np.linspace(0.0, tenor.dates[k], 5):
             vals = np.asarray(affine_libor.libor_value(family, k, t, x_grid))
             min_rate = float(np.minimum(min_rate, np.min(vals)))
-    report.add(
-        "affine",
-        "positivity",
-        "PASS" if min_rate >= 0.0 else "FAIL",
-        f"min rate over the state grid {min_rate:.3e}",
-        genuine_failure=not min_rate >= 0.0,
-    )
+    report.add("affine", "positivity", min_rate >= 0.0,
+               f"min rate over the state grid {min_rate:.3e}")
     paths = affine_libor.simulate_affine_paths(family, cfg.n_paths, cfg.seed + 1)
-    shared["affine_paths"] = paths
-    worst, worst_k = _se_ratio_line(paths)
-    report.add(
-        "affine",
-        "martingale",
-        "PASS" if worst <= 3.0 else "FAIL",
-        f"worst martingale gap {worst:.2f} SE (rate {worst_k})",
-        genuine_failure=worst > 3.0,
-    )
+    _martingale_line(report, "affine", paths)
     # structure: the forward-measure exponential moment is log-affine in the state
-    worst_dev = 0.0
+    deviations = []
     r = tenor.dates[max(1, cfg.n - 1)]
     s = 0.5 * r
     for k in (1, cfg.n):
@@ -346,29 +325,25 @@ def _affine_checks(cfg: ExperimentConfig, report: VerifyReport, shared: dict) ->
             logs = np.log(affine_libor.forward_measure_mgf(family, k, v, s, r, xs))
             slope1 = (logs[1] - logs[0]) / (xs[1] - xs[0])
             slope2 = (logs[2] - logs[1]) / (xs[2] - xs[1])
-            worst_dev = max(worst_dev, abs(slope2 - slope1))
-    report.add(
-        "affine",
-        "structure",
-        "PASS" if worst_dev <= 1e-10 else "FAIL",
-        f"forward-measure moment log-affinity deviation {worst_dev:.2e} (tol 1e-10)",
-        genuine_failure=worst_dev > 1e-10,
-    )
+            deviations.append(abs(slope2 - slope1))
+    worst_dev = _worst(deviations)
+    report.add("affine", "structure", worst_dev <= 1e-10,
+               f"forward-measure moment log-affinity deviation {worst_dev:.2e} (tol 1e-10)")
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> VerifyReport:
     """Invariant suite of every configured model; returns the report."""
+    ctx = Context(cfg)
     report = VerifyReport()
-    shared = _prepare_shared(cfg)
     lmm_models = [m for m in cfg.models if m in _LMM_SCHEMES]
     if lmm_models:
-        _lmm_checks(cfg, report, lmm_models, shared)
+        _lmm_checks(ctx, report, lmm_models)
     if "fpm" in cfg.models:
-        _fpm_checks(cfg, report, shared)
+        _fpm_checks(ctx, report)
     if "mfm" in cfg.models:
-        _mfm_checks(cfg, report, shared)
+        _mfm_checks(ctx, report)
     if "affine" in cfg.models:
-        _affine_checks(cfg, report, shared)
+        _affine_checks(ctx, report)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "verify_report.txt"), "w", encoding="utf-8") as fh:
@@ -376,27 +351,57 @@ def run_verify(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> VerifyRe
     return report
 
 
-def _prepare_shared(cfg: ExperimentConfig) -> dict:
-    shared = {}
-    needs_driver = any(m in _LMM_SCHEMES or m == "fpm" for m in cfg.models)
-    if needs_driver:
-        tenor = build_tenor(cfg)
-        grid = simulation_grid(tenor, cfg.steps_per_period)
-        chars = build_chars(cfg)
-        shared["grid"] = grid
-        shared["driver"] = simulate_driver(
-            chars, grid, cfg.n_paths, cfg.seed, antithetic=cfg.antithetic
-        )
-        if any(m in _LMM_SCHEMES for m in cfg.models):
-            shared["lmm_model"] = build_lmm(cfg)
-        if "fpm" in cfg.models:
-            shared["fpm_model"] = build_fpm(cfg)
-    return shared
+def _priced(curve: InitialCurve, k: int, strike: float, price: float) -> CapletQuote:
+    """Quote of a transform or grid price, with its implied vol where Black has one."""
+    return CapletQuote(k=k, strike=strike, price=price,
+                       implied_vol=implied_vol_or_none(price, curve, k, strike))
+
+
+def _producers(ctx: Context, name: str, positive: bool = False) -> list:
+    """``(model, scheme, quote(k, strike))`` producers of one configured model.
+
+    A simulated model draws its path set here, which lives as long as the
+    producers.  With ``positive``, a market-model path set with a rate that
+    is not positive raises instead.
+    """
+    curve = ctx.curve
+    if name == "mfm":
+        grid = ctx.mfm_grid
+        return [("mfm", "grid",
+                 lambda k, s: _priced(curve, k, s, markov_functional.caplet_value(grid, k, s)))]
+    if name == "affine":
+        family = ctx.affine_family
+        paths = affine_libor.simulate_affine_paths(family, ctx.cfg.n_paths, ctx.cfg.seed + 1)
+        return [
+            ("affine", "fourier",
+             lambda k, s: _priced(curve, k, s, affine_libor.caplet_price_fourier(family, k, s))),
+            ("affine", "mc", lambda k, s: mc_caplet(paths, k, s, curve)),
+        ]
+    paths = ctx.simulate(name)
+    if name == "fpm":
+        fpm = ctx.fpm
+        return [
+            ("fpm", "mc", lambda k, s: mc_caplet(paths, k, s, curve)),
+            ("fpm", "fourier", lambda k, s: _priced(curve, k, s, caplet_price_fourier(fpm, k, s))),
+        ]
+    if positive and not paths.min_rate() > 0.0:
+        raise LiborLabError(f"positivity violated by scheme {name}")
+    return [("lmm", name.replace("lmm-", ""), lambda k, s: mc_caplet(paths, k, s, curve))]
+
+
+def _quote_loop(ctx: Context, producers: list) -> list:
+    """``(model, scheme, CapletQuote)`` rows by rate, then strike, then producer."""
+    return [
+        (model, scheme, quote(k, strike))
+        for k in ctx.tenor.rate_indices
+        for strike in ctx.strikes(k)
+        for model, scheme, quote in producers
+    ]
 
 
 @dataclass
 class CompareResult:
-    quotes: dict  # scheme -> list[(k, strike, CapletQuote)]
+    quotes: dict  # scheme -> list[(model, scheme, CapletQuote)]
     diffs: dict  # scheme -> list[(k, strike, iv_diff)]
     summary: dict  # scheme -> (max_abs, mean_abs)
     files: list
@@ -408,41 +413,26 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
     Requires ``lmm-exact`` in the model list as the baseline; the other
     market-model schemes and the forward price model reuse the identical
     driver increments, so per-strike differences isolate the drift
-    treatment rather than Monte Carlo noise.
+    treatment rather than Monte Carlo noise.  Every model is quoted by
+    Monte Carlo only.
     """
     schemes = [m for m in cfg.models if m in _LMM_SCHEMES or m == "fpm"]
     if "lmm-exact" not in schemes:
         raise ConfigError("compare needs lmm-exact in the model list as baseline")
-    shared = _prepare_shared(cfg)
-    lmm = shared.get("lmm_model") or build_lmm(cfg)
-    curve = lmm.curve
-    grid, driver = shared["grid"], shared["driver"]
+    ctx = Context(cfg)
+    quotes = {name: _quote_loop(ctx, _producers(ctx, name, positive=True)[:1]) for name in schemes}
 
-    quotes = {}
-    for name in schemes:
-        if name == "fpm":
-            paths = simulate_fpm(shared["fpm_model"], grid, cfg.n_paths, cfg.seed, driver=driver)
-        else:
-            paths = _LMM_SCHEMES[name](lmm, grid, cfg.n_paths, cfg.seed, driver=driver)
-            if not paths.min_rate() > 0.0:
-                raise LiborLabError(f"positivity violated by scheme {name}")
-        rows = []
-        for k in curve.tenor.rate_indices:
-            for strike in strikes_for(cfg, curve, k):
-                rows.append((k, strike, mc_caplet(paths, k, strike, curve)))
-        quotes[name] = rows
-
-    base = {(k, strike): q for k, strike, q in quotes["lmm-exact"]}
+    base = {(q.k, q.strike): q for _, _, q in quotes["lmm-exact"]}
     diffs, summary = {}, {}
     for name in schemes:
         if name == "lmm-exact":
             continue
         rows = []
-        for k, strike, q in quotes[name]:
-            ref = base[(k, strike)]
+        for _, _, q in quotes[name]:
+            ref = base[(q.k, q.strike)]
             if q.implied_vol is None or ref.implied_vol is None:
                 continue
-            rows.append((k, strike, q.implied_vol - ref.implied_vol))
+            rows.append((q.k, q.strike, q.implied_vol - ref.implied_vol))
         diffs[name] = rows
         if rows:
             arr = np.array([r[2] for r in rows])
@@ -454,14 +444,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         qpath = os.path.join(out_dir, "quotes.csv")
-        write_quotes_csv(
-            qpath,
-            [
-                ("fpm", "mc", q) if name == "fpm" else ("lmm", name.replace("lmm-", ""), q)
-                for name in schemes
-                for _, _, q in quotes[name]
-            ],
-        )
+        write_quotes_csv(qpath, [row for name in schemes for row in quotes[name]])
         files.append(qpath)
         for name, rows in diffs.items():
             dpath = os.path.join(out_dir, f"ivdiff_{name}_vs_lmm-exact.csv")
@@ -482,51 +465,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
 
 def run_price(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list:
     """Quote tables for every configured model; returns the CSV rows."""
-    shared = _prepare_shared(cfg)
-    curve = build_curve(cfg)
-    rows = []
-    for name in cfg.models:
-        if name in _LMM_SCHEMES:
-            paths = _LMM_SCHEMES[name](
-                shared["lmm_model"], shared["grid"], cfg.n_paths, cfg.seed,
-                driver=shared["driver"],
-            )
-            for k in curve.tenor.rate_indices:
-                for strike in strikes_for(cfg, curve, k):
-                    rows.append(("lmm", name.replace("lmm-", ""), mc_caplet(paths, k, strike, curve)))
-        elif name == "fpm":
-            fpm = shared["fpm_model"]
-            paths = simulate_fpm(fpm, shared["grid"], cfg.n_paths, cfg.seed, driver=shared["driver"])
-            for k in curve.tenor.rate_indices:
-                for strike in strikes_for(cfg, curve, k):
-                    rows.append(("fpm", "mc", mc_caplet(paths, k, strike, curve)))
-                    price = caplet_price_fourier(fpm, k, strike)
-                    iv = implied_vol_or_none(price, curve, k, strike)
-                    rows.append(
-                        ("fpm", "fourier", CapletQuote(k=k, strike=strike, price=price, implied_vol=iv))
-                    )
-        elif name == "mfm":
-            grid = markov_functional.calibrate_backward(
-                curve, build_mfm_driver(cfg), quad_order=cfg.quad_order
-            )
-            for k in curve.tenor.rate_indices:
-                for strike in strikes_for(cfg, curve, k):
-                    price = markov_functional.caplet_value(grid, k, strike)
-                    iv = implied_vol_or_none(price, curve, k, strike)
-                    rows.append(
-                        ("mfm", "grid", CapletQuote(k=k, strike=strike, price=price, implied_vol=iv))
-                    )
-        elif name == "affine":
-            family = build_affine_family(cfg)
-            paths = affine_libor.simulate_affine_paths(family, cfg.n_paths, cfg.seed + 1)
-            for k in curve.tenor.rate_indices:
-                for strike in strikes_for(cfg, curve, k):
-                    price = affine_libor.caplet_price_fourier(family, k, strike)
-                    iv = implied_vol_or_none(price, curve, k, strike)
-                    rows.append(
-                        ("affine", "fourier", CapletQuote(k=k, strike=strike, price=price, implied_vol=iv))
-                    )
-                    rows.append(("affine", "mc", mc_caplet(paths, k, strike, curve)))
+    ctx = Context(cfg)
+    rows = [row for name in cfg.models for row in _quote_loop(ctx, _producers(ctx, name))]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_quotes_csv(os.path.join(out_dir, "prices.csv"), rows)
@@ -535,9 +475,7 @@ def run_price(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list:
 
 def run_calibrate_mfm(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     """Backward-induction calibration; exports the functional grid CSV."""
-    grid = markov_functional.calibrate_backward(
-        build_curve(cfg), build_mfm_driver(cfg), quad_order=cfg.quad_order
-    )
+    grid = Context(cfg).mfm_grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         markov_functional.export_grid_csv(os.path.join(out_dir, "mfm_grid.csv"), grid)

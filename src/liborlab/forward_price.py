@@ -38,11 +38,9 @@ from .errors import DomainError, LiborLabError
 from .fourier import damped_call_expectation
 from .levy import DriverPathSet, LevyCharacteristics
 from .lmm import LiborPathSet, _simulate_core
-from .pricing import implied_vol_or_none
 from .tenor import InitialCurve, TenorStructure
 from .volatility import VolatilitySurface
 
-_GRID_ATOL = 1e-10
 _DOMAIN_MARGIN = 1.0 - 1e-9
 _RAY_ANGLE = math.pi / 12.0
 
@@ -90,15 +88,6 @@ class FpmModel:
     @property
     def delta(self) -> float:
         return self.tenor.delta
-
-
-def forward_price_drift(model: FpmModel, s: float, k: int) -> float:
-    """Martingale drift beta(s, T_k); deterministic, zero after the reset."""
-    if not 1 <= k <= model.tenor.n - 1:
-        raise LiborLabError(f"rate index {k} outside 1..{model.tenor.n - 1}")
-    if s > model.tenor.dates[k] + _GRID_ATOL:
-        raise LiborLabError(f"drift of rate {k} queried after its reset date")
-    return float(model.drift_table[model.tenor.index_of(s), k])
 
 
 def forward_measure_shift(model: FpmModel, s: float, k: int):
@@ -164,23 +153,6 @@ class _FpmStep:
 
     def advance(self, aux, lam_row, table, dt, dw, dh):
         pass
-
-
-def write_caplet_table(path, model: FpmModel, strikes) -> None:
-    """Write the closed-form caplet surface as ``k,strike,price,implied_vol``.
-
-    The implied-vol column is left blank when the price violates the
-    nonnegative-rate bounds of the Black formula (possible here: the model
-    admits negative fixings).
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,strike,price,implied_vol\n")
-        for k in model.tenor.rate_indices:
-            for strike in strikes:
-                price = caplet_price_fourier(model, k, strike)
-                iv = implied_vol_or_none(price, model.curve, k, strike)
-                iv_text = "" if iv is None else f"{iv:.17g}"
-                fh.write(f"{k},{strike:.17g},{price:.17g},{iv_text}\n")
 
 
 def negative_rate_fraction(paths: LiborPathSet, k: Optional[int] = None) -> float:

@@ -210,17 +210,6 @@ class LevyCharacteristics:
         return self.jump_law.quadrature(order)
 
 
-def shifted_compensator_factor(chars: LevyCharacteristics, lambda_sum: float, x):
-    """Exponential tilt e^{x * lambda_sum} applied to the jump compensator.
-
-    This is the factor relating the compensator under a forward measure of
-    the forward price model to the terminal one; ``lambda_sum`` must lie in
-    the moment domain so the tilted law stays integrable.
-    """
-    chars.check_domain(lambda_sum)
-    return np.exp(np.asarray(x, dtype=float) * lambda_sum)
-
-
 @dataclass(frozen=True)
 class DriverPathSet:
     """Per-step driver increments on a fixed grid.

@@ -46,18 +46,6 @@ _GRID_ATOL = 1e-10
 _BLOCK_PATHS = 4096  # paths per block of the simulation kernel
 
 
-def jump_tilt_factor(libor, delta: float, loading: float, x):
-    """Per-rate factor tilting the jump compensator under a measure change.
-
-    Equals ``1 + w (e^{loading * x} - 1)`` with ``w = delta L / (1 + delta L)``;
-    it is 1 when the jump size, the loading, or the rate vanishes, and
-    positive for any nonnegative rate.
-    """
-    libor = np.asarray(libor, dtype=float)
-    w = delta * libor / (1.0 + delta * libor)
-    return 1.0 + w * np.expm1(loading * np.asarray(x, dtype=float))
-
-
 def forward_price_weights(libors, delta: float):
     """w = delta L / (1 + delta L), the stochastic-exponential weights."""
     libors = np.asarray(libors, dtype=float)
@@ -179,34 +167,6 @@ class LmmModel:
         return self.tenor.delta
 
 
-def terminal_measure_drift(
-    state,
-    s: float,
-    k: int,
-    chars: LevyCharacteristics,
-    vols: VolatilitySurface,
-    delta: float,
-    quad_order: int = 48,
-):
-    """Drift of log L(., T_k) under the terminal measure at time s.
-
-    ``state`` holds all current rates, shape (N,) or (paths, N).  For a
-    driftless continuous driver and the last rate this reduces to
-    ``-lambda^2 c / 2``; for all-zero subsequent rates it is the plain
-    single-exponential martingale drift ``-kappa(lambda)``.
-    """
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    if np.any(state < 0.0):
-        raise LiborLabError("LIBOR state entries must be nonnegative")
-    if s > vols.tenor.dates[k] + _GRID_ATOL:
-        raise LiborLabError(f"drift of rate {k} queried after its reset date")
-    lam_row = vols.row(s)
-    w = forward_price_weights(state, delta)
-    quad = _JumpQuadrature(chars, quad_order) if chars.has_jumps else None
-    drift = _drift_all(w, lam_row, chars, quad)[:, k]
-    return drift[0] if drift.shape == (1,) else drift
-
-
 def forward_measure_characteristics(
     state,
     s: float,
@@ -220,19 +180,20 @@ def forward_measure_characteristics(
     Returns the Brownian drift shift ``sqrt(c) * sum_{l>k} w_l lambda_l`` and
     the jump-compensator factor ``x -> prod_{l>k} gamma_l(x)``.  Both depend
     on the subsequent rates, i.e. the change of measure is state dependent.
+    ``state`` holds the rates of one path, shape (N,), or of many, shape
+    (paths, N); the shift and the factor at a scalar x then have one value
+    per path.
     """
     state = np.asarray(state, dtype=float)
     lam_row = vols.row(s)
     w = forward_price_weights(state, delta)
-    shift = math.sqrt(chars.diffusion_c) * float(
-        np.sum(w[k + 1 :] * lam_row[k + 1 :])
-    )
+    shift = math.sqrt(chars.diffusion_c) * np.sum(w[..., k + 1 :] * lam_row[k + 1 :], axis=-1)
 
     idx = np.arange(k + 1, len(lam_row))
 
     def compensator_factor(x):
         x = np.asarray(x, dtype=float)
-        factors = 1.0 + w[idx] * np.expm1(np.multiply.outer(x, lam_row[idx]))
+        factors = 1.0 + w[..., idx] * np.expm1(np.multiply.outer(x, lam_row[idx]))
         return np.prod(factors, axis=-1)
 
     return shift, compensator_factor

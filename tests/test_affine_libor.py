@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ncx2
 
@@ -11,7 +11,6 @@ from liborlab.affine_libor import (
     MartingaleFamily,
     caplet_price_chi2,
     caplet_price_fourier,
-    export_family_csv,
     fit_initial_curve,
     forward_measure_mgf,
     forward_transition_law,
@@ -216,6 +215,9 @@ def test_caplet_fourier_matches_chi2(family, params):
     factor=st.floats(0.05, 4.0),
     rate=st.floats(1e-3, 0.2),
 )
+# a subnormal initial state: scipy's ncx2 misreads a subnormal noncentrality
+@example(mean_reversion=1.0, long_run_level=0.5, vol_of_vol=1.0, x0=5e-324, n=2,
+         index=0.0, factor=1.0, rate=0.125)
 def test_caplet_fourier_matches_chi2_property(
     mean_reversion, long_run_level, vol_of_vol, x0, n, index, factor, rate
 ):
@@ -275,14 +277,6 @@ def test_affine_paths_weighted_martingale(family, curve):
         se = d.std(ddof=1) / math.sqrt(len(d))
         assert abs(d.mean()) <= 3.0 * se
     assert paths.min_rate() >= 0.0
-
-
-def test_family_csv_export(family, tmp_path):
-    out = tmp_path / "family.csv"
-    export_family_csv(out, family)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,u_k,M0"
-    assert len(lines) == 6
 
 
 def test_domain_violation_raises(family):

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liborlab
+from liborlab import affine_libor, experiment, markov_functional
 from liborlab.config import override, parse_config, serialize_config
 from liborlab.errors import ConfigError
 from liborlab.experiment import run_calibrate_mfm, run_compare, run_price, run_verify
@@ -135,9 +137,6 @@ def test_run_compare_zero_vols_all_differences_zero(tmp_path):
 
 def test_run_compare_positivity_fails_on_nan(monkeypatch):
     # a NaN fixing must not pass the positivity test that guards the quotes
-    import numpy as np
-
-    from liborlab import experiment
     from liborlab.errors import LiborLabError
 
     frozen = experiment._LMM_SCHEMES["lmm-frozen"]
@@ -182,43 +181,95 @@ def test_run_verify_expected_pattern(tmp_path):
     assert (tmp_path / "verify_report.txt").exists()
 
 
-def test_run_verify_positivity_fails_on_nan(monkeypatch):
-    # a NaN rate functional or affine rate must fail the run, not only print FAIL
-    import numpy as np
+def _poisoned(fn, poison):
+    def wrapped(*args, **kwargs):
+        return poison(fn(*args, **kwargs))
 
-    from liborlab import affine_libor, markov_functional
+    return wrapped
 
-    calibrate, libor_value = markov_functional.calibrate_backward, affine_libor.libor_value
 
-    def calibrate_with_nan(*args, **kwargs):
-        grid = calibrate(*args, **kwargs)
-        grid.libor_values[1] = grid.libor_values[1].copy()
-        grid.libor_values[1][0] = np.nan
-        return grid
+def _nan_rate_functional(grid):
+    grid.libor_values[1] = grid.libor_values[1].copy()
+    grid.libor_values[1][0] = np.nan
+    return grid
 
-    def libor_value_with_nan(*args, **kwargs):
-        vals = np.array(libor_value(*args, **kwargs), dtype=float)
-        vals.flat[0] = np.nan
-        return vals
 
-    monkeypatch.setattr(markov_functional, "calibrate_backward", calibrate_with_nan)
-    monkeypatch.setattr(affine_libor, "libor_value", libor_value_with_nan)
-    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = mfm, affine"))
+def _nan_first(values):
+    values = np.array(values, dtype=float)
+    values.flat[0] = np.nan
+    return values
+
+
+def _nan_fixing_weight(paths):
+    paths.fixing_weights[0, 1] = np.nan
+    return paths
+
+
+# models run, (module, attribute, poison) patches, and the lines that must fail
+NAN_CASES = {
+    "positivity": (
+        "mfm, affine",
+        [
+            (markov_functional, "calibrate_backward", _nan_rate_functional),
+            (affine_libor, "libor_value", _nan_first),
+        ],
+        [("mfm", "positivity"), ("affine", "positivity")],
+    ),
+    "mfm-martingale": (
+        "mfm",
+        [(markov_functional, "initial_bond_repricing", lambda value: np.nan)],
+        [("mfm", "martingale")],
+    ),
+    "affine-structure": (
+        "affine",
+        [(affine_libor, "forward_measure_mgf", _nan_first)],
+        [("affine", "structure")],
+    ),
+    "fpm-structure": (
+        "fpm",
+        [(experiment, "simulate_fpm", _nan_fixing_weight)],
+        [("fpm", "structure")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_CASES))
+def test_run_verify_fails_on_nan(monkeypatch, case):
+    # a NaN statistic must fail its line and the run, not pass or only print FAIL
+    models, patches, lines = NAN_CASES[case]
+    for module, name, poison in patches:
+        monkeypatch.setattr(module, name, _poisoned(getattr(module, name), poison))
+    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", f"run = {models}"))
     report = run_verify(override(cfg, n_paths=500))
     by_key = {(c.model, c.check): c for c in report.checks}
-    assert by_key[("mfm", "positivity")].genuine_failure
-    assert by_key[("affine", "positivity")].genuine_failure
+    for line in lines:
+        assert by_key[line].status == "FAIL"
+        assert by_key[line].genuine_failure
     assert report.failed
 
 
 def test_run_price_writes_table(tmp_path):
-    cfg = parse_config(VERIFY_ALL)
-    rows = run_price(cfg, out_dir=str(tmp_path))
+    cfg = parse_config(VERIFY_ALL.replace("strike_factors = 1.0", "strikes = 0.05, 0.03"))
+    rows = run_price(override(cfg, n_paths=2000), out_dir=str(tmp_path))
     assert rows
-    text = (tmp_path / "prices.csv").read_text()
-    assert text.splitlines()[0] == "model,scheme,k,strike,price,stderr,implied_vol"
-    models = {line.split(",")[0] for line in text.splitlines()[1:]}
-    assert models == {"lmm", "fpm", "mfm", "affine"}
+    lines = (tmp_path / "prices.csv").read_text().splitlines()
+    assert lines[0] == "model,scheme,k,strike,price,stderr,implied_vol"
+    # configured model order, then rate, then strike as configured, then scheme
+    expected = [
+        (model, scheme, k, strike)
+        for model, schemes in (
+            ("lmm", ("exact",)), ("fpm", ("mc", "fourier")), ("mfm", ("grid",)),
+            ("affine", ("fourier", "mc")),
+        )
+        for k in (1, 2, 3)
+        for strike in (0.05, 0.03)
+        for scheme in schemes
+    ]
+    got = [
+        (model, scheme, int(k), float(strike))
+        for model, scheme, k, strike, *_ in (line.split(",") for line in lines[1:])
+    ]
+    assert got == expected
 
 
 def test_run_calibrate_mfm_exports_grid(tmp_path):
@@ -321,13 +372,23 @@ def test_cli_curve_file_beside_config(tmp_path):
 
 
 def test_fpm_caplet_table(tmp_path):
-    from liborlab.experiment import build_fpm
-    from liborlab.forward_price import write_caplet_table
+    # the closed-form FPM caplets are the fourier rows of the price table; the
+    # implied vol is blank where the price leaves Black's no-arbitrage band
+    from liborlab.experiment import Context
+    from liborlab.forward_price import caplet_price_fourier
+    from liborlab.pricing import implied_vol_or_none
 
-    cfg = parse_config(VERIFY_ALL)
-    model = build_fpm(cfg)
-    out = tmp_path / "fpm_caplets.csv"
-    write_caplet_table(out, model, [0.02, 0.04])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k,strike,price,implied_vol"
-    assert len(lines) == 1 + 3 * 2
+    cfg = parse_config(
+        VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = fpm")
+        .replace("strike_factors = 1.0", "strikes = 0.02, 0.04")
+    )
+    run_price(override(cfg, n_paths=500), out_dir=str(tmp_path))
+    lines = (tmp_path / "prices.csv").read_text().strip().splitlines()
+    fourier = [line.split(",") for line in lines[1:] if line.startswith("fpm,fourier,")]
+    assert len(fourier) == 3 * 2
+    fpm = Context(cfg).fpm
+    for _, _, k, strike, price, stderr, iv in fourier:
+        k, strike, price = int(k), float(strike), float(price)
+        assert price == caplet_price_fourier(fpm, k, strike)
+        want = implied_vol_or_none(price, fpm.curve, k, strike)
+        assert stderr == "" and iv == ("" if want is None else f"{want:.17g}")

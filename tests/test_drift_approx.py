@@ -163,7 +163,7 @@ def test_picard_rejects_jump_driver(jump_model, tenor):
 
 
 def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
-    from liborlab.lmm import terminal_measure_drift
+    from liborlab.lmm import _JumpQuadrature, _drift_all
 
     grid = simulation_grid(tenor, 4)
     for mdl in (model, jump_model):
@@ -172,7 +172,9 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
         for i, k in [(0, 1), (3, 2), (9, 4)]:
             if grid[i] >= tenor.dates[k]:
                 continue
-            direct = terminal_measure_drift(state, grid[i], k, mdl.chars, mdl.vols, DELTA)
+            quad = _JumpQuadrature(mdl.chars, 48) if mdl.chars.has_jumps else None
+            w = forward_price_weights(state[None, :], DELTA)
+            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, quad)[0, k]
             assert table[i, k] == pytest.approx(direct, rel=1e-12)
 
 

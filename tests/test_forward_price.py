@@ -8,7 +8,6 @@ from liborlab.forward_price import (
     FpmModel,
     caplet_price_fourier,
     forward_measure_shift,
-    forward_price_drift,
     log_forward_cumulant,
     negative_rate_fraction,
     simulate_fpm,
@@ -62,7 +61,8 @@ def jump_model(tenor, curve, vol=0.03):
 
 def test_terminal_drift_is_minus_half_lambda_sq(tenor, curve):
     model = brownian_model(tenor, curve)
-    assert forward_price_drift(model, 0.3, 4) == pytest.approx(-0.5 * 0.02**2, rel=1e-13)
+    # the drift of interval [T_0, T_1) holds at s = 0.3
+    assert model.drift_table[0, 4] == pytest.approx(-0.5 * 0.02**2, rel=1e-13)
 
 
 def test_drift_reduces_to_untilted_cumulant_without_subsequent_vol(tenor, curve):
@@ -73,7 +73,7 @@ def test_drift_reduces_to_untilted_cumulant_without_subsequent_vol(tenor, curve)
         drift_b=0.0, diffusion_c=0.5, jump_intensity=0.8, jump_law=NormalJumps(-0.05, 0.15)
     )
     model = FpmModel(tenor, curve, vols, chars)
-    assert forward_price_drift(model, 0.2, 2) == pytest.approx(
+    assert model.drift_table[0, 2] == pytest.approx(
         -float(chars.cumulant(0.03)), rel=1e-12
     )
 

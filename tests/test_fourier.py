@@ -49,14 +49,11 @@ def test_non_finite_cumulant_raises(strike):
 
 
 def _transform_quotes():
-    cfg = parse_config(str(PRICE_ANALYTIC))
-    curve = experiment.build_curve(cfg)
-    fpm = experiment.build_fpm(cfg)
-    family = experiment.build_affine_family(cfg)
-    for k in range(1, cfg.n):
-        for strike in experiment.strikes_for(cfg, curve, k):
-            yield forward_price.caplet_price_fourier, fpm, k, strike
-            yield affine_libor.caplet_price_fourier, family, k, strike
+    ctx = experiment.Context(parse_config(str(PRICE_ANALYTIC)))
+    for k in ctx.tenor.rate_indices:
+        for strike in ctx.strikes(k):
+            yield forward_price.caplet_price_fourier, ctx.fpm, k, strike
+            yield affine_libor.caplet_price_fourier, ctx.affine_family, k, strike
 
 
 def test_transform_prices_nonnegative_on_price_config():

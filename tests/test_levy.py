@@ -6,13 +6,15 @@ import pytest
 from scipy.integrate import quad
 
 from liborlab.errors import DomainError, LiborLabError
+from liborlab.forward_price import FpmModel, forward_measure_shift
 from liborlab.levy import (
     DoubleExponentialJumps,
     LevyCharacteristics,
     NormalJumps,
-    shifted_compensator_factor,
     simulate_driver,
 )
+from liborlab.tenor import InitialCurve, TenorStructure
+from liborlab.volatility import VolatilitySurface
 
 
 def kou_density(law, x):
@@ -175,11 +177,21 @@ def test_antithetic_pairs_mirror_brownian(jump_normal):
         simulate_driver(jump_normal, grid, 63, seed=3, antithetic=True)
 
 
+def fpm_compensator_tilt(chars, lambda_sum):
+    """Compensator tilt x -> e^{x lambda_sum} of a forward-price model whose
+    loading tail under the T_2 forward measure is ``lambda_sum``."""
+    tenor = TenorStructure(delta=0.5, n=3)
+    vols = VolatilitySurface.from_columns(tenor, [[0.0], [lambda_sum, lambda_sum]])
+    model = FpmModel(tenor, InitialCurve.flat(tenor, 0.04), vols, chars)
+    return forward_measure_shift(model, 0.0, 1)[1]
+
+
 def test_shifted_compensator_factor_neutral(jump_kou):
-    assert shifted_compensator_factor(jump_kou, 0.0, 0.37) == 1.0
-    assert shifted_compensator_factor(jump_kou, 1.3, 0.0) == 1.0
+    assert fpm_compensator_tilt(jump_kou, 0.0)(0.37) == 1.0
+    assert fpm_compensator_tilt(jump_kou, 1.3)(0.0) == 1.0
+    # a tail outside the moment domain is refused when the model is built
     with pytest.raises(DomainError):
-        shifted_compensator_factor(jump_kou, 6.5, 0.1)
+        fpm_compensator_tilt(jump_kou, 6.5)
 
 
 def test_tilted_law_integrates_to_mgf(jump_kou):
@@ -198,7 +210,7 @@ def test_tilted_law_integrates_to_mgf(jump_kou):
         integral = quad(f, -np.inf, 0.0, limit=400)[0] + quad(f, 0.0, np.inf, limit=400)[0]
         assert integral == pytest.approx(float(law.mgf(lam_sum)), abs=1e-8)
         # the factor itself is the plain tilt
-        assert shifted_compensator_factor(jump_kou, lam_sum, 0.3) == pytest.approx(
+        assert fpm_compensator_tilt(jump_kou, lam_sum)(0.3) == pytest.approx(
             math.exp(0.3 * lam_sum), rel=1e-15
         )
 

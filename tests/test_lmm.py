@@ -20,10 +20,8 @@ from liborlab.lmm import (
     _drift_all,
     forward_measure_characteristics,
     forward_price_weights,
-    jump_tilt_factor,
     simulate_exact,
     simulation_grid,
-    terminal_measure_drift,
 )
 from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
@@ -58,18 +56,32 @@ def jumpy():
     )
 
 
-def test_jump_tilt_factor_reductions():
-    assert jump_tilt_factor(0.05, DELTA, 1.0, 0.0) == 1.0
-    assert jump_tilt_factor(0.0, DELTA, 1.0, 0.7) == 1.0
-    assert jump_tilt_factor(0.05, DELTA, 0.0, 0.7) == 1.0
+def drift_of(state, s, k, chars, vols, quad_order=48):
+    """Terminal-measure drift of log L(., T_k) at time s, as the kernel computes it."""
+    quad = _JumpQuadrature(chars, quad_order) if chars.has_jumps else None
+    w = forward_price_weights(np.atleast_2d(state), DELTA)
+    return _drift_all(w, vols.row(s), chars, quad)[0, k]
+
+
+def test_jump_tilt_factor_reductions(tenor, jumpy):
+    # under the T_4 forward measure only rate 4 tilts the compensator, by
+    # the factor 1 + w_4 (e^{lambda_4 x} - 1)
+    def tilt(libor, loading, x):
+        vols = VolatilitySurface.flat(tenor, loading)
+        state = np.full(5, libor)
+        return forward_measure_characteristics(state, 0.1, 3, jumpy, vols, DELTA)[1](x)
+
+    assert tilt(0.05, 1.0, 0.0) == 1.0
+    assert tilt(0.0, 1.0, 0.7) == 1.0
+    assert tilt(0.05, 0.0, 0.7) == 1.0
     expected = 1.0 + (0.025 / 1.025) * (math.exp(0.1) - 1.0)
-    assert jump_tilt_factor(0.05, DELTA, 1.0, 0.1) == pytest.approx(expected, rel=1e-14)
-    assert jump_tilt_factor(0.3, DELTA, -2.0, 0.5) > 0.0
+    assert tilt(0.05, 1.0, 0.1) == pytest.approx(expected, rel=1e-14)
+    assert tilt(0.3, -2.0, 0.5) > 0.0
 
 
 def test_terminal_rate_drift_is_minus_half_lambda_sq(curve, vols, brownian):
     state = np.full(5, 0.04)
-    drift = terminal_measure_drift(state, 0.1, 4, brownian, vols, DELTA)
+    drift = drift_of(state, 0.1, 4, brownian, vols)
     assert drift == pytest.approx(-0.5 * 0.2**2, rel=1e-14)
 
 
@@ -77,7 +89,7 @@ def test_zero_state_reduces_to_single_exponential_drift(curve, vols, jumpy):
     # all subsequent rates at zero: weighted sums vanish and every tilt
     # factor is one, so the drift is the plain martingale drift -kappa(lambda)
     state = np.zeros(5)
-    drift = terminal_measure_drift(state, 0.1, 2, jumpy, vols, DELTA)
+    drift = drift_of(state, 0.1, 2, jumpy, vols)
     assert drift == pytest.approx(-float(jumpy.cumulant(0.2)), abs=1e-10)
 
 
@@ -85,7 +97,7 @@ def test_two_rate_brownian_drift_reduction(tenor, brownian):
     # two live rates: drift of the first is -lam^2/2 - lam * w * lam_last
     vols = VolatilitySurface.flat(tenor, 0.25)
     state = np.array([0.04, 0.03, 0.05, 0.045, 0.06])
-    drift = terminal_measure_drift(state, 1.2, 3, brownian, vols, DELTA)
+    drift = drift_of(state, 1.2, 3, brownian, vols)
     w4 = DELTA * 0.06 / (1.0 + DELTA * 0.06)
     expected = -0.5 * 0.25**2 - 0.25 * w4 * 0.25
     assert drift == pytest.approx(expected, rel=1e-12)
@@ -114,7 +126,7 @@ def test_drift_identity_between_measure_representations(tenor, curve, jumpy):
             ((np.exp(lam * quad.nodes) - 1.0 - lam * quad.nodes) * tilt) @ quad.weights
         )
         direct = -lam * b_fwd - 0.5 * lam**2 * jumpy.diffusion_c - jump_int
-        via_terminal = terminal_measure_drift(state, s, k, jumpy, vols, DELTA, quad_order=96)
+        via_terminal = drift_of(state, s, k, jumpy, vols, quad_order=96)
         assert via_terminal == pytest.approx(direct, abs=1e-10)
 
 
@@ -214,6 +226,13 @@ def test_compensator_product_not_deterministic(tenor, curve, jumpy):
         ]
     )
     assert np.var(factors) > 0.0
+    # one call over all paths gives the same factor and shift per path
+    shift, factor = forward_measure_characteristics(state[:200], 1.0, 1, jumpy, vols, DELTA)
+    assert np.array_equal(factor(0.25), factors)
+    shifts = [
+        forward_measure_characteristics(s, 1.0, 1, jumpy, vols, DELTA)[0] for s in state[:200]
+    ]
+    assert np.array_equal(shift, shifts)
 
 
 def test_grid_validation(tenor, curve, vols, brownian):

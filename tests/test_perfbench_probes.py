@@ -1,0 +1,50 @@
+"""The benchmark's layer probes still find every name they wrap.
+
+``perfbench/tracing.py`` wraps, by name, functions that the CLI resolves at
+call time.  A refactor that renames one, or binds it where the probes
+cannot replace it, stops the benchmark or silently loses a layer; this test
+runs the probe launcher on the four commands at a few thousand paths and
+checks that every target records a span.  It only reads ``perfbench/``.
+"""
+
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import liborlab
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+COMMANDS = {
+    "verify": ("verify", ROOT / "configs" / "verify_all.cfg"),
+    "price": ("price", BENCH / "price_analytic.cfg"),
+    "compare": ("compare", ROOT / "configs" / "compare_brownian.cfg"),
+    "calibrate-mfm": ("calibrate-mfm", ROOT / "configs" / "verify_all.cfg"),
+}
+
+
+def test_benchmark_probes_record_every_target(tmp_path):
+    # run_path compiles the module without writing a bytecode cache
+    targets = {name for name, _, _ in runpy.run_path(str(BENCH / "tracing.py"))["TARGETS"]}
+    src = str(Path(liborlab.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + (os.pathsep + inherited if inherited else ""),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    recorded = set()
+    for tag, (command, config) in COMMANDS.items():
+        probe = tmp_path / f"{tag}.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "launch.py"), str(probe), "trace", "0", "--",
+             command, str(config), "--paths", "2000", "--out-dir", str(tmp_path / tag)],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 0, f"{tag}: {proc.stderr[-2000:]}"
+        recorded |= {span[0] for span in json.loads(probe.read_text())["spans"]}
+    assert targets - recorded == set()
