@@ -35,10 +35,7 @@ from .lmm import (
     _FrozenStep,
     _PicardStep,
     _TaylorStep,
-    _drift_all,
-    _JumpQuadrature,
     _simulate_core,
-    forward_price_weights,
 )
 
 
@@ -118,14 +115,8 @@ def taylor_simulate(
 
 def frozen_drift_table(model: LmmModel, grid) -> np.ndarray:
     """Deterministic drift beta0 per (step, rate) on the given grid."""
-    grid = np.asarray(grid, dtype=float)
-    w0 = forward_price_weights(np.asarray(model.curve.libors), model.tenor.delta)[None, :]
-    quad = _JumpQuadrature(model.chars, model.quad_order) if model.chars.has_jumps else None
-    table = np.zeros((len(grid) - 1, model.tenor.n))
-    for i in range(len(grid) - 1):
-        lam_row = model.vols.values[model.tenor.index_of(grid[i])]
-        table[i] = _drift_all(w0, lam_row, model.chars, quad)[0]
-    return table
+    step, lam = _FrozenStep(model), model.vols.values
+    return np.array([step.interval(j, 0, lam[j])[0] for j in map(model.tenor.index_of, grid[:-1])])
 
 
 def frozen_drift_law(model: LmmModel, grid, k: int, t: float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -131,13 +131,14 @@ class Context:
         )
         return affine_libor.fit_initial_curve(self.curve, params)
 
-    def simulate(self, name: str) -> LiborPathSet:
+    def simulate(self, name: str, store_dates: bool = False) -> LiborPathSet:
         """Path set of a market-model scheme or the FPM on the shared driver."""
         cfg = self.cfg
         driver = self.driver  # before the model is built, so this first work call ends set-up
         if name == "fpm":
             return simulate_fpm(self.fpm, self.grid, cfg.n_paths, cfg.seed, driver=driver)
-        return _LMM_SCHEMES[name](self.lmm, self.grid, cfg.n_paths, cfg.seed, driver=driver)
+        return _LMM_SCHEMES[name](self.lmm, self.grid, cfg.n_paths, cfg.seed, driver=driver,
+                                  store_dates=store_dates)
 
     def strikes(self, k: int) -> list:
         if self.cfg.strikes:
@@ -233,9 +234,12 @@ def _martingale_line(report: VerifyReport, model: str, paths: LiborPathSet) -> N
 
 
 def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
-    cfg = ctx.cfg
+    at_t1 = None  # rates at T_1 of the first scheme, for the structure witness
     for name in models:
-        paths = ctx.simulate(name)
+        paths = ctx.simulate(name, store_dates=at_t1 is None)
+        if at_t1 is None:
+            at_t1 = paths.date_values[:, 1, :].copy()
+            paths = replace(paths, date_values=None)  # positivity reads the fixings only
         min_rate = paths.min_rate()
         report.add(name, "positivity", min_rate > 0.0 and np.isfinite(min_rate),
                    f"min simulated rate {min_rate:.3e}")
@@ -245,19 +249,13 @@ def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
     # structure witness: the measure-change data of rate 1 depends on the
     # later rates at T_1, so its spread across paths is positive
     lmm = ctx.lmm
-    redo = _LMM_SCHEMES[models[0]](
-        lmm, ctx.grid, min(cfg.n_paths, 4096), cfg.seed, store_dates=True
-    )
     shift, factor = forward_measure_characteristics(
-        redo.date_values[:, 1, :], lmm.tenor.dates[1], 1, lmm.chars, lmm.vols, lmm.delta
+        at_t1, lmm.tenor.dates[1], 1, lmm.chars, lmm.vols, lmm.delta
     )
-    if lmm.chars.has_jumps:
-        witness = float(np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12))))
-        label = "compensator factor"
-    else:
-        witness = float(np.var(shift))
-        label = "Brownian shift"
-    report.add(models[0], "structure", cfg.n <= 2,
+    jumps = lmm.chars.has_jumps
+    witness = float(np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12)) if jumps else shift))
+    label = "compensator factor" if jumps else "Brownian shift"
+    report.add(models[0], "structure", ctx.cfg.n <= 2,
                f"forward-measure {label} variance {witness:.3e} (> 0: structure not preserved)",
                witness=witness > 0.0)
 

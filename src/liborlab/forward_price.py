@@ -136,8 +136,8 @@ class _FpmStep:
         self.log_f0 = np.log1p(self.delta * np.asarray(model.curve.libors))
         self.drift_table = model.drift_table
 
-    def interval(self, j: int, lam_row):
-        return self.drift_table[j]
+    def interval(self, j: int, c0: int, lam_row):
+        return self.drift_table[j, c0:]
 
     def start(self, n_paths: int):
         return np.tile(self.log_f0, (n_paths, 1)), None

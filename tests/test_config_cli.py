@@ -181,6 +181,24 @@ def test_run_verify_expected_pattern(tmp_path):
     assert (tmp_path / "verify_report.txt").exists()
 
 
+def test_run_verify_simulates_each_scheme_once(monkeypatch):
+    # the structure witness reads the rates at T_1 from the main run of the
+    # first scheme instead of simulating that scheme a second time
+    calls = []
+    exact = experiment._LMM_SCHEMES["lmm-exact"]
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("store_dates"))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-exact", counted)
+    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = lmm-exact"))
+    report = run_verify(override(cfg, n_paths=500))
+    assert calls == [True]
+    by_key = {(c.model, c.check): c for c in report.checks}
+    assert by_key[("lmm-exact", "structure")].status == "WITNESS"
+
+
 def _poisoned(fn, poison):
     def wrapped(*args, **kwargs):
         return poison(fn(*args, **kwargs))

@@ -1,12 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liborlab import lmm
 from liborlab.drift_approx import picard_simulate, taylor_simulate
+from liborlab.config import parse_config
 from liborlab.errors import DomainError, LiborLabError, QuadratureError
-from liborlab.experiment import _LMM_SCHEMES
+from liborlab.experiment import _LMM_SCHEMES, Context
 from liborlab.forward_price import FpmModel, simulate_fpm
 from liborlab.levy import (
     DoubleExponentialJumps,
@@ -27,6 +31,7 @@ from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
 
 DELTA = 0.5
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -297,17 +302,51 @@ def test_driver_sets_the_path_count(scheme, tenor, curve, vols, brownian):
     assert paths.fixing_weights.shape == (20, tenor.n)
 
 
-@pytest.mark.parametrize("order", [96, 192])
-def test_quadrature_check_rejects_non_finite_rules(order, tenor, curve):
-    # Gauss-Laguerre weights overflow at order 192: the model must be refused
-    # when either the order or its 2x check order has non-finite weights
-    chars = LevyCharacteristics(
-        drift_b=0.0, diffusion_c=0.4, jump_intensity=0.6,
-        jump_law=DoubleExponentialJumps(0.45, 9.0, 7.0),
-    )
-    vols = VolatilitySurface.flat(tenor, 0.15)
-    with np.errstate(all="ignore"), pytest.raises(QuadratureError):
-        LmmModel(tenor, curve, vols, chars, quad_order=order)
+@pytest.mark.parametrize(
+    "law, loading",
+    [(DoubleExponentialJumps(0.45, 7.0, 9.0), 1.7), (DoubleExponentialJumps(0.45, 2.0, 3.0), 0.49)],
+    ids=["kou-7-9", "kou-2-3"],
+)
+def test_quadrature_check_rejects_non_finite_rules(law, loading, tenor, curve):
+    # loadings close to the up-jump tail rate: the doubling reaches order 256,
+    # whose Gauss-Laguerre weights overflow, before any two orders agree
+    # within 1e-9, so the model must be refused
+    chars = LevyCharacteristics(drift_b=0.0, diffusion_c=0.4, jump_intensity=0.6, jump_law=law)
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(chars.jump_quadrature(256)[1]))
+    vols = VolatilitySurface.flat(tenor, loading)
+    with pytest.raises(QuadratureError, match="no two finite rules of order 4 to 256"):
+        LmmModel(tenor, curve, vols, chars)
+
+
+def test_jump_order_is_chosen_at_build_time(tenor, curve, brownian):
+    cfg = parse_config(str(ROOT / "configs" / "verify_all.cfg"))
+    assert Context(cfg).lmm.quad_order == 8
+    assert LmmModel(tenor, curve, VolatilitySurface.flat(tenor, 0.2), brownian).quad_order == 0
+
+
+@pytest.mark.parametrize(
+    "law, loading",
+    [
+        (NormalJumps(-0.08, 0.25), 0.2),
+        (NormalJumps(0.05, 0.4), 1.0),
+        (DoubleExponentialJumps(0.45, 9.0, 7.0), 0.15),
+        (DoubleExponentialJumps(0.45, 9.0, 7.0), 1.0),
+    ],
+)
+def test_chosen_jump_order_matches_order_48(law, loading, tenor, curve):
+    # the order is chosen at the time-zero weights; the drift at random
+    # states must still agree with the fixed order-48 rule within 1e-13
+    chars = LevyCharacteristics(drift_b=0.0, diffusion_c=0.4, jump_intensity=0.6, jump_law=law)
+    vols = VolatilitySurface.flat(tenor, loading)
+    model = LmmModel(tenor, curve, vols, chars)
+    assert 4 <= model.quad_order < 48
+    chosen, ref = _JumpQuadrature(chars, model.quad_order), _JumpQuadrature(chars, 48)
+    rng = np.random.default_rng(48)
+    w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(500, tenor.n))), DELTA)
+    for lam_row in vols.values:
+        err = np.abs(_drift_all(w, lam_row, chars, chosen) - _drift_all(w, lam_row, chars, ref))
+        assert np.max(err) <= 1e-13
 
 
 def test_min_rate_does_not_hide_nan(tenor, curve, vols, brownian):
@@ -374,3 +413,31 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
     for ref, split in zip(reference, run_all()):
         assert ref.fixings.tobytes() == split.fixings.tobytes()
         assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    law=st.sampled_from([None, NormalJumps(-0.08, 0.25), DoubleExponentialJumps(0.45, 9.0, 7.0)]),
+    loadings=st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)), min_size=1, max_size=8),
+    c0=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_columns_match_full_columns(law, loadings, c0, seed):
+    # the kernel runs the drift on the columns from the first live loading
+    # on; the sliced drift must equal the full drift's columns, bit for bit
+    n = len(loadings) + 1
+    c0 = min(c0, n - 1)
+    lam_row = np.array([0.0, *loadings])
+    lam_row[:c0] = 0.0
+    chars = LevyCharacteristics(
+        drift_b=0.01, diffusion_c=0.4, jump_intensity=0.0 if law is None else 0.6, jump_law=law
+    )
+    quad = _JumpQuadrature(chars, 8) if chars.has_jumps else None
+    rng = np.random.default_rng(seed)
+    w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(7, n))), DELTA)
+    full = _drift_all(w, lam_row, chars, quad)
+    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:], lam_row[c0:], chars, quad).tobytes()
+    full_tables = lmm.picard_tables_row(w[0], lam_row, chars.diffusion_c)
+    live_tables = lmm.picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
+    for whole, live in zip(full_tables, live_tables):
+        assert whole[c0:].tobytes() == live.tobytes()

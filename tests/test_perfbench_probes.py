@@ -27,16 +27,21 @@ COMMANDS = {
 }
 
 
-def test_benchmark_probes_record_every_target(tmp_path):
-    # run_path compiles the module without writing a bytecode cache
-    targets = {name for name, _, _ in runpy.run_path(str(BENCH / "tracing.py"))["TARGETS"]}
+def _env() -> dict:
+    """Environment that imports the package under test and writes no bytecode cache."""
     src = str(Path(liborlab.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = {
+    return {
         **os.environ,
         "PYTHONPATH": src + (os.pathsep + inherited if inherited else ""),
         "PYTHONDONTWRITEBYTECODE": "1",
     }
+
+
+def test_benchmark_probes_record_every_target(tmp_path):
+    # run_path compiles the module without writing a bytecode cache
+    targets = {name for name, _, _ in runpy.run_path(str(BENCH / "tracing.py"))["TARGETS"]}
+    env = _env()
     recorded = set()
     for tag, (command, config) in COMMANDS.items():
         probe = tmp_path / f"{tag}.json"
@@ -48,3 +53,21 @@ def test_benchmark_probes_record_every_target(tmp_path):
         assert proc.returncode == 0, f"{tag}: {proc.stderr[-2000:]}"
         recorded |= {span[0] for span in json.loads(probe.read_text())["spans"]}
     assert targets - recorded == set()
+
+
+def test_benchmark_context_reads_the_chosen_jump_order():
+    # perfbench/run.py records the market model's jump-rule size from
+    # ``LmmModel.quad_order``; a rename would break only the benchmark run
+    script = (
+        "import json, runpy, sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        f"run = runpy.run_path({str(BENCH / 'run.py')!r})\n"
+        "print(json.dumps({name: run['_context'](wl, None, 2000)['quad_nodes']\n"
+        "                  for name, wl in run['WORKLOADS'].items()}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=ROOT, env=_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    nodes = json.loads(proc.stdout.splitlines()[-1])
+    assert nodes["verify-jump-100k"] == 16
+    assert nodes["compare-brownian-200k"] == 0
