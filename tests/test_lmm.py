@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liborlab import lmm
-from liborlab.drift_approx import picard_simulate, taylor_simulate
 from liborlab.config import parse_config
+from liborlab.drift_approx import picard_simulate, taylor_simulate
 from liborlab.errors import DomainError, LiborLabError, QuadratureError
 from liborlab.experiment import _LMM_SCHEMES, Context
 from liborlab.forward_price import FpmModel, simulate_fpm
