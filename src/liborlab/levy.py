@@ -14,9 +14,9 @@ where m is the moment generating function of the jump-size law, and
 exp(z H_t - t kappa(z)) is a martingale for z inside the moment domain.
 
 Finite activity keeps path simulation exact: Gaussian increments, Poisson
-jump counts and i.i.d. jump sizes per step.  Loadings in this package are
-piecewise constant on the simulation grid, so the per-step jump sum is a
-sufficient statistic and is what ``DriverPathSet`` stores.
+jump counts and, per step, the exact law of the sum of its jumps.  Loadings
+in this package are piecewise constant on the simulation grid, so that sum
+is a sufficient statistic and is what ``DriverPathSet`` stores.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, LiborLabError
-
-_DOWN_CHUNK = 1 << 16
 
 
 class NormalJumps:
@@ -55,8 +53,9 @@ class NormalJumps:
         h, w = np.polynomial.hermite.hermgauss(order)
         return self.mean + math.sqrt(2.0) * self.sd * h, w / math.sqrt(math.pi)
 
-    def sample(self, rng: np.random.Generator, shape):
-        return rng.normal(self.mean, self.sd, size=shape)
+    def sum_sample(self, rng: np.random.Generator, counts):
+        """Sum of ``counts`` i.i.d. jump sizes, one draw per entry."""
+        return rng.normal(counts * self.mean, self.sd * np.sqrt(counts))
 
     def __repr__(self):
         return f"NormalJumps(mean={self.mean}, sd={self.sd})"
@@ -105,23 +104,11 @@ class DoubleExponentialJumps:
         weights = np.concatenate([self.p * w, (1.0 - self.p) * w])
         return nodes, weights
 
-    def sample(self, rng: np.random.Generator, shape):
-        # u = rng.random, then rng.exponential(1/alpha_pos) and
-        # rng.exponential(1/alpha_neg), +up or -down by u < p, in one cube;
-        # the down draws come in chunks, the same bits as one whole draw
-        sizes = np.empty(shape)
-        rng.random(out=sizes)
-        down = sizes >= self.p
-        rng.standard_exponential(out=sizes)
-        sizes *= 1.0 / self.alpha_pos
-        flat, flat_down = sizes.reshape(-1), down.reshape(-1)
-        chunk = np.empty(min(_DOWN_CHUNK, flat.size))
-        for lo in range(0, flat.size, _DOWN_CHUNK):
-            part = chunk[: flat.size - lo]
-            rng.standard_exponential(out=part)
-            part *= -1.0 / self.alpha_neg
-            np.copyto(flat[lo : lo + part.size], part, where=flat_down[lo : lo + part.size])
-        return sizes
+    def sum_sample(self, rng: np.random.Generator, counts):
+        """Sum of ``counts`` i.i.d. jump sizes, Binomial(counts, p) of them up (Kou 2002)."""
+        up = rng.binomial(counts, self.p)
+        # a sum of exponentials is a gamma variate; numpy's gamma is 0 at shape 0
+        return rng.gamma(up, 1.0 / self.alpha_pos) - rng.gamma(counts - up, 1.0 / self.alpha_neg)
 
     def __repr__(self):
         return (
@@ -262,15 +249,15 @@ def simulate_driver(
     n_paths: int,
     seed: int,
     antithetic: bool = False,
-    max_jumps_per_step: int = 64,
 ) -> DriverPathSet:
     """Exact path simulation of the driver on ``grid``.
 
     Brownian increments are N(0, dt) per step (scaled by sqrt(c) when
-    consumed), jump counts are Poisson(intensity * dt) and jump sizes are
-    i.i.d. from the jump law.  With ``antithetic=True`` the second half of
-    the paths negates the Brownian increments of the first half while
-    sharing its jumps; ``n_paths`` must then be even.
+    consumed), then jump counts Poisson(intensity * dt); each cell with k >= 1
+    jumps then draws, in C order, its jump sum from the exact law of k i.i.d.
+    jump sizes (Glasserman 2003, section 3.5).  With ``antithetic=True`` the
+    second half of the paths negates the Brownian increments of the first
+    half while sharing its jumps; ``n_paths`` must then be even.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
@@ -292,17 +279,9 @@ def simulate_driver(
     jump_sums = None
     if chars.has_jumps:
         counts = rng.poisson(chars.jump_intensity * dts[:, None], size=(n_steps, n_base))
-        m = int(counts.max())
-        if m > max_jumps_per_step:
-            raise LiborLabError(
-                f"{m} jumps in one step exceeds the cap {max_jumps_per_step}; refine the grid"
-            )
-        if m > 0:
-            sizes = chars.jump_law.sample(rng, (n_steps, n_base, m))
-            sizes *= np.arange(m) < counts[..., None]
-            jump_sums = np.sum(sizes, axis=2)
-        else:
-            jump_sums = np.zeros((n_steps, n_base))
+        jump_sums = np.zeros((n_steps, n_base))
+        hit = counts > 0
+        jump_sums[hit] = chars.jump_law.sum_sample(rng, counts[hit])
 
     if antithetic:
         dw = np.concatenate([dw, -dw], axis=1)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from liborlab.errors import DomainError, LiborLabError
 from liborlab.forward_price import FpmModel, forward_measure_shift
@@ -215,56 +216,97 @@ def test_tilted_law_integrates_to_mgf(jump_kou):
         )
 
 
-def _plain_driver(chars, grid, n_paths, seed):
-    # the sampling formula written out with whole-array temporaries
+def _plain_counts(chars, grid, n_paths, seed):
+    # the Brownian increments, then the Poisson jump counts, from one generator
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     dts = np.diff(grid)
     dw = rng.normal(0.0, np.sqrt(dts)[:, None], size=(len(dts), n_paths))
-    counts = rng.poisson(chars.jump_intensity * dts[:, None], size=dw.shape)
-    m = int(counts.max())
-    shape = (*dw.shape, m)
+    return rng, dw, rng.poisson(chars.jump_intensity * dts[:, None], size=dw.shape)
+
+
+def _plain_driver(chars, grid, n_paths, seed):
+    # the sampling formula written out: after the counts every jump is drawn
+    # on its own into a (steps x paths x most jumps) cube, masked and summed
+    rng, dw, counts = _plain_counts(chars, grid, n_paths, seed)
+    shape = (*dw.shape, int(counts.max()))
     law = chars.jump_law
-    up = rng.random(size=shape) < law.p
-    mag_up = rng.exponential(1.0 / law.alpha_pos, size=shape)
-    mag_dn = rng.exponential(1.0 / law.alpha_neg, size=shape)
-    sizes = np.where(up, mag_up, -mag_dn)
-    return dw, np.sum(sizes * (np.arange(m) < counts[..., None]), axis=2), m
+    if isinstance(law, NormalJumps):
+        sizes = rng.normal(law.mean, law.sd, size=shape)
+    else:
+        up = rng.random(size=shape) < law.p
+        mag_up = rng.exponential(1.0 / law.alpha_pos, size=shape)
+        mag_dn = rng.exponential(1.0 / law.alpha_neg, size=shape)
+        sizes = np.where(up, mag_up, -mag_dn)
+    return dw, counts, np.sum(sizes * (np.arange(shape[2]) < counts[..., None]), axis=2)
+
+
+def jump_variance(law):
+    if isinstance(law, NormalJumps):
+        return law.sd**2
+    second = 2.0 * law.p / law.alpha_pos**2 + 2.0 * (1.0 - law.p) / law.alpha_neg**2
+    return second - law.jump_mean() ** 2
 
 
 @pytest.mark.parametrize("seed", [4, 4711])
 def test_driver_sampling_matches_plain_formula_bitwise(jump_kou, seed):
+    # the Brownian increments and the Poisson counts come first and keep
+    # every bit; a cell holds a nonzero jump sum exactly when it drew a jump
     grid = np.linspace(0.0, 2.0, 17)
-    dw, jump_sums, _ = _plain_driver(jump_kou, grid, 5_001, seed)
+    _, dw, counts = _plain_counts(jump_kou, grid, 5_001, seed)
     paths = simulate_driver(jump_kou, grid, 5_001, seed)
     assert paths.dw.tobytes() == dw.tobytes()
-    assert paths.jump_sums.tobytes() == jump_sums.tobytes()
+    assert np.array_equal(paths.jump_sums != 0.0, counts > 0)
+
+
+@pytest.mark.parametrize("law", [NormalJumps(-0.05, 0.2), DoubleExponentialJumps(0.4, 8.0, 6.0)])
+def test_driver_jump_sums_follow_exact_law(law):
+    # intensity 16 on steps of 1/8 puts about two jumps in a cell, so every
+    # k = 1..4 has thousands of cells; given its count k a cell's sum has
+    # mean k E[J] and variance k Var[J], and the same law as the plain
+    # formula's masked cube (drawn from the next seed, so independent)
+    chars = LevyCharacteristics(diffusion_c=0.3, jump_intensity=16.0, jump_law=law)
+    grid = np.linspace(0.0, 2.0, 17)
+    seed = 20240
+    counts = _plain_counts(chars, grid, 2_000, seed)[2]
+    sums = simulate_driver(chars, grid, 2_000, seed).jump_sums
+    _, ref_counts, ref_sums = _plain_driver(chars, grid, 2_000, seed + 1)
+    for k in range(1, 5):
+        x, ref = sums[counts == k], ref_sums[ref_counts == k]
+        assert len(x) > 2_000 and len(ref) > 2_000
+        mean_se = math.sqrt(k * jump_variance(law) / len(x))
+        assert abs(x.mean() - k * law.jump_mean()) <= 4.0 * mean_se
+        dev2 = (x - x.mean()) ** 2
+        var_se = dev2.std(ddof=1) / math.sqrt(len(x))
+        assert abs(x.var(ddof=1) - k * jump_variance(law)) <= 4.0 * var_se
+        assert ks_2samp(x, ref).pvalue > 1e-3
 
 
 def test_driver_jump_sampling_memory(jump_kou):
-    # jump sampling holds two float buffers of the (steps x paths x max jumps)
-    # shape at a time; the whole-array formula peaks at about four and a half
+    # the driver holds a few (steps x paths) arrays at a time, however many
+    # jumps its busiest cell draws (9.1 units at intensity 28 with numpy 2.4);
+    # a cube of single jump sizes needed 10.1 units on the Kou fixture and 27
+    # once the busiest cell held 22 jumps
     grid = np.linspace(0.0, 2.0, 9)
-    m = _plain_driver(jump_kou, grid, 40_000, 8)[2]
-    cube_bytes = 8 * 40_000 * m * 8
-    tracemalloc.start()
-    try:
-        simulate_driver(jump_kou, grid, 40_000, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * cube_bytes
+    busy = LevyCharacteristics(diffusion_c=0.3, jump_intensity=28.0, jump_law=jump_kou.jump_law)
+    unit = 8 * 40_000 * 8
+    for chars, most in ((jump_kou, range(2, 10)), (busy, range(16, 25))):
+        assert _plain_counts(chars, grid, 40_000, 8)[2].max() in most
+        tracemalloc.start()
+        try:
+            simulate_driver(chars, grid, 40_000, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * unit
 
 
-def test_driver_jump_sampling_holds_one_cube(jump_kou):
-    # the up/down choice is a bool array and the down magnitudes go into the
-    # one float cube in chunks; two whole float buffers peaked at 2.9 cubes
-    grid = np.linspace(0.0, 2.0, 9)
-    m = _plain_driver(jump_kou, grid, 40_000, 8)[2]
-    cube_bytes = 8 * 40_000 * m * 8
-    tracemalloc.start()
-    try:
-        simulate_driver(jump_kou, grid, 40_000, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * cube_bytes
+def test_driver_simulates_two_hundred_jumps_a_step(jump_normal, jump_kou):
+    # no cap on the jumps in a step: about 200 expected jumps still simulate
+    grid = np.linspace(0.0, 1.0, 5)
+    for fixture in (jump_normal, jump_kou):
+        chars = LevyCharacteristics(
+            diffusion_c=fixture.diffusion_c, jump_intensity=800.0, jump_law=fixture.jump_law
+        )
+        sums = simulate_driver(chars, grid, 20_000, seed=31).jump_sums
+        se = sums.std(ddof=1) / math.sqrt(sums.size)
+        assert abs(sums.mean() - 200.0 * chars.jump_law.jump_mean()) <= 4.0 * se
