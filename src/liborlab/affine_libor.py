@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import ncx2
 
 from .affine import (
     CirParams,
@@ -265,6 +264,7 @@ def caplet_price_chi2(family: MartingaleFamily, k: int, strike: float) -> float:
     exponential piece through one more tilt).  Requires positive degrees of
     freedom (long-run level > 0) and B > 0.
     """
+    from scipy.stats import ncx2  # here, not at the top: keeps scipy.stats out of CLI start-up
     delta, t_fix, a, b = _caplet_setup(family, k, strike)
     discount = family.curve.bond(k + 1)
     strike_factor = 1.0 + delta * strike

@@ -298,7 +298,7 @@ def test_run_calibrate_mfm_exports_grid(tmp_path):
     assert len(lines) == 1 + sum(len(grid.x_nodes[i]) for i in range(1, 4))
 
 
-def _run_cli(args, cwd):
+def _run_python(args, cwd):
     # The child runs in a scratch directory, where a relative PYTHONPATH entry
     # such as ``src`` no longer resolves; put the directory that holds the
     # liborlab under test first, so the child imports the same code.
@@ -306,12 +306,26 @@ def _run_cli(args, cwd):
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
-        [sys.executable, "-m", "liborlab.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def _run_cli(args, cwd):
+    return _run_python(["-m", "liborlab.cli", *args], cwd)
+
+
+def test_cli_import_skips_scipy_stats(tmp_path):
+    # scipy.stats only serves the chi-square cross-check, which no command
+    # runs; loading it would add about 0.3 s to every command's start-up
+    proc = _run_python(
+        ["-c", "import sys, liborlab.cli; print('scipy.stats' in sys.modules)"], cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_end_to_end(tmp_path):
