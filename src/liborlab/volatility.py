@@ -33,8 +33,9 @@ class VolatilitySurface:
         n = self.tenor.n
         if vals.shape != (n, n):
             raise CurveError(f"expected loading matrix of shape {(n, n)}, got {vals.shape}")
-        live = np.triu(np.ones((n, n)), k=1)  # interval j strictly before reset k
-        if np.any(vals * (1.0 - live) != 0.0):
+        if not np.all(np.isfinite(vals)):
+            raise CurveError("loadings must be finite, got inf or NaN")
+        if np.any(np.tril(vals) != 0.0):  # interval j at or after reset k
             raise CurveError("loadings must vanish at and after the rate's reset date")
         object.__setattr__(self, "values", vals)
 

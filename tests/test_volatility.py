@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ def test_nonzero_loading_after_reset_rejected(tenor):
     vals[2, 1] = 0.1  # rate 1 already fixed on interval 2
     with pytest.raises(CurveError):
         VolatilitySurface(tenor, vals)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_loading_rejected(tenor, bad):
+    # refused with their own message, and with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurveError, match="finite"):
+            VolatilitySurface.flat(tenor, bad)
+        with pytest.raises(CurveError, match="finite"):
+            VolatilitySurface.from_columns(tenor, [[0.3], [0.2, bad], [0.1, 0.15, 0.2]])
 
 
 def test_row_masks_already_fixed_rates(tenor):
