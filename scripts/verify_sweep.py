@@ -1,0 +1,43 @@
+"""Run the verify suite over a range of seeds and list the seeds that fail.
+
+    PYTHONPATH=src python scripts/verify_sweep.py [--config PATH] [--first 1] [--last 120]
+
+Each seed runs ``run_verify`` on the config (default
+``configs/verify_all.cfg``) with only the seed changed.  A failing seed is
+printed with its FAIL lines, and the last line lists every failing seed.
+The Monte Carlo lines each hold a statistic to 3 standard errors, so a
+correct model still fails on some seeds; the sweep measures how often.
+At 1e5 paths a seed takes about 2 s on 2 CPUs.
+"""
+
+from __future__ import annotations
+
+import argparse
+from pathlib import Path
+
+from liborlab.config import override, parse_config
+from liborlab.experiment import run_verify
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="verify seed sweep")
+    default = Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg"
+    parser.add_argument("--config", default=str(default))
+    parser.add_argument("--first", type=int, default=1)
+    parser.add_argument("--last", type=int, default=120)
+    args = parser.parse_args(argv)
+    cfg = parse_config(args.config)
+    failing = []
+    for seed in range(args.first, args.last + 1):
+        report = run_verify(override(cfg, seed=seed))
+        if report.failed:
+            failing.append(seed)
+            print(f"seed {seed}:", flush=True)
+            for c in report.checks:
+                if c.genuine_failure:
+                    print(f"  {c.model:<10} {c.check:<11} FAIL     {c.detail}", flush=True)
+    print(f"{len(failing)} of {args.last - args.first + 1} seeds fail: {failing}")
+
+
+if __name__ == "__main__":
+    main()
