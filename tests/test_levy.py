@@ -300,6 +300,21 @@ def test_driver_jump_sampling_memory(jump_kou):
         assert peak < 10 * unit
 
 
+def test_driver_jump_sampling_holds_one_cube(jump_kou):
+    # the driver never builds the (steps x paths x most jumps) cube of single
+    # jump sizes, so its peak stays below one such cube on the Kou fixture
+    grid = np.linspace(0.0, 2.0, 9)
+    m = int(_plain_counts(jump_kou, grid, 40_000, 8)[2].max())
+    cube_bytes = 8 * 40_000 * m * 8
+    tracemalloc.start()
+    try:
+        simulate_driver(jump_kou, grid, 40_000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube_bytes
+
+
 def test_driver_simulates_two_hundred_jumps_a_step(jump_normal, jump_kou):
     # no cap on the jumps in a step: about 200 expected jumps still simulate
     grid = np.linspace(0.0, 1.0, 5)
