@@ -65,12 +65,10 @@ from .markov_functional import (
     FunctionalGrid,
     MfmDriver,
     black_digital_price,
-    bond_value,
     calibrate_backward,
-    conditional_expectation,
     terminal_bond_functional,
 )
-from .pricing import CapletQuote, black_caplet, implied_vol, mc_caplet, mc_swaption
+from .pricing import CapletQuote, black_caplet, implied_vol, mc_caplet
 from .tenor import InitialCurve, TenorStructure, read_curve_file
 from .volatility import VolatilitySurface
 

@@ -317,11 +317,8 @@ def simulate_affine_paths(family: MartingaleFamily, n_paths: int, seed: int) -> 
     return LiborPathSet(
         tenor=tenor,
         scheme="affine",
-        seed=int(seed),
         grid=grid,
         initial_libors=l0,
         fixings=fixings,
         fixing_weights=fixing_weights,
-        grid_values=None,
-        antithetic=False,
     )

@@ -26,6 +26,19 @@ KNOWN_MODELS = (
     "affine",
 )
 DRIVER_TYPES = ("brownian", "jump-normal", "jump-double-exp")
+# keys of each section; [vols] also takes rate_1, rate_2, ... with consecutive k
+_KEYS = {
+    "experiment": ("seed", "n_paths", "steps_per_period", "out_dir", "quad_order"),
+    "tenor": ("delta", "n"),
+    "curve": ("flat_libor", "file"),
+    "driver": ("type", "drift_b", "diffusion_c", "jump_intensity", "jump_mean", "jump_sd",
+               "p_up", "alpha_pos", "alpha_neg"),
+    "vols": ("flat",),
+    "models": ("run",),
+    "pricing": ("strikes", "strike_factors", "antithetic"),
+    "mfm": ("sigma",),
+    "affine": ("mean_reversion", "long_run_level", "vol_of_vol", "x0"),
+}
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,8 @@ def parse_config(source) -> ExperimentConfig:
     no one-line text holds the required sections, so a missing file is
     reported as missing rather than parsed as text.  A relative ``[curve]
     file`` is resolved against the config file's directory when reading
-    from a path, and against the working directory otherwise.
+    from a path, and against the working directory otherwise.  An unknown
+    section or key raises ``ConfigError``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     base_dir = ""
@@ -132,6 +146,17 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"config file {os.fspath(source)!r} does not exist") from exc
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+
+    rate_keys = ()  # rate_1, rate_2, ... up to the first gap
+    while parser.has_option("vols", f"rate_{len(rate_keys) + 1}"):
+        rate_keys += (f"rate_{len(rate_keys) + 1}",)
+    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        known = _KEYS[section] + (rate_keys if section == "vols" else ())
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
 
     def need(section: str, key: str) -> str:
         if not parser.has_option(section, key):
@@ -173,12 +198,7 @@ def parse_config(source) -> ExperimentConfig:
         )
         if parser.has_option("vols", "flat"):
             kwargs["vol_flat"] = float(parser.get("vols", "flat"))
-        rows = []
-        k = 1
-        while parser.has_option("vols", f"rate_{k}"):
-            rows.append(_floats(parser.get("vols", f"rate_{k}")))
-            k += 1
-        kwargs["vol_rows"] = tuple(rows)
+        kwargs["vol_rows"] = tuple(_floats(parser.get("vols", key)) for key in rate_keys)
         if parser.has_section("pricing"):
             if parser.has_option("pricing", "strikes"):
                 kwargs["strikes"] = _floats(parser.get("pricing", "strikes"))

@@ -46,13 +46,11 @@ def frozen_drift_simulate(
     seed: int,
     driver: Optional[DriverPathSet] = None,
     store_dates: bool = False,
-    store_grid: bool = False,
-    antithetic: bool = False,
 ) -> LiborPathSet:
     """Simulation with the weights frozen at their time-zero values."""
     return _simulate_core(
         model, grid, n_paths, seed, _FrozenStep(model), "frozen",
-        driver, store_dates, store_grid, antithetic,
+        driver, store_dates,
     )
 
 
@@ -64,8 +62,6 @@ def picard_simulate(
     order: int = 1,
     driver: Optional[DriverPathSet] = None,
     store_dates: bool = False,
-    store_grid: bool = False,
-    antithetic: bool = False,
 ) -> LiborPathSet:
     """Simulation with the drift weights replaced by a Picard iterate.
 
@@ -81,7 +77,7 @@ def picard_simulate(
     step = _FrozenStep(model) if order == 0 else _PicardStep(model)
     return _simulate_core(
         model, grid, n_paths, seed, step, f"picard{order}",
-        driver, store_dates, store_grid, antithetic,
+        driver, store_dates,
     )
 
 
@@ -92,8 +88,6 @@ def taylor_simulate(
     seed: int,
     driver: Optional[DriverPathSet] = None,
     store_dates: bool = False,
-    store_grid: bool = False,
-    antithetic: bool = False,
 ) -> LiborPathSet:
     """First-order strong Taylor scheme on the shared driver path.
 
@@ -109,7 +103,7 @@ def taylor_simulate(
     """
     return _simulate_core(
         model, grid, n_paths, seed, _TaylorStep(model), "taylor",
-        driver, store_dates, store_grid, antithetic,
+        driver, store_dates,
     )
 
 

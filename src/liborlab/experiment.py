@@ -29,7 +29,9 @@ from .lmm import (
     LiborPathSet, LmmModel, forward_measure_characteristics, simulate_exact, simulation_grid,
 )
 # implied_vol stays importable here: the layer probes in perfbench/tracing.py wrap it
-from .pricing import CapletQuote, implied_vol, implied_vol_or_none, mc_caplet  # noqa: F401
+from .pricing import (  # noqa: F401
+    CapletQuote, _mc_mean_stderr, implied_vol, implied_vol_or_none, mc_caplet,
+)
 from .tenor import InitialCurve, TenorStructure, read_curve_file
 from .volatility import VolatilitySurface
 
@@ -175,13 +177,8 @@ def write_quotes_csv(path, rows) -> None:
 
 def weighted_martingale_gap(paths: LiborPathSet, k: int):
     """(|gap|, stderr) of E_N[w (L(T_k,T_k) - L(0,T_k))], the martingale statistic."""
-    l0 = paths.initial_libors[k]
-    d = paths.fixing_weights[:, k] * (paths.fixings[:, k] - l0)
-    if paths.antithetic:
-        half = len(d) // 2
-        d = 0.5 * (d[:half] + d[half:])
-    gap = float(np.mean(d))
-    se = float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
+    d = paths.fixing_weights[:, k] * (paths.fixings[:, k] - paths.initial_libors[k])
+    gap, se = _mc_mean_stderr(d, paths.antithetic)
     return abs(gap), se
 
 

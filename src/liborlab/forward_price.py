@@ -90,22 +90,6 @@ class FpmModel:
         return self.tenor.delta
 
 
-def forward_measure_shift(model: FpmModel, s: float, k: int):
-    """Girsanov data under the T_{k+1} forward measure.
-
-    Returns the Brownian drift shift sqrt(c) * Lambda_{k+1}(s) and the
-    deterministic jump-compensator tilt x -> exp(x * Lambda_{k+1}(s)); both
-    are free of any rate state, so the driver's structure is preserved.
-    """
-    tail = float(model.loading_tails[model.tenor.index_of(s), k + 1])
-    shift = math.sqrt(model.chars.diffusion_c) * tail
-
-    def compensator_factor(x):
-        return np.exp(np.asarray(x, dtype=float) * tail)
-
-    return shift, compensator_factor
-
-
 def simulate_fpm(
     model: FpmModel,
     grid,
@@ -113,8 +97,6 @@ def simulate_fpm(
     seed: int,
     driver: Optional[DriverPathSet] = None,
     store_dates: bool = False,
-    store_grid: bool = False,
-    antithetic: bool = False,
 ) -> LiborPathSet:
     """Exact-in-law simulation of the forward prices on the grid.
 
@@ -124,7 +106,7 @@ def simulate_fpm(
     """
     return _simulate_core(
         model, grid, n_paths, seed, _FpmStep(model), "fpm",
-        driver, store_dates, store_grid, antithetic,
+        driver, store_dates,
     )
 
 

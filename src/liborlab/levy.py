@@ -235,13 +235,6 @@ class DriverPathSet:
             dh = dh + self.jump_sums - chars.jump_mean_rate * dts
         return dh
 
-    def cumulative(self, chars: LevyCharacteristics) -> np.ndarray:
-        """H on the grid, shape (len(grid), n_paths), starting at 0."""
-        dh = self.increments(chars)
-        out = np.zeros((len(self.grid), self.n_paths))
-        np.cumsum(dh, axis=0, out=out[1:])
-        return out
-
 
 def simulate_driver(
     chars: LevyCharacteristics,

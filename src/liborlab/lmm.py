@@ -214,19 +214,16 @@ class LiborPathSet:
     ``fixings[:, k]`` is L(T_k, T_k) per path and ``fixing_weights[:, k]``
     the normalized density dP_{T_{k+1}}/dP_{T_N} at that fixing date, so
     caplet payoffs price directly under the terminal measure.  Snapshots of
-    the full rate vector at tenor dates (``date_values``) and at every grid
-    point (``grid_values``) are optional.
+    the full rate vector at the tenor dates (``date_values``) are optional.
     """
 
     tenor: TenorStructure
     scheme: str
-    seed: int
     grid: np.ndarray = field(repr=False)
     initial_libors: np.ndarray = field(repr=False)
     fixings: np.ndarray = field(repr=False)
     fixing_weights: np.ndarray = field(repr=False)
     date_values: Optional[np.ndarray] = field(repr=False, default=None)
-    grid_values: Optional[np.ndarray] = field(repr=False, default=None)
     antithetic: bool = False
 
     @property
@@ -263,8 +260,6 @@ class LiborPathSet:
         vals = [np.min(self.fixings[:, :reached])]
         if self.date_values is not None:
             vals.append(np.min(self.date_values))
-        if self.grid_values is not None:
-            vals.append(np.min(self.grid_values))
         return float(np.min(vals))
 
 
@@ -439,8 +434,6 @@ def _simulate_core(
     scheme: str,
     driver: Optional[DriverPathSet],
     store_dates: bool,
-    store_grid: bool,
-    antithetic: bool,
 ) -> LiborPathSet:
     """Log-Euler recursion shared by the market-model schemes and the FPM.
 
@@ -455,7 +448,7 @@ def _simulate_core(
         s += drift * dt + lam_row * dH,
 
     and the kernel records fixings, terminal-measure density weights and
-    optional snapshots at the grid points.
+    optional snapshots at the tenor dates.
 
     On interval j the rates before the first nonzero loading c0 have zero
     loading and drift, so ``interval``, ``drift``, the update and ``advance``
@@ -469,12 +462,10 @@ def _simulate_core(
     grid = np.asarray(grid, dtype=float)
     _check_grid(model.tenor, grid)
     if driver is None:
-        driver = simulate_driver(model.chars, grid, n_paths, seed, antithetic=antithetic)
-    else:
-        if driver.n_steps != len(grid) - 1 or not np.allclose(driver.grid, grid):
-            raise LiborLabError("driver path set does not match the simulation grid")
-        n_paths = driver.n_paths
-        antithetic = driver.antithetic
+        driver = simulate_driver(model.chars, grid, n_paths, seed)
+    elif driver.n_steps != len(grid) - 1 or not np.allclose(driver.grid, grid):
+        raise LiborLabError("driver path set does not match the simulation grid")
+    n_paths = driver.n_paths
 
     tenor = model.tenor
     n = tenor.n
@@ -499,17 +490,12 @@ def _simulate_core(
     n_dates = max(date_idx.values()) + 1
 
     date_values = np.empty((n_paths, n_dates, n)) if store_dates else None
-    grid_values = np.empty((n_paths, len(grid), n)) if store_grid else None
 
     def record(rows: slice, state, i_grid: int):
         d = date_idx.get(i_grid)
-        if d is None and not store_grid:
-            return
-        libors = step.rate(state)
-        if store_grid:
-            grid_values[rows, i_grid, :] = libors
         if d is None:
             return
+        libors = step.rate(state)
         if store_dates:
             date_values[rows, d, :] = libors
         if 1 <= d <= n - 1:
@@ -538,14 +524,12 @@ def _simulate_core(
     return LiborPathSet(
         tenor=tenor,
         scheme=scheme,
-        seed=int(seed),
         grid=grid,
         initial_libors=l0,
         fixings=fixings,
         fixing_weights=fixing_weights,
         date_values=date_values,
-        grid_values=grid_values,
-        antithetic=antithetic,
+        antithetic=driver.antithetic,
     )
 
 
@@ -556,8 +540,6 @@ def simulate_exact(
     seed: int,
     driver: Optional[DriverPathSet] = None,
     store_dates: bool = False,
-    store_grid: bool = False,
-    antithetic: bool = False,
 ) -> LiborPathSet:
     """Coupled simulation with the full state-dependent drift.
 
@@ -568,5 +550,5 @@ def simulate_exact(
     """
     return _simulate_core(
         model, grid, n_paths, seed, _ExactStep(model), "exact",
-        driver, store_dates, store_grid, antithetic,
+        driver, store_dates,
     )

@@ -37,7 +37,6 @@ outside the node range.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,7 +45,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .errors import CalibrationError, LiborLabError, QuadratureError
+from .errors import CalibrationError, LiborLabError
 from .tenor import InitialCurve, TenorStructure
 
 _TAIL_EPS = 1e-300
@@ -100,44 +99,6 @@ def terminal_bond_functional(x, curve: InitialCurve, variance: float):
     return 1.0 / (
         1.0 + curve.tenor.delta * l0 * np.exp(-0.5 * variance + np.asarray(x, dtype=float))
     )
-
-
-def conditional_expectation(
-    g,
-    from_t: float,
-    to_t: float,
-    x: float,
-    driver: MfmDriver,
-    order: int = 64,
-    check: bool = False,
-):
-    """E[g(X_{to_t}) | X_{from_t} = x] by Gauss-Hermite quadrature.
-
-    Exact for polynomial g up to degree 2 * order - 1.  With ``check=True``
-    the value is recomputed at a higher order and a discrepancy above 1e-9
-    (relative) raises ``QuadratureError``.
-    """
-    if to_t < from_t:
-        raise LiborLabError("conditioning time must not exceed the target time")
-    var = driver.variance(to_t) - driver.variance(from_t)
-    if var < 0.0:
-        raise LiborLabError("driver variance must be nondecreasing")
-
-    def estimate(n):
-        if var == 0.0:
-            return float(np.asarray(g(np.asarray([x]))).reshape(-1)[0])
-        h, w = _hermite(n)
-        pts = x + math.sqrt(2.0 * var) * h
-        return float(np.sum(np.asarray(g(pts)) * w) / math.sqrt(math.pi))
-
-    value = estimate(order)
-    if check:
-        refined = estimate(order + 32)
-        if abs(refined - value) > 1e-9 * max(1.0, abs(refined)):
-            raise QuadratureError(
-                f"Gauss-Hermite order {order} off by {abs(refined - value):.2e}"
-            )
-    return value
 
 
 def black_digital_price(L0: float, strike: float, total_vol: float, discount: float) -> float:
@@ -241,6 +202,10 @@ def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
     return math.exp(0.5 * b * b * var) * ndtr(-y if upper else y)
 
 
+def _gaussian_density(x, sd: float):
+    return np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
 @dataclass
 class FunctionalGrid:
     """Calibrated rate and numeraire functionals at the tenor dates.
@@ -260,6 +225,7 @@ class FunctionalGrid:
     deterministic: bool = False
     _rate_interp: list = field(default_factory=list, repr=False)
     _rho_interp: list = field(default_factory=list, repr=False)
+    _j_interp: list = field(default_factory=list, repr=False)
     _tails_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -305,43 +271,43 @@ class FunctionalGrid:
         return (vals @ w / math.sqrt(math.pi))[()]
 
 
+def _tail_mass(grid: FunctionalGrid, i: int, c: float, upper: bool) -> float:
+    """int J_i(x) phi(x) dx over (c, inf) or (-inf, c), for c beyond the nodes.
+
+    J_i ~ 1 + exp(a + b x) in each tail; a J_i that is 1 at the edge node
+    (rate-free) has a pure Gaussian tail on that side.
+    """
+    var = grid.driver.variance(grid.tenor.dates[i])
+    base = ndtr((-c if upper else c) / math.sqrt(var))
+    if grid.j_values[i][-1 if upper else 0] - 1.0 <= _TAIL_EPS:
+        return float(base)
+    a, b = grid._j_interp[i].tail_coeffs(upper)
+    return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
+
+
 def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
     """T(x_m) = int_{x_m}^inf J_i(x) phi(x) dx per node, plus the total.
 
     Panels between consecutive nodes use Gauss-Legendre; the mass beyond
-    the node range uses the 1 + exp(linear) tail form of J_i.
+    the node range is ``_tail_mass``.
     """
     if i in grid._tails_cache:
         return grid._tails_cache[i]
     x = grid.x_nodes[i]
-    var = grid.driver.variance(grid.tenor.dates[i])
-    sd = math.sqrt(var)
+    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
     y, w = _legendre(panel_order)
 
     mid = 0.5 * (x[:-1] + x[1:])
     half = 0.5 * (x[1:] - x[:-1])
     pts = mid[:, None] + half[:, None] * y  # (panels, order)
     jv = np.asarray(grid.j_value(i, pts.reshape(-1))).reshape(pts.shape)
-    dens = np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    panels = (jv * dens) @ w * half
+    panels = (jv * _gaussian_density(pts, sd)) @ w * half
 
-    j_nodes = np.asarray(grid.j_value(i, x))
-    # tails: J ~ 1 + exp(a + b x); a rate-free J (== 1) has a pure Gaussian tail
-    def tail(upper: bool) -> float:
-        c = x[-1] if upper else x[0]
-        base = ndtr((-c if upper else c) / sd)
-        j_edge = j_nodes[-1] if upper else j_nodes[0]
-        if j_edge - 1.0 <= _TAIL_EPS:
-            return float(base)
-        interp = _MonotoneLogInterp(x, j_nodes, shift=1.0)
-        a, b = interp.tail_coeffs(upper)
-        return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
-
-    upper_tail = tail(True)
+    upper_tail = _tail_mass(grid, i, x[-1], True)
     t_vals = np.empty(len(x))
     t_vals[-1] = upper_tail
     t_vals[:-1] = upper_tail + np.cumsum(panels[::-1])[::-1]
-    total = t_vals[0] + tail(False)
+    total = t_vals[0] + _tail_mass(grid, i, x[0], False)
     grid._tails_cache[i] = (t_vals, total)
     return t_vals, total
 
@@ -411,6 +377,7 @@ def calibrate_backward(
         j_values=[None] * n,
         _rate_interp=[None] * n,
         _rho_interp=[None] * n,
+        _j_interp=[None] * n,
     )
 
     h, _ = _hermite(quad_order)
@@ -422,6 +389,9 @@ def calibrate_backward(
         grid.x_nodes[i] = nodes
 
         j_nodes = np.asarray(grid.j_value(i, nodes))
+        grid.j_values[i] = j_nodes
+        if not np.all(j_nodes[[0, -1]] - 1.0 <= _TAIL_EPS):  # a tail with rates in it
+            grid._j_interp[i] = _MonotoneLogInterp(nodes, j_nodes, shift=1.0)
         tails, _ = _tail_integrals(grid, i)
         u0 = curve.bond(n) * tails
 
@@ -436,7 +406,6 @@ def calibrate_backward(
             )
 
         grid.libor_values[i] = strikes
-        grid.j_values[i] = j_nodes
         rho = (1.0 + tenor.delta * strikes) * j_nodes
         grid.numeraire_values[i] = 1.0 / rho
         grid._rho_interp[i] = _MonotoneLogInterp(nodes, rho, shift=1.0)
@@ -457,35 +426,24 @@ def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
         return grid.curve.bond(i + 1) if pays else 0.0
     x_star = grid._rate_interp[i].inverse(strike)
     x = grid.x_nodes[i]
-    tails, total = _tail_integrals(grid, i)
-    var = grid.driver.variance(grid.tenor.dates[i])
-    sd = math.sqrt(var)
+    tails, _ = _tail_integrals(grid, i)
     bond_n = grid.curve.bond(grid.tenor.n)
-    j_nodes = np.asarray(grid.j_value(i, x))
-    j_interp = None
-    if j_nodes[0] - 1.0 > _TAIL_EPS and j_nodes[-1] - 1.0 > _TAIL_EPS:
-        j_interp = _MonotoneLogInterp(x, j_nodes, shift=1.0)
-
-    def tail_beyond(c: float, upper: bool) -> float:
-        base = ndtr((-c if upper else c) / sd)
-        if j_interp is None:
-            return float(base)
-        a, b = j_interp.tail_coeffs(upper)
-        return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
-
     if x_star >= x[-1]:
-        return bond_n * tail_beyond(x_star, True)
+        return bond_n * _tail_mass(grid, i, x_star, True)
     if x_star <= x[0]:
-        return bond_n * (tails[0] + tail_beyond(x_star, False) - tail_beyond(x[0], False))
+        return bond_n * (
+            tails[0] + _tail_mass(grid, i, x_star, False) - _tail_mass(grid, i, x[0], False)
+        )
 
     m = int(np.searchsorted(x, x_star, side="right") - 1)
     # exact tail at x_{m+1} plus the partial panel [x_star, x_{m+1}]
+    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
     y, w = _legendre(24)
     mid = 0.5 * (x_star + x[m + 1])
     half = 0.5 * (x[m + 1] - x_star)
     pts = mid + half * y
-    dens = np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-    partial = float(np.sum(np.asarray(grid.j_value(i, pts)) * dens * w) * half)
+    jv = np.asarray(grid.j_value(i, pts))
+    partial = float(np.sum(jv * _gaussian_density(pts, sd) * w) * half)
     return bond_n * (tails[m + 1] + partial)
 
 
@@ -513,10 +471,9 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * y).reshape(-1)
-    dens = np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     rate = np.asarray(grid.rate_value(i, pts))
     jv = np.asarray(grid.j_value(i, pts))
-    payoff = np.clip(rate - strike, 0.0, None) * jv * dens
+    payoff = np.clip(rate - strike, 0.0, None) * jv * _gaussian_density(pts, sd)
     value = float(np.sum(payoff.reshape(len(mid), -1) @ w * half))
     return grid.curve.bond(grid.tenor.n) * grid.tenor.delta * value
 
@@ -527,47 +484,6 @@ def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
         return grid.curve.bond(i + 1)
     _, total = _tail_integrals(grid, i)
     return grid.curve.bond(grid.tenor.n) * total
-
-
-def bond_value(grid: FunctionalGrid, t_index: int, s_index: int, x: float) -> float:
-    """B(T_i, T_j; x) from the calibrated functionals.
-
-    Uses the martingale property against the terminal numeraire with the
-    monotone-cubic functional interpolants; states outside the calibrated
-    node range are clamped with a warning.  ``t_index = 0`` (where the
-    state is 0 and the numeraire is the observed B(0, T_N)) returns the
-    model's reconstruction of the initial curve.
-    """
-    i, j = t_index, s_index
-    n = grid.tenor.n
-    if not 0 <= i <= j <= n:
-        raise LiborLabError(f"need 0 <= t_index <= s_index <= {n}")
-    if i == j:
-        return 1.0
-    if i == 0:
-        x_eff = 0.0
-        numeraire = grid.curve.bond(n)
-    else:
-        nodes = grid.x_nodes[i]
-        x_eff = x
-        if not grid.deterministic and (x < nodes[0] or x > nodes[-1]):
-            warnings.warn(
-                f"state {x} outside the calibrated range of T_{i}; clamping",
-                stacklevel=2,
-            )
-            x_eff = float(np.clip(x, nodes[0], nodes[-1]))
-        numeraire = 1.0 / float(np.asarray(grid.reciprocal_numeraire(i, np.asarray([x_eff])))[0])
-    if j == n:
-        return numeraire
-    if j == i + 1:
-        return numeraire * float(np.asarray(grid.j_value(i, np.asarray([x_eff])))[0])
-    if grid.deterministic:
-        return numeraire * grid.curve.bond(j) / grid.curve.bond(n)
-    var = grid.driver.variance(grid.tenor.dates[j]) - grid.driver.variance(grid.tenor.dates[i])
-    h, w = _hermite(grid.quad_order)
-    pts = x_eff + math.sqrt(2.0 * var) * h
-    vals = np.asarray(grid.reciprocal_numeraire(j, pts))
-    return numeraire * float(vals @ w / math.sqrt(math.pi))
 
 
 def export_grid_csv(path, grid: FunctionalGrid) -> None:

@@ -1,14 +1,10 @@
-"""Model-agnostic caplet/swaption pricing and implied-volatility utilities.
+"""Model-agnostic caplet pricing and implied-volatility utilities.
 
 Monte Carlo prices consume ``LiborPathSet`` objects: the payoff at a fixing
 date is weighted by the path's terminal-measure density for the payment
 date's forward measure, so every model prices through the same estimator
 
     price = B(0, T_{k+1}) * E_N[ (L(T_k, T_k) - K)^+ * weight ].
-
-Swap rates are never simulated directly; they are rebuilt from the
-simulated rates through bond-ratio telescoping so the basic bond/LIBOR
-identity stays the single source of truth.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ _IV_PRICE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CapletQuote:
-    """One priced caplet (or swaption): price, error bar, implied vol."""
+    """One priced caplet: price, error bar, implied vol."""
 
     k: int
     strike: float
@@ -151,48 +147,3 @@ def mc_caplet(
     price = scale * mean
     iv = implied_vol_or_none(price, curve, k, strike)
     return CapletQuote(k=k, strike=strike, price=price, stderr=scale * stderr, implied_vol=iv)
-
-
-def mc_swaption(
-    paths: LiborPathSet,
-    exercise_index: int,
-    swap_end_index: int,
-    strike: float,
-    curve: InitialCurve,
-    payer: bool = True,
-) -> CapletQuote:
-    """Monte Carlo payer/receiver swaption value.
-
-    The swap over [T_e, T_m] is rebuilt per path from the simulated rates:
-    bond ratios B(T_e, T_j)/B(T_e, T_N) telescope over (1 + delta L), the
-    annuity and swap rate follow, and the payoff is discounted through the
-    terminal measure (numeraire pricing).  Requires tenor-date snapshots.
-    """
-    e, m, n = exercise_index, swap_end_index, paths.tenor.n
-    if not 1 <= e < m <= n:
-        raise LiborLabError(f"need 1 <= exercise < end <= {n}, got {e}, {m}")
-    if paths.date_values is None:
-        raise LiborLabError("swaption pricing needs tenor-date snapshots")
-    delta = paths.delta
-    state = paths.date_values[:, e, :]  # rates at T_e
-    # ratio[:, j] = B(T_e, T_j) / B(T_e, T_N) for j = e..n
-    factors = 1.0 + delta * state[:, e:n]
-    ratio = np.ones((state.shape[0], n - e + 1))
-    ratio[:, :-1] = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
-    annuity = delta * np.sum(ratio[:, (e + 1) - e : (m + 1) - e], axis=1)
-    swap_rate = (ratio[:, 0] - ratio[:, m - e]) / annuity
-    sign = 1.0 if payer else -1.0
-    payoff = np.maximum(sign * (swap_rate - strike), 0.0) * annuity
-    mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
-    # payoff already carries the annuity in units of the T_N numeraire
-    scale = curve.bond(n)
-    return CapletQuote(k=e, strike=strike, price=scale * mean, stderr=scale * stderr)
-
-
-def forward_swap_value(
-    curve: InitialCurve, exercise_index: int, swap_end_index: int, strike: float
-) -> float:
-    """Time-zero value of the payer forward swap over [T_e, T_m]."""
-    e, m = exercise_index, swap_end_index
-    annuity = curve.tenor.delta * sum(curve.bond(j) for j in range(e + 1, m + 1))
-    return curve.bond(e) - curve.bond(m) - strike * annuity

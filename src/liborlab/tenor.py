@@ -72,9 +72,6 @@ class TenorStructure:
         """Indices k of rates L(., T_k) with nontrivial dynamics (1..N-1)."""
         return range(1, self.n)
 
-    def date(self, k: int) -> float:
-        return self.dates[k]
-
     def index_of(self, t: float) -> int:
         """Index j of the interval [T_j, T_{j+1}) containing t (t < T_N).
 
@@ -177,10 +174,3 @@ def read_curve_file(path) -> InitialCurve:
     delta = dates[1] - dates[0]
     tenor = TenorStructure(delta=delta, n=len(dates) - 1, dates=tuple(dates))
     return InitialCurve.from_bonds(tenor, bonds)
-
-
-def write_curve_file(path, curve: InitialCurve) -> None:
-    """Write the curve in the same ``T_k,B(0,T_k)`` plain-text format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, b in zip(curve.tenor.dates, curve.bonds):
-            fh.write(f"{t:.17g},{b:.17g}\n")

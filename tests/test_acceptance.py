@@ -46,7 +46,7 @@ def _report(criterion: int, passed: bool, detail: str):
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def five_tenor_setup(n_paths: int, seed: int, store_grid=False):
+def five_tenor_setup(n_paths: int, seed: int):
     tenor = TenorStructure(delta=DELTA, n=5)
     curve = InitialCurve.flat(tenor, 0.04)
     vols = VolatilitySurface.flat(tenor, 0.15)
@@ -60,12 +60,8 @@ def five_tenor_setup(n_paths: int, seed: int, store_grid=False):
     fpm = FpmModel(tenor, curve, vols, chars)
     grid = simulation_grid(tenor, 4)
     driver = simulate_driver(chars, grid, n_paths, seed)
-    lmm_paths = simulate_exact(
-        lmm, grid, n_paths, seed, driver=driver, store_dates=True, store_grid=store_grid
-    )
-    fpm_paths = simulate_fpm(
-        fpm, grid, n_paths, seed, driver=driver, store_dates=True, store_grid=store_grid
-    )
+    lmm_paths = simulate_exact(lmm, grid, n_paths, seed, driver=driver, store_dates=True)
+    fpm_paths = simulate_fpm(fpm, grid, n_paths, seed, driver=driver, store_dates=True)
     return lmm, fpm, grid, driver, lmm_paths, fpm_paths
 
 
@@ -78,9 +74,7 @@ def affine_family():
 
 def test_criterion_1_identity_suite():
     t0 = time.time()
-    lmm, fpm, grid, driver, lmm_paths, fpm_paths = five_tenor_setup(
-        10_000, seed=101, store_grid=True
-    )
+    lmm, fpm, grid, driver, lmm_paths, fpm_paths = five_tenor_setup(10_000, seed=101)
     tenor = lmm.tenor
     l0 = np.asarray(lmm.curve.libors)
     worst = 0.0
@@ -89,22 +83,21 @@ def test_criterion_1_identity_suite():
     # 1 + delta L pathwise, and multiplies telescopically into the ratio
     # that drives the measure change
     for paths in (lmm_paths, fpm_paths):
-        gv = paths.grid_values
         for m in (1, 3):
             direct = paths.density_weight(4, m)
-            rebuilt = np.ones(gv.shape[0])
+            rebuilt = np.ones(paths.n_paths)
             for l in range(m, 5):
                 rebuilt *= (1.0 + DELTA * paths.date_values[:, 4, l]) / (1.0 + DELTA * l0[l])
             worst = max(worst, float(np.max(np.abs(direct - rebuilt))))
 
-    # density telescoping: stochastic-exponential accumulation along the
-    # fine grid equals the forward-price ratio
-    gv = lmm_paths.grid_values
+    # density telescoping: stochastic-exponential accumulation over the
+    # tenor-date snapshots equals the forward-price ratio
+    dv = lmm_paths.date_values
     for m in (2, 4):
-        acc = np.ones(gv.shape[0])
-        for i in range(len(grid) - 1):
+        acc = np.ones(lmm_paths.n_paths)
+        for d in range(dv.shape[1] - 1):
             for l in range(m, 5):
-                prev, cur = gv[:, i, l], gv[:, i + 1, l]
+                prev, cur = dv[:, d, l], dv[:, d + 1, l]
                 w = DELTA * prev / (1.0 + DELTA * prev)
                 acc *= 1.0 + w * (cur - prev) / prev
         direct = lmm_paths.density_weight(4, m)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,25 @@ def test_config_validation_errors():
         parse_config("no_such_experiment.cfg")
     committed = Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg"
     assert parse_config(committed) == parse_config(str(committed))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("strike_factors = 0.8", "strike_factor = 0.8", "'strike_factor' in [pricing]"),
+    ("[models]", "[model]", "section [model]"),
+    ("flat = 0.2", "flat = 0.2\nrate_2 = 0.2, 0.2", "'rate_2' in [vols]"),
+    ("[experiment]", "[DEFAULT]\nseed = 1\n[experiment]", "section [DEFAULT]"),
+])
+def test_unknown_section_or_key_refused(old, new, named):
+    # a misspelt key would otherwise drop its setting without a word
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(SMALL_COMPARE.replace(old, new))
+
+
+def test_every_committed_config_parses():
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "configs").glob("*.cfg")):
+        parse_config(path)
+    parse_config(root / "perfbench" / "price_analytic.cfg")  # sets quad_order
 
 
 def test_override_replaces_fields():
@@ -389,11 +409,10 @@ def test_cli_calibrate_mfm(tmp_path):
 def test_cli_curve_file_beside_config(tmp_path):
     # a relative [curve] file is found next to the config file, not in the
     # working directory of the command
-    from liborlab.tenor import InitialCurve, TenorStructure, write_curve_file
-
     cfg_dir = tmp_path / "cfgdir"
     cfg_dir.mkdir()
-    write_curve_file(cfg_dir / "curve.txt", InitialCurve.flat(TenorStructure(delta=0.5, n=4), 0.04))
+    bonds = np.cumprod([1.0] + [1.0 / 1.02] * 4).tolist()  # flat 4% at delta = 0.5
+    (cfg_dir / "curve.txt").write_text("".join(f"{0.5 * k},{b!r}\n" for k, b in enumerate(bonds)))
     (cfg_dir / "exp.cfg").write_text(VERIFY_ALL.replace("flat_libor = 0.04", "file = curve.txt"))
     proc = _run_cli(
         ["calibrate-mfm", "cfgdir/exp.cfg", "--out-dir", "mout", "--quad-order", "48"],

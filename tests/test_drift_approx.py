@@ -14,6 +14,9 @@ from liborlab.errors import UnsupportedSchemeError
 from liborlab.levy import LevyCharacteristics, NormalJumps, simulate_driver
 from liborlab.lmm import (
     LmmModel,
+    _FrozenStep,
+    _PicardStep,
+    _TaylorStep,
     forward_price_weights,
     picard_tables_row,
     simulate_exact,
@@ -146,15 +149,18 @@ def test_picard_tables_row_arithmetic(model):
         assert np.all(drift0 == 0.0)
 
 
-def test_picard_first_iterate_starts_at_zeroth(model, tenor):
-    # the iterate begins at the constant weights, so the first step of the
-    # order-1 scheme coincides with the frozen drift
-    grid = simulation_grid(tenor, 4)
-    driver = simulate_driver(model.chars, grid, 64, seed=2)
-    frozen = frozen_drift_simulate(model, grid, 64, seed=2, driver=driver, store_grid=True)
-    picard1 = picard_simulate(model, grid, 64, seed=2, driver=driver, store_grid=True)
-    assert np.array_equal(frozen.grid_values[:, 1, :], picard1.grid_values[:, 1, :])
-    assert not np.array_equal(frozen.grid_values[:, 4, :], picard1.grid_values[:, 4, :])
+def test_picard_first_iterate_starts_at_zeroth(model):
+    # the iterate begins at the constant weights, so the first drift of the
+    # order-1 scheme is the frozen drift; a driver step moves the iterate
+    lam = model.vols.values[0]
+    frozen, picard = _FrozenStep(model), _PicardStep(model)
+    table = picard.interval(0, 0, lam)
+    s, z = picard.start(64)
+    beta0 = np.broadcast_to(frozen.drift(s, None, lam, frozen.interval(0, 0, lam)), s.shape)
+    assert np.array_equal(picard.drift(s, z, lam, table), beta0)
+    dw = np.random.default_rng(2).normal(0.0, math.sqrt(0.125), 64)
+    picard.advance(z, lam, table, 0.125, dw, dw)
+    assert not np.array_equal(picard.drift(s, z, lam, table), beta0)
 
 
 def test_picard_rejects_jump_driver(jump_model, tenor):
@@ -178,18 +184,19 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
             assert table[i, k] == pytest.approx(direct, rel=1e-12)
 
 
-def test_taylor_first_variation_starts_at_zero(model, tenor):
-    # Y(0) = 0, so the first step of the Taylor scheme evaluates the drift at
-    # the initial rates, like the frozen scheme; later steps track Y
-    grid = simulation_grid(tenor, 4)
-    driver = simulate_driver(model.chars, grid, 16, seed=9)
-    frozen = frozen_drift_simulate(model, grid, 16, seed=9, driver=driver, store_grid=True)
-    taylor = taylor_simulate(model, grid, 16, seed=9, driver=driver, store_grid=True)
-    gv_t, gv_f = taylor.grid_values, frozen.grid_values
-    assert gv_t.shape == (16, len(grid), 5)
-    assert np.all(gv_t[:, 0, :] == gv_f[:, 0, :])
-    assert np.allclose(gv_t[:, 1, :], gv_f[:, 1, :], rtol=1e-14, atol=0.0)
-    assert not np.allclose(gv_t[:, 4, :], gv_f[:, 4, :], rtol=1e-12, atol=0.0)
+def test_taylor_first_variation_starts_at_zero(model):
+    # Y(0) = 0, so the first drift of the Taylor scheme is evaluated at the
+    # initial rates, like the frozen scheme; after a step it tracks Y
+    lam = model.vols.values[0]
+    frozen, taylor = _FrozenStep(model), _TaylorStep(model)
+    table = taylor.interval(0, 0, lam)
+    s, y = taylor.start(16)
+    assert y.shape == (16, 5) and np.all(y == 0.0)
+    beta0 = np.broadcast_to(frozen.drift(s, None, lam, frozen.interval(0, 0, lam)), s.shape)
+    assert np.allclose(taylor.drift(s, y, lam, table), beta0, rtol=1e-14, atol=0.0)
+    dh = np.random.default_rng(9).normal(0.0, math.sqrt(0.125), 16)
+    taylor.advance(y, lam, table, 0.125, dh, dh)
+    assert not np.allclose(taylor.drift(s, y, lam, table), beta0, rtol=1e-12, atol=0.0)
 
 
 def test_scheme_error_ordering_pathwise(model, tenor):

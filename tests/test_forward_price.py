@@ -7,7 +7,6 @@ from liborlab.errors import DomainError, LiborLabError
 from liborlab.forward_price import (
     FpmModel,
     caplet_price_fourier,
-    forward_measure_shift,
     log_forward_cumulant,
     negative_rate_fraction,
     simulate_fpm,
@@ -79,12 +78,12 @@ def test_drift_reduces_to_untilted_cumulant_without_subsequent_vol(tenor, curve)
 
 
 def test_forward_measure_shift_structure(tenor, curve):
+    # under the T_{k+1} forward measure the Brownian shift sqrt(c) Lambda_{k+1}
+    # and the jump tilt exp(x Lambda_{k+1}) read only the loading tail
     model = jump_model(tenor, curve)
-    shift, factor = forward_measure_shift(model, 0.2, 2)
-    assert shift == pytest.approx(math.sqrt(0.5) * 2 * 0.03, rel=1e-12)
-    assert factor(0.4) == pytest.approx(math.exp(0.4 * 0.06), rel=1e-12)
-    shift4, factor4 = forward_measure_shift(model, 0.2, 4)
-    assert shift4 == 0.0 and factor4(1.3) == 1.0
+    j = tenor.index_of(0.2)
+    assert model.loading_tails[j, 3] == pytest.approx(2 * 0.03, rel=1e-12)
+    assert model.loading_tails[j, 5] == 0.0
 
 
 def test_zero_vols_keep_rates_constant(tenor, curve):
@@ -200,7 +199,8 @@ def test_fourier_matches_poisson_sum_without_diffusion(tenor, curve):
 def test_fourier_matches_mc_with_jumps(tenor, curve):
     model = jump_model(tenor, curve)
     grid = simulation_grid(tenor, 4)
-    paths = simulate_fpm(model, grid, 400_000, seed=31, antithetic=True)
+    driver = simulate_driver(model.chars, grid, 400_000, seed=31, antithetic=True)
+    paths = simulate_fpm(model, grid, 400_000, seed=31, driver=driver)
     for k, strike in [(2, 0.04), (4, 0.05)]:
         quote = mc_caplet(paths, k, strike, curve)
         fourier = caplet_price_fourier(model, k, strike)

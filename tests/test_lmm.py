@@ -198,18 +198,17 @@ def test_martingale_property_with_jumps(tenor, curve, jumpy):
 
 
 def test_density_telescoping_along_paths(tenor, curve, vols, brownian):
-    # stochastic-exponential accumulation of the density factors along the
-    # fine grid agrees with the forward-price ratio at the tenor dates
+    # stochastic-exponential accumulation of the density factors over the
+    # tenor-date snapshots agrees with the forward-price ratio
     model = LmmModel(tenor, curve, vols, brownian)
     grid = simulation_grid(tenor, 4)
-    paths = simulate_exact(model, grid, 500, seed=5, store_dates=True, store_grid=True)
-    gv = paths.grid_values
-    l0 = np.asarray(curve.libors)
+    paths = simulate_exact(model, grid, 500, seed=5, store_dates=True)
+    dv = paths.date_values
     for k_measure in (2, 3):
-        acc = np.ones(gv.shape[0])
-        for i in range(len(grid) - 1):
+        acc = np.ones(paths.n_paths)
+        for d in range(dv.shape[1] - 1):
             for l in range(k_measure, 5):
-                prev, cur = gv[:, i, l], gv[:, i + 1, l]
+                prev, cur = dv[:, d, l], dv[:, d + 1, l]
                 w = DELTA * prev / (1.0 + DELTA * prev)
                 acc = acc * (1.0 + w * (cur - prev) / prev)
         direct = paths.density_weight(len(tenor.dates) - 2, k_measure)

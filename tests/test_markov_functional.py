@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liborlab.errors import CalibrationError, LiborLabError, QuadratureError
+from liborlab.errors import CalibrationError, LiborLabError
 from liborlab.markov_functional import (
     MfmDriver,
     black_digital_price,
     black_digital_strike,
-    bond_value,
     calibrate_backward,
     caplet_value,
-    conditional_expectation,
     digital_value,
     initial_bond_repricing,
     terminal_bond_functional,
@@ -74,28 +72,6 @@ def test_terminal_functional_lognormal_mean(tenor):
     assert oracle == pytest.approx(1.0 + DELTA * 0.04, rel=1e-10)
     grid_val = 1.0 / terminal_bond_functional(0.0, curve, var)
     assert grid_val == pytest.approx(1.0 + DELTA * 0.04 * math.exp(-0.5 * var), rel=1e-14)
-
-
-def test_conditional_expectation_polynomials(tenor, driver):
-    assert conditional_expectation(
-        lambda y: np.ones_like(y), 0.5, 1.5, 0.3, driver
-    ) == pytest.approx(1.0, abs=1e-14)
-    assert conditional_expectation(lambda y: y, 0.5, 1.5, 0.3, driver) == pytest.approx(
-        0.3, abs=1e-14
-    )
-    var = driver.variance(1.5) - driver.variance(0.5)
-    got = conditional_expectation(np.exp, 0.5, 1.5, 0.3, driver)
-    assert got == pytest.approx(math.exp(0.3 + 0.5 * var), abs=1e-10)
-
-
-def test_conditional_expectation_order_check(tenor, driver):
-    # a violently oscillating integrand trips the refinement check
-    with pytest.raises(QuadratureError):
-        conditional_expectation(
-            lambda y: np.sin(60.0 * y) * np.exp(3.0 * y), 0.0, 2.0, 0.0, driver,
-            order=16, check=True,
-        )
-    conditional_expectation(np.exp, 0.0, 2.0, 0.0, driver, order=64, check=True)
 
 
 def test_black_digital_price_limits():
@@ -196,29 +172,24 @@ def test_initial_curve_repricing(curve, driver):
 
 
 def test_bond_identity_at_nodes(curve, driver):
-    # 1 + delta L(T_i, T_i; x) == 1 / B(T_i, T_{i+1}; x) at every node
+    # 1 + delta L(T_i, T_i; x) == 1 / B(T_i, T_{i+1}; x) at every node, where
+    # B(T_i, T_{i+1}; x) = J_i(x) B(T_i, T_N; x) = J_i(x) / rho_i(x)
     grid = calibrate_backward(curve, driver)
     for i in (1, 3):
         for m in range(0, len(grid.x_nodes[i]), 7):
             x = grid.x_nodes[i][m]
             lhs = 1.0 + DELTA * grid.libor_values[i][m]
-            rhs = 1.0 / bond_value(grid, i, i + 1, x)
+            rhs = grid.reciprocal_numeraire(i, x) / grid.j_value(i, x)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_bond_decreasing_in_maturity(curve, driver):
+    # 1 = B(T_i, T_i) > B(T_i, T_{i+1}; x) > B(T_i, T_N; x) for i + 1 < N
     grid = calibrate_backward(curve, driver)
     x = 0.1
-    vals = [bond_value(grid, 1, j, x) for j in range(1, 6)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_bond_value_clamps_outside_range(curve, driver):
-    grid = calibrate_backward(curve, driver)
-    far = grid.x_nodes[2][-1] + 5.0
-    with pytest.warns(UserWarning):
-        clamped = bond_value(grid, 2, 5, far)
-    assert clamped == pytest.approx(bond_value(grid, 2, 5, grid.x_nodes[2][-1]), rel=1e-12)
+    for i in range(1, 4):
+        rho = grid.reciprocal_numeraire(i, x)
+        assert 1.0 > grid.j_value(i, x) / rho > 1.0 / rho
 
 
 def test_caplet_value_against_black(curve, driver):

@@ -7,16 +7,10 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from liborlab.errors import LiborLabError, PriceBoundsError
-from liborlab.levy import LevyCharacteristics
+from liborlab.levy import LevyCharacteristics, simulate_driver
 from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
 from liborlab.markov_functional import black_digital_price
-from liborlab.pricing import (
-    black_caplet,
-    forward_swap_value,
-    implied_vol,
-    mc_caplet,
-    mc_swaption,
-)
+from liborlab.pricing import black_caplet, implied_vol, mc_caplet
 from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
 
@@ -39,7 +33,8 @@ def lmm_paths(tenor, curve):
         tenor, curve, VolatilitySurface.flat(tenor, 0.2), LevyCharacteristics(0.0, 1.0)
     )
     grid = simulation_grid(tenor, 4)
-    return simulate_exact(model, grid, 200_000, seed=40, store_dates=True, antithetic=True)
+    driver = simulate_driver(model.chars, grid, 200_000, seed=40, antithetic=True)
+    return simulate_exact(model, grid, 200_000, seed=40, driver=driver)
 
 
 def test_black_caplet_limits():
@@ -128,42 +123,6 @@ def test_mc_caplet_price_monotone_convex_in_strike(curve, lmm_paths):
     # convexity on the equally spaced strike grid, within MC noise
     for i in range(1, len(prices) - 1):
         assert prices[i] <= 0.5 * (prices[i - 1] + prices[i + 1]) + 1e-5
-
-
-def test_one_period_swaption_equals_caplet(curve, lmm_paths):
-    cap = mc_caplet(lmm_paths, 2, 0.04, curve)
-    swp = mc_swaption(lmm_paths, 2, 3, 0.04, curve)
-    tol = 3.0 * math.hypot(cap.stderr, swp.stderr)
-    assert abs(cap.price - swp.price) <= max(tol, 1e-12)
-
-
-def test_swaption_zero_vol_intrinsic(tenor, curve):
-    model = LmmModel(
-        tenor, curve, VolatilitySurface.flat(tenor, 0.0), LevyCharacteristics(0.0, 1.0)
-    )
-    paths = simulate_exact(model, simulation_grid(tenor, 4), 64, seed=1, store_dates=True)
-    strike = 0.03
-    q = mc_swaption(paths, 1, 4, strike, curve)
-    assert q.price == pytest.approx(forward_swap_value(curve, 1, 4, strike), rel=1e-10)
-    assert q.stderr == pytest.approx(0.0, abs=1e-15)
-
-
-def test_swaption_payer_receiver_parity(curve, lmm_paths):
-    strike = 0.045
-    payer = mc_swaption(lmm_paths, 1, 4, strike, curve, payer=True)
-    receiver = mc_swaption(lmm_paths, 1, 4, strike, curve, payer=False)
-    fwd = forward_swap_value(curve, 1, 4, strike)
-    tol = 3.0 * math.hypot(payer.stderr, receiver.stderr)
-    assert abs((payer.price - receiver.price) - fwd) <= tol
-
-
-def test_swaption_needs_snapshots(tenor, curve):
-    model = LmmModel(
-        tenor, curve, VolatilitySurface.flat(tenor, 0.2), LevyCharacteristics(0.0, 1.0)
-    )
-    paths = simulate_exact(model, simulation_grid(tenor, 4), 64, seed=1)
-    with pytest.raises(LiborLabError):
-        mc_swaption(paths, 1, 4, 0.04, curve)
 
 
 def test_normal_cdf_matches_scipy_norm_bitwise():

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liborlab.errors import CurveError, LiborLabError
 from liborlab.lmm import LiborPathSet
-from liborlab.tenor import (
-    InitialCurve,
-    TenorStructure,
-    read_curve_file,
-    write_curve_file,
-)
+from liborlab.tenor import InitialCurve, TenorStructure, read_curve_file
 
 
 @pytest.fixture
@@ -44,6 +41,36 @@ def test_libor_from_bonds_direct_arithmetic(tenor):
     assert curve.libor(2) == pytest.approx((0.98 / 0.97 - 1.0) / 0.5, rel=1e-15)
 
 
+DELTAS = st.floats(0.01, 2.0)
+# bond prices 1 = B_0 >= B_1 >= ... > 0 as cumulative products of factors
+DISCOUNTS = st.lists(st.floats(0.5, 1.0), min_size=1, max_size=40)
+
+
+def _bonds(discounts):
+    return [1.0, *np.cumprod(discounts).tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(delta=DELTAS, libors=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=40))
+def test_libors_bonds_libors_property(delta, libors):
+    tenor = TenorStructure(delta=delta, n=len(libors))
+    curve = InitialCurve.from_libors(tenor, libors)
+    # each fixing is recovered from two bonds, each a few roundings off
+    assert np.allclose(curve.libors, libors, rtol=1e-12, atol=1e-13 / delta)
+    assert InitialCurve.from_bonds(tenor, curve.bonds) == curve
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(delta=DELTAS, discounts=DISCOUNTS)
+def test_bonds_libors_bonds_property(delta, discounts):
+    tenor = TenorStructure(delta=delta, n=len(discounts))
+    bonds = _bonds(discounts)
+    curve = InitialCurve.from_bonds(tenor, bonds)
+    assert np.all(curve.libors >= 0.0)
+    again = InitialCurve.from_libors(tenor, curve.libors)
+    assert np.allclose(again.bonds, bonds, rtol=1e-12, atol=0.0)
+
+
 def test_bonds_libors_round_trip(tenor):
     libors = [0.04, 0.035, 0.05, 0.041, 0.038]
     curve = InitialCurve.from_libors(tenor, libors)
@@ -76,7 +103,7 @@ def _path_set_at_dates(tenor, curve, date_values):
     # a path set whose only content is hand-made rate snapshots at tenor dates
     n_paths = date_values.shape[0]
     return LiborPathSet(
-        tenor=tenor, scheme="exact", seed=0, grid=np.asarray(tenor.dates),
+        tenor=tenor, scheme="exact", grid=np.asarray(tenor.dates),
         initial_libors=curve.libors, fixings=np.zeros((n_paths, tenor.n)),
         fixing_weights=np.ones((n_paths, tenor.n)), date_values=date_values,
     )
@@ -114,11 +141,15 @@ def test_density_chain_rule_pathwise(tenor):
         assert np.allclose(ratio_k_k1 * w_k1, w_k, rtol=1e-10, atol=0.0)
 
 
-def test_curve_file_round_trip(tenor, tmp_path):
-    curve = InitialCurve.from_libors(tenor, [0.04, 0.035, 0.05, 0.041, 0.038])
-    path = tmp_path / "curve.txt"
-    write_curve_file(path, curve)
-    again = read_curve_file(path)
-    assert again.tenor.n == curve.tenor.n
-    assert again.tenor.delta == pytest.approx(curve.tenor.delta, rel=1e-15)
-    assert np.array_equal(np.asarray(again.bonds), np.asarray(curve.bonds))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(delta=DELTAS, discounts=DISCOUNTS)
+def test_curve_file_round_trip(tmp_path_factory, delta, discounts):
+    # a hand-written file: a comment, a blank line, then one T_k,B(0,T_k) line per date
+    bonds = _bonds(discounts)
+    lines = ["# maturity,bond", ""] + [f"{k * delta!r},{b!r}" for k, b in enumerate(bonds)]
+    path = tmp_path_factory.mktemp("curve") / "curve.txt"
+    path.write_text("\n".join(lines) + "\n")
+    curve = read_curve_file(path)
+    assert curve.tenor.n == len(discounts)
+    assert curve.tenor.delta == delta
+    assert curve.bonds == tuple(bonds)
