@@ -1,13 +1,16 @@
-"""Print the exit code and the sha256 of every output file of the CLI commands.
+"""Print the sha256 of each parsed config and of every CLI output file.
 
     PYTHONPATH=src python scripts/output_digest.py [--seed 11] [--paths 20000]
 
 Runs ``compare``, ``verify``, ``price`` and ``calibrate-mfm`` on each
 ``configs/*.cfg`` and on ``perfbench/price_analytic.cfg``, wherever the
 command applies (``compare`` needs ``lmm-exact`` in the model list).  Each
+config first gets one line with the sha256 of its parsed field values.  Each
 run is a child ``python -m liborlab.cli`` with this process's environment,
-writing into a temporary directory.  Two trees give the same lines exactly
-when their outputs are byte-identical, so a refactor is checked with
+writing into a temporary directory; it prints its exit code and the sha256
+of each output file.  Two trees give the same lines exactly when they parse
+every config alike and their outputs are byte-identical, so a refactor is
+checked with
 
     PYTHONPATH=<old tree>/src python scripts/output_digest.py > old.txt
     PYTHONPATH=src python scripts/output_digest.py > new.txt
@@ -17,6 +20,7 @@ when their outputs are byte-identical, so a refactor is checked with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -37,9 +41,11 @@ def main(argv=None) -> None:
     configs = sorted((ROOT / "configs").glob("*.cfg")) + [ROOT / "perfbench" / "price_analytic.cfg"]
     with tempfile.TemporaryDirectory() as tmp:
         for cfg_path in configs:
-            models = parse_config(cfg_path).models
+            cfg = parse_config(cfg_path)
+            fields = repr(sorted(dataclasses.asdict(cfg).items())).encode()
+            print(f"{cfg_path.relative_to(ROOT)} parsed {hashlib.sha256(fields).hexdigest()}")
             for command in COMMANDS:
-                if command == "compare" and "lmm-exact" not in models:
+                if command == "compare" and "lmm-exact" not in cfg.models:
                     continue
                 out = Path(tmp) / f"{cfg_path.stem}-{command}"
                 proc = subprocess.run(

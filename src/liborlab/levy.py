@@ -139,6 +139,8 @@ class LevyCharacteristics:
     jump_law: Optional[object] = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.drift_b, self.diffusion_c, self.jump_intensity))):
+            raise LiborLabError("driver drift, diffusion and jump intensity must be finite")
         if self.diffusion_c < 0.0:
             raise LiborLabError(f"diffusion coefficient must be >= 0, got {self.diffusion_c}")
         if self.jump_intensity < 0.0:

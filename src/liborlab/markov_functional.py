@@ -76,8 +76,8 @@ class MfmDriver:
         sig = np.asarray(self.sigma, dtype=float)
         if sig.shape != (self.tenor.n,):
             raise LiborLabError(f"need one volatility per tenor interval ({self.tenor.n})")
-        if np.any(sig < 0.0):
-            raise LiborLabError("driver volatilities must be nonnegative")
+        if not np.all(np.isfinite(sig) & (sig >= 0.0)):
+            raise LiborLabError("driver volatilities must be finite and nonnegative")
         object.__setattr__(self, "sigma", sig)
 
     @classmethod
@@ -184,11 +184,17 @@ class _MonotoneLogInterp:
         return self.logv[0] - self.slope_lo * self.x[0], self.slope_lo
 
     def inverse(self, value: float) -> float:
-        """State x with f(x) = value."""
+        """State x with f(x) = value; -inf or inf past a flat tail."""
         logv = math.log(value - self.shift)
-        if logv <= self.logv[0]:
+        if logv == self.logv[0] or logv == self.logv[-1]:
+            return float(self.x[0 if logv == self.logv[0] else -1])
+        if logv < self.logv[0]:
+            if self.slope_lo == 0.0:
+                return -math.inf
             return self.x[0] + (logv - self.logv[0]) / self.slope_lo
-        if logv >= self.logv[-1]:
+        if logv > self.logv[-1]:
+            if self.slope_hi == 0.0:
+                return math.inf
             return self.x[-1] + (logv - self.logv[-1]) / self.slope_hi
         return float(
             brentq(lambda x: float(self._pchip(x)) - logv, self.x[0], self.x[-1], xtol=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -6,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liborlab
-from liborlab import affine_libor, experiment, markov_functional
-from liborlab.config import override, parse_config, serialize_config
+from liborlab import affine_libor, cli, config, experiment, markov_functional
+from liborlab.config import ExperimentConfig, override, parse_config, serialize_config
 from liborlab.errors import ConfigError
 from liborlab.experiment import run_calibrate_mfm, run_compare, run_price, run_verify
 
@@ -132,6 +135,90 @@ def test_unknown_section_or_key_refused(old, new, named):
     # a misspelt key would otherwise drop its setting without a word
     with pytest.raises(ConfigError, match=re.escape(named)):
         parse_config(SMALL_COMPARE.replace(old, new))
+
+
+# command, (old, new) config edit, CLI flags
+UNRUNNABLE = {
+    "jump-intensity-nan": ("verify", ("jump_intensity = 0.6", "jump_intensity = nan"), ()),
+    "mfm-sigma-nan": ("verify", ("sigma = 0.2", "sigma = nan"), ()),
+    "flat-libor-nan": ("verify", ("flat_libor = 0.04", "flat_libor = nan"), ()),
+    "strike-factor-inf": ("price", ("strike_factors = 1.0", "strike_factors = 1.0, inf"), ()),
+    "quad-order-0": ("calibrate-mfm", None, ("--quad-order", "0")),
+    "quad-order-1": ("calibrate-mfm", None, ("--quad-order", "1")),
+    "negative-seed": ("verify", None, ("--seed", "-1")),
+    "antithetic-odd-paths": (
+        "verify",
+        ("strike_factors = 1.0", "strike_factors = 1.0\nantithetic = true"),
+        ("--paths", "201"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNRUNNABLE))
+def test_cli_refuses_values_it_cannot_run(tmp_path, capsys, case):
+    # values that parse but cannot run stop at the config check with exit 2,
+    # rather than run as something else, end in a traceback or exit 1
+    command, edit, flags = UNRUNNABLE[case]
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(VERIFY_ALL.replace(*edit) if edit else VERIFY_ALL)
+    code = cli.main([command, str(cfg_file), "--out-dir", str(tmp_path / "out"), *flags])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_every_field_is_reached_by_one_table_key():
+    reached = [name for keys in config._TABLE.values() for name in keys.values()]
+    reached.append("vol_rows")  # through [vols] rate_1, rate_2, ...
+    assert sorted(reached) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FLOAT_LISTS = st.lists(FINITE, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def configs(draw):
+    driver_type = draw(st.sampled_from(config.DRIVER_TYPES))
+    models = [m for m in config.KNOWN_MODELS if driver_type == "brownian" or m != "lmm-picard1"]
+    antithetic = draw(st.booleans())
+    vol_rows = tuple(draw(st.lists(FLOAT_LISTS, max_size=4)))
+    strikes = draw(st.sampled_from(["strikes", "strike_factors", None]))
+    values = dict(
+        seed=draw(st.integers(0, 2**63)),
+        n_paths=draw(st.integers(1, 10**6)) * (2 if antithetic else 1),
+        delta=draw(POSITIVE),
+        n=draw(st.integers(2, 12)),
+        models=tuple(draw(st.lists(st.sampled_from(models), min_size=1, unique=True))),
+        steps_per_period=draw(st.integers(1, 8)),
+        out_dir=draw(st.text("abcxyz019_./-", min_size=1, max_size=12)),
+        quad_order=draw(st.integers(2, 128)),
+        driver_type=driver_type,
+        jump_intensity=0.0 if driver_type == "brownian" else draw(POSITIVE),
+        vol_flat=draw(FINITE if not vol_rows else st.none() | FINITE),
+        vol_rows=vol_rows,
+        antithetic=antithetic,
+        mfm_sigma=draw(st.none() | FINITE),
+    )
+    if draw(st.booleans()):
+        values["flat_libor"] = draw(FINITE)
+    else:
+        values["curve_file"] = os.path.abspath(__file__)  # only its existence is checked
+    if strikes:
+        values[strikes] = draw(FLOAT_LISTS)
+    for name in ("drift_b", "diffusion_c", "jump_mean", "jump_sd", "p_up", "alpha_pos",
+                 "alpha_neg"):
+        values[name] = draw(FINITE)
+    if draw(st.booleans()):  # an [affine] section
+        for name in ("mean_reversion", "long_run_level", "vol_of_vol", "x0"):
+            values[f"affine_{name}"] = draw(FINITE)
+    return ExperimentConfig(**values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cfg=configs())
+def test_serialized_config_parses_back_equal(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_every_committed_config_parses():

@@ -329,3 +329,11 @@ def test_driver_simulates_two_hundred_jumps_a_step(jump_normal, jump_kou):
         sums = simulate_driver(chars, grid, 20_000, seed=31).jump_sums
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - 200.0 * chars.jump_law.jump_mean()) <= 4.0 * se
+
+
+@pytest.mark.parametrize("field", ["drift_b", "diffusion_c", "jump_intensity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_characteristics_refused(field, value):
+    # a NaN intensity compares false with 0, so it would pass as "no jumps"
+    with pytest.raises(LiborLabError, match="must be finite"):
+        LevyCharacteristics(**{field: value}, jump_law=NormalJumps(-0.05, 0.2))

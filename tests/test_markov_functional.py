@@ -208,3 +208,27 @@ def test_caplet_value_against_black(curve, driver):
 def test_calibration_rejects_bad_inputs(tenor, curve):
     with pytest.raises(CalibrationError):
         calibrate_backward(curve, MfmDriver(tenor, np.array([0.2, 0.0, 0.2, 0.2, 0.2])))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_driver_refuses_non_finite_volatility(tenor, sigma):
+    with pytest.raises(LiborLabError, match="finite"):
+        MfmDriver.flat(tenor, sigma)
+
+
+def test_strike_at_a_flat_end_node():
+    # here PCHIP gives date 1's rate functional a zero end slope: the lowest
+    # node rate must invert to the end node, not to 0 / 0
+    tenor = TenorStructure(delta=DELTA, n=10)
+    curve = InitialCurve.flat(tenor, 0.04)
+    grid = calibrate_backward(curve, MfmDriver.flat(tenor, 0.35))
+    assert grid._rate_interp[1].slope_lo == 0.0
+    strike = float(grid.libor_values[1][0])
+    bumped = strike * (1.0 + 1e-9)
+    at, above = caplet_value(grid, 1, strike), caplet_value(grid, 1, bumped)
+    digital = digital_value(grid, 1, strike)
+    assert math.isfinite(at) and math.isfinite(digital)
+    assert 0.0 <= digital <= curve.bond(2)
+    # the caplet's strike slope is -delta times the digital
+    assert at - above == pytest.approx(DELTA * digital * (bumped - strike), abs=1e-13)
+    assert grid._rate_interp[1].inverse(0.5 * strike) == -math.inf
