@@ -15,6 +15,10 @@ checked with
     PYTHONPATH=<old tree>/src python scripts/output_digest.py > old.txt
     PYTHONPATH=src python scripts/output_digest.py > new.txt
     diff old.txt new.txt
+
+With ``--keep DIR`` the output trees are written under DIR and kept, one
+directory ``<config>-<command>`` per run; ``scripts/output_diff.py`` then
+states how far two kept trees differ where their digests do not match.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import hashlib
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from liborlab.config import parse_config
@@ -37,9 +42,10 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="CLI output digests")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--paths", type=int, default=20000)
+    parser.add_argument("--keep", metavar="DIR", help="write the output trees here and keep them")
     args = parser.parse_args(argv)
     configs = sorted((ROOT / "configs").glob("*.cfg")) + [ROOT / "perfbench" / "price_analytic.cfg"]
-    with tempfile.TemporaryDirectory() as tmp:
+    with nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as tmp:
         for cfg_path in configs:
             cfg = parse_config(cfg_path)
             fields = repr(sorted(dataclasses.asdict(cfg).items())).encode()

@@ -29,8 +29,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import bracketed_root
 from .affine import (
     CirParams,
     cir_flow,
@@ -90,56 +90,46 @@ def martingale_value(family: MartingaleFamily, u: float, t: float, x) -> np.ndar
 
 
 def fit_initial_curve(curve: InitialCurve, params: CirParams) -> MartingaleFamily:
-    """Solve M_0^{u_k} = B(0, T_k) / B(0, T_N) for each k by root bracketing.
+    """Solve M_0^{u_k} = B(0, T_k) / B(0, T_N) for every k in one bracketed root-find.
 
     A flat curve (all ratios 1) maps to u identically zero.  Ratios beyond
     the attainable supremum of u -> M_0^u raise ``FitInfeasibleError``
-    naming the offending tenor index.
+    naming the offending tenor index (the largest, where several offend).
     """
-    tenor = curve.tenor
-    n = tenor.n
-    horizon = tenor.horizon
-    u_max = float(explosion_threshold(params, horizon))
+    n, horizon = curve.tenor.n, curve.tenor.horizon
 
-    def log_m0(u: float) -> float:
+    def log_m0(u):
         phi, psi = cir_flow(params, horizon, u)
         return phi + psi * params.x0
 
-    degenerate = params.x0 == 0.0 and (
-        params.mean_reversion == 0.0 or params.long_run_level == 0.0
-    )
-
-    def solve(k: int) -> float:
-        target = math.log(curve.bond(k) / curve.bond(n))
-        if target == 0.0:
-            return 0.0
-        if degenerate:
-            raise FitInfeasibleError(
-                f"bond ratio at index {k} unattainable: the martingale family is degenerate "
-                "(x0 = 0 and no mean-reversion level)",
-                tenor_index=k,
-            )
-        hi = None
-        # 1 - 2^-49 keeps u_max * frac below u_max, the edge of the flow's domain
-        for frac in 1.0 - 0.5 ** np.arange(1, 50):
-            cand = u_max * frac
-            if log_m0(cand) >= target:
-                hi = cand
-                break
-        if hi is None:
-            raise FitInfeasibleError(
-                f"bond ratio at index {k} exceeds the attainable supremum", tenor_index=k
-            )
-        root = brentq(lambda v: log_m0(v) - target, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-        if abs(log_m0(root) - target) > _FIT_RTOL:
-            raise FitInfeasibleError(
-                f"curve fit at index {k} missed the target ratio", tenor_index=k
-            )
-        return root
-
+    targets = np.array([math.log(curve.bond(k) / curve.bond(n)) for k in range(n)])
+    live = np.flatnonzero(targets != 0.0)
     u = np.zeros(n + 1)
-    for k in range(n - 1, -1, -1):
-        u[k] = solve(k)
+    degenerate = params.x0 == 0.0 and (params.mean_reversion == 0.0 or params.long_run_level == 0.0)
+    if live.size and degenerate:
+        raise FitInfeasibleError(
+            f"bond ratio at index {live[-1]} unattainable: the martingale family is degenerate "
+            "(x0 = 0 and no mean-reversion level)",
+            tenor_index=int(live[-1]),
+        )
+    # bracket ends u_max (1 - 2^-j), j = 1..49: the last stays below u_max, the
+    # edge of the flow's domain; each target takes the first end that reaches it
+    ends = float(explosion_threshold(params, horizon)) * (1.0 - 0.5 ** np.arange(1, 50))
+    reached = log_m0(ends) >= targets[live, None]
+    unreached = live[~reached.any(axis=1)]
+    if unreached.size:
+        raise FitInfeasibleError(
+            f"bond ratio at index {unreached[-1]} exceeds the attainable supremum",
+            tenor_index=int(unreached[-1]),
+        )
+    u[live] = bracketed_root(
+        lambda v: log_m0(v) - targets[live], 0.0, ends[reached.argmax(axis=1)], xtol=1e-15
+    )
+    missed = live[np.abs(log_m0(u[live]) - targets[live]) > _FIT_RTOL]
+    if missed.size:
+        raise FitInfeasibleError(
+            f"curve fit at index {missed[-1]} missed the target ratio", tenor_index=int(missed[-1])
+        )
     return MartingaleFamily(curve=curve, params=params, u_seq=u)
 
 

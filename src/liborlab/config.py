@@ -96,6 +96,23 @@ class ExperimentConfig:
             raise ConfigError("a brownian driver cannot carry jump intensity")
         if self.driver_type != "brownian" and self.jump_intensity <= 0.0:
             raise ConfigError("jump drivers need a positive intensity")
+        if self.diffusion_c < 0.0:
+            raise ConfigError("diffusion_c must be >= 0")
+        if self.driver_type == "jump-normal" and self.jump_sd <= 0.0:
+            raise ConfigError("jump_sd must be > 0")
+        if self.driver_type == "jump-double-exp" and not (
+            0.0 <= self.p_up <= 1.0 and self.alpha_pos > 0.0 and self.alpha_neg > 0.0
+        ):
+            raise ConfigError("jump-double-exp needs 0 <= p_up <= 1, alpha_pos > 0, alpha_neg > 0")
+        # the lowest strike each listed model values: mfm > 0, affine >= 0, fpm > -1/delta;
+        # strike factors scale the flat rate, and with a curve file only their sign is known
+        rate = 1.0 if self.strikes else self.flat_libor
+        for model, low in (("mfm", 0.0), ("affine", 0.0), ("fpm", -1.0 / self.delta)):
+            if model in self.models and (rate is not None or low == 0.0):
+                for s in self.strikes or self.strike_factors or (1.0,):
+                    strike = s if rate is None else s * rate
+                    if strike < low or (strike == low and model != "affine"):
+                        raise ConfigError(f"{model} cannot value strike {strike} (limit {low})")
         if "lmm-picard1" in self.models and self.driver_type != "brownian":
             raise ConfigError("lmm-picard1 requires a brownian driver")
         if self.vol_flat is None and not self.vol_rows:

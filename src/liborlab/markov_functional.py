@@ -41,10 +41,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from ._roots import bracketed_root
 from .errors import CalibrationError, LiborLabError
 from .tenor import InitialCurve, TenorStructure
 
@@ -115,31 +114,15 @@ def black_digital_price(L0: float, strike: float, total_vol: float, discount: fl
     return discount * ndtr(d2)
 
 
-def black_digital_strike(
-    L0: float, target: float, total_vol: float, discount: float
-) -> float:
-    """Unique strike with Black digital value ``target``.
+def black_digital_strike(L0: float, target, total_vol: float, discount: float):
+    """Strikes with Black digital value ``target``, elementwise over an array.
 
-    Bracketed root-find on [1e-8, 10 L0 e^{5 v}]; targets outside the
+    One bracketed root-find on [1e-8, 10 L0 e^{5 v}]; targets outside the
     bracket's value range raise ``CalibrationError``.
     """
-    lo, hi = 1e-8, 10.0 * L0 * math.exp(5.0 * total_vol)
-    f_lo = black_digital_price(L0, lo, total_vol, discount) - target
-    f_hi = black_digital_price(L0, hi, total_vol, discount) - target
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise CalibrationError(
-            f"digital target {target} outside the bracket [{lo}, {hi}] value range"
-        )
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    return brentq(
-        lambda k: black_digital_price(L0, k, total_vol, discount) - target,
-        lo,
-        hi,
-        xtol=1e-12,
-        rtol=8.9e-16,
+    return bracketed_root(
+        lambda k: discount * ndtr((np.log(L0 / k) - 0.5 * total_vol**2) / total_vol) - target,
+        np.full(np.shape(target), 1e-8), 10.0 * L0 * math.exp(5.0 * total_vol), xtol=1e-12,
     )
 
 
@@ -148,7 +131,10 @@ class _MonotoneLogInterp:
 
     ``shift = 0`` interpolates positive rates in log(rate).  ``shift = 1``
     evaluates functions f > 1 that behave like 1 + exp(linear) in the tails
-    (reciprocal numeraires and their conditional expectations).
+    (reciprocal numeraires and their conditional expectations).  The cubic
+    is PCHIP (Fritsch & Carlson 1980): its node slopes are weighted harmonic
+    means of the neighbouring secants, 0 where they change sign or vanish,
+    and one-sided three-point slopes at the ends, clamped to keep the shape.
     """
 
     def __init__(self, x_nodes: np.ndarray, values: np.ndarray, shift: float):
@@ -158,21 +144,36 @@ class _MonotoneLogInterp:
         if np.any(shifted <= 0.0):
             raise CalibrationError(f"interpolated functional must exceed {shift} at every node")
         self.logv = np.log(shifted)
-        self._pchip = PchipInterpolator(self.x, self.logv, extrapolate=False)
-        d = self._pchip.derivative()
-        self.slope_lo = float(d(self.x[0]))
-        self.slope_hi = float(d(self.x[-1]))
+        h = np.diff(self.x)
+        m = np.diff(self.logv) / h
+        d = np.full(len(self.x), m[0])  # two nodes: the line through them
+        if len(m) > 1:
+            w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                                  np.where(overshoot, 3.0 * m0, end))
+        self.slope_lo, self.slope_hi = float(d[0]), float(d[-1])
+        # power-basis coefficients of each piece about its left node, with the two
+        # linear tails as first and last piece: piece j covers [x_{j-1}, x_j)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._pieces = np.array([
+            np.concatenate([self.x[:1], self.x]),
+            np.concatenate([self.logv[:1], self.logv]),
+            np.concatenate([d[:1], d[:-1], d[-1:]]),
+            np.concatenate([[0.0], (m - d[:-1]) / h - t, [0.0]]),
+            np.concatenate([[0.0], t / h, [0.0]]),
+        ])
 
     def log_shifted(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._pchip(x)
-        below = x < self.x[0]
-        above = x > self.x[-1]
-        if np.any(below):
-            out = np.where(below, self.logv[0] + self.slope_lo * (x - self.x[0]), out)
-        if np.any(above):
-            out = np.where(above, self.logv[-1] + self.slope_hi * (x - self.x[-1]), out)
-        return out
+        left, c0, c1, c2, c3 = self._pieces.take(np.searchsorted(self.x, x, side="right"), axis=1)
+        s = x - left
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
     def __call__(self, x):
         return self.shift + np.exp(self.log_shifted(x))
@@ -186,19 +187,18 @@ class _MonotoneLogInterp:
     def inverse(self, value: float) -> float:
         """State x with f(x) = value; -inf or inf past a flat tail."""
         logv = math.log(value - self.shift)
-        if logv == self.logv[0] or logv == self.logv[-1]:
-            return float(self.x[0 if logv == self.logv[0] else -1])
-        if logv < self.logv[0]:
-            if self.slope_lo == 0.0:
-                return -math.inf
-            return self.x[0] + (logv - self.logv[0]) / self.slope_lo
-        if logv > self.logv[-1]:
-            if self.slope_hi == 0.0:
-                return math.inf
-            return self.x[-1] + (logv - self.logv[-1]) / self.slope_hi
-        return float(
-            brentq(lambda x: float(self._pchip(x)) - logv, self.x[0], self.x[-1], xtol=1e-14)
-        )
+        j = int(np.searchsorted(self.logv, logv, side="right"))  # logv[j-1] <= logv < logv[j]
+        if j > 0 and logv == self.logv[j - 1]:
+            return float(self.x[j - 1])
+        if j in (0, len(self.x)):  # past an end node: its linear tail
+            end, slope = (0, self.slope_lo) if j == 0 else (-1, self.slope_hi)
+            if slope == 0.0:
+                return -math.inf if j == 0 else math.inf
+            return float(self.x[end] + (logv - self.logv[end]) / slope)
+        # inside the piece between nodes j-1 and j, where log_shifted is exact
+        return float(bracketed_root(
+            lambda x: self.log_shifted(x) - logv, self.x[j - 1], self.x[j], xtol=1e-14
+        ))
 
 
 def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
@@ -237,10 +237,6 @@ class FunctionalGrid:
     @property
     def tenor(self) -> TenorStructure:
         return self.curve.tenor
-
-    @property
-    def boundary(self) -> float:
-        return self.tenor.dates[self.tenor.n - 1]
 
     def rate_value(self, i: int, x):
         """L(T_i, T_i; x) with monotone-cubic interpolation between nodes."""
@@ -403,9 +399,7 @@ def calibrate_backward(
 
         l0 = curve.libor(i)
         discount = curve.bond(i + 1)
-        strikes = np.array(
-            [black_digital_strike(l0, target, sd, discount) for target in u0]
-        )
+        strikes = black_digital_strike(l0, u0, sd, discount)
         if np.any(np.diff(strikes) <= 0.0):
             raise CalibrationError(
                 f"recovered rate functional at T_{i} is not strictly increasing"

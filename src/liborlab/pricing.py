@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from ._roots import bracketed_root
 from .errors import LiborLabError, PriceBoundsError
 from .lmm import LiborPathSet
 from .tenor import InitialCurve
@@ -84,13 +84,8 @@ def implied_vol(
         hi = 1.0
         while black_caplet(L0, strike, hi, delta, discount) < price and hi < 1e3:
             hi *= 2.0
-        total = brentq(
-            lambda v: black_caplet(L0, strike, v, delta, discount) - price,
-            0.0,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
+        total = float(bracketed_root(lambda v: black_caplet(L0, strike, v, delta, discount) - price,
+                                     0.0, hi, xtol=1e-14))
     if expiry is not None:
         if expiry <= 0.0:
             raise LiborLabError("expiry must be positive to annualize")

@@ -138,6 +138,8 @@ def test_unknown_section_or_key_refused(old, new, named):
 
 
 # command, (old, new) config edit, CLI flags
+RUN_AND_PRICING = "run = lmm-exact, fpm, mfm, affine\n\n[pricing]\nstrike_factors = 1.0"
+DOUBLE_EXP = "type = jump-double-exp\np_up = {p_up}\nalpha_pos = {alpha}\nalpha_neg = 7.0"
 UNRUNNABLE = {
     "jump-intensity-nan": ("verify", ("jump_intensity = 0.6", "jump_intensity = nan"), ()),
     "mfm-sigma-nan": ("verify", ("sigma = 0.2", "sigma = nan"), ()),
@@ -151,6 +153,22 @@ UNRUNNABLE = {
         ("strike_factors = 1.0", "strike_factors = 1.0\nantithetic = true"),
         ("--paths", "201"),
     ),
+    # strikes a listed model cannot value: mfm needs > 0, affine >= 0, fpm > -1/delta
+    "mfm-zero-strike": ("price", ("strike_factors = 1.0", "strikes = 0.0, 0.04"), ()),
+    "mfm-zero-strike-factor": ("price", ("strike_factors = 1.0", "strike_factors = 0.0"), ()),
+    "affine-negative-strike": (
+        "price", (RUN_AND_PRICING, "run = affine\n\n[pricing]\nstrikes = 0, -0.01"), ()
+    ),
+    "fpm-strike-at-minus-one-over-delta": (
+        "price", (RUN_AND_PRICING, "run = lmm-exact, fpm\n\n[pricing]\nstrikes = -2.0"), ()
+    ),
+    # ranges of the chosen driver's jump law and diffusion
+    "jump-sd-negative": ("verify", ("jump_sd = 0.25", "jump_sd = -0.1"), ()),
+    "jump-sd-zero": ("verify", ("jump_sd = 0.25", "jump_sd = 0.0"), ()),
+    "p-up-above-one": ("verify", ("type = jump-normal", DOUBLE_EXP.format(p_up=1.5, alpha=9.0)), ()),
+    "p-up-negative": ("verify", ("type = jump-normal", DOUBLE_EXP.format(p_up=-0.1, alpha=9.0)), ()),
+    "alpha-zero": ("verify", ("type = jump-normal", DOUBLE_EXP.format(p_up=0.45, alpha=0.0)), ()),
+    "diffusion-c-negative": ("verify", ("diffusion_c = 0.4", "diffusion_c = -0.4"), ()),
 }
 
 
@@ -174,6 +192,7 @@ def test_every_field_is_reached_by_one_table_key():
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+MODERATE = st.floats(min_value=1e-100, max_value=1e100)  # products stay positive
 FLOAT_LISTS = st.lists(FINITE, min_size=1, max_size=4).map(tuple)
 
 
@@ -181,6 +200,9 @@ FLOAT_LISTS = st.lists(FINITE, min_size=1, max_size=4).map(tuple)
 def configs(draw):
     driver_type = draw(st.sampled_from(config.DRIVER_TYPES))
     models = [m for m in config.KNOWN_MODELS if driver_type == "brownian" or m != "lmm-picard1"]
+    models = tuple(draw(st.lists(st.sampled_from(models), min_size=1, unique=True)))
+    # mfm, affine and fpm value only strikes above a floor; positive ones clear all three
+    priced = bool({"mfm", "affine", "fpm"} & set(models))
     antithetic = draw(st.booleans())
     vol_rows = tuple(draw(st.lists(FLOAT_LISTS, max_size=4)))
     strikes = draw(st.sampled_from(["strikes", "strike_factors", None]))
@@ -189,7 +211,7 @@ def configs(draw):
         n_paths=draw(st.integers(1, 10**6)) * (2 if antithetic else 1),
         delta=draw(POSITIVE),
         n=draw(st.integers(2, 12)),
-        models=tuple(draw(st.lists(st.sampled_from(models), min_size=1, unique=True))),
+        models=models,
         steps_per_period=draw(st.integers(1, 8)),
         out_dir=draw(st.text("abcxyz019_./-", min_size=1, max_size=12)),
         quad_order=draw(st.integers(2, 128)),
@@ -201,14 +223,22 @@ def configs(draw):
         mfm_sigma=draw(st.none() | FINITE),
     )
     if draw(st.booleans()):
-        values["flat_libor"] = draw(FINITE)
+        values["flat_libor"] = draw(MODERATE if priced else FINITE)
     else:
         values["curve_file"] = os.path.abspath(__file__)  # only its existence is checked
     if strikes:
-        values[strikes] = draw(FLOAT_LISTS)
-    for name in ("drift_b", "diffusion_c", "jump_mean", "jump_sd", "p_up", "alpha_pos",
-                 "alpha_neg"):
-        values[name] = draw(FINITE)
+        positive_lists = st.lists(MODERATE, min_size=1, max_size=4).map(tuple)
+        values[strikes] = draw(positive_lists if priced else FLOAT_LISTS)
+    double_exp = driver_type == "jump-double-exp"
+    values.update(
+        drift_b=draw(FINITE),
+        diffusion_c=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        jump_mean=draw(FINITE),
+        jump_sd=draw(POSITIVE if driver_type == "jump-normal" else FINITE),
+        p_up=draw(st.floats(0.0, 1.0) if double_exp else FINITE),
+        alpha_pos=draw(POSITIVE if double_exp else FINITE),
+        alpha_neg=draw(POSITIVE if double_exp else FINITE),
+    )
     if draw(st.booleans()):  # an [affine] section
         for name in ("mean_reversion", "long_run_level", "vol_of_vol", "x0"):
             values[f"affine_{name}"] = draw(FINITE)
@@ -425,14 +455,37 @@ def _run_cli(args, cwd):
     return _run_python(["-m", "liborlab.cli", *args], cwd)
 
 
-def test_cli_import_skips_scipy_stats(tmp_path):
-    # scipy.stats only serves the chi-square cross-check, which no command
-    # runs; loading it would add about 0.3 s to every command's start-up
+# scipy.stats only serves the chi-square cross-check, which no command runs;
+# the package has its own root solver and monotone cubic.  Loading these
+# (with scipy.linalg, sparse and spatial behind them) costs every command
+# about 0.4 s of start-up.
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
+
+
+def _heavy_scipy_loaded(tmp_path, statement):
     proc = _run_python(
-        ["-c", "import sys, liborlab.cli; print('scipy.stats' in sys.modules)"], cwd=tmp_path
+        ["-c", f"import sys\nfrom liborlab import cli\n{statement}\n"
+               f"print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"],
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_skips_scipy_stats(tmp_path):
+    assert _heavy_scipy_loaded(tmp_path, "") == "[]"
+
+
+def test_price_and_calibrate_mfm_skip_heavy_scipy(tmp_path):
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text(VERIFY_ALL)
+    runs = "".join(
+        f"assert cli.main([{command!r}, {str(cfg_file)!r}, '--paths', '2000', "
+        f"'--out-dir', {str(tmp_path / command)!r}]) == 0\n"
+        for command in ("price", "calibrate-mfm")
+    )
+    assert _heavy_scipy_loaded(tmp_path, runs) == "[]"
+    assert (tmp_path / "price" / "prices.csv").exists()
 
 
 def test_cli_end_to_end(tmp_path):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from liborlab.errors import CalibrationError, LiborLabError
 from liborlab.markov_functional import (
     MfmDriver,
+    _MonotoneLogInterp,
     black_digital_price,
     black_digital_strike,
     calibrate_backward,
@@ -232,3 +234,45 @@ def test_strike_at_a_flat_end_node():
     # the caplet's strike slope is -delta times the digital
     assert at - above == pytest.approx(DELTA * digital * (bumped - strike), abs=1e-13)
     assert grid._rate_interp[1].inverse(0.5 * strike) == -math.inf
+
+
+def _monotone_nodes(rng, flat_share):
+    n = int(rng.integers(2, 40))
+    x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 5.0
+    rises = rng.exponential(0.5, n - 1) * (rng.random(n - 1) >= flat_share)
+    return x, np.exp(rng.normal() + np.concatenate([[0.0], np.cumsum(rises)]))
+
+
+@pytest.mark.parametrize("flat_share", [0.0, 0.3])
+def test_monotone_cubic_matches_pchip(flat_share):
+    # PCHIP's slope rule gives scipy's cubic to rounding, flat segments included
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x, values = _monotone_nodes(rng, flat_share)
+        for shift in (0.0, 1.0):
+            interp = _MonotoneLogInterp(x, values + shift, shift)
+            log_values = np.log(values + shift - shift)
+            oracle = PchipInterpolator(x, log_values, extrapolate=False)
+            pts = np.concatenate([x, rng.uniform(x[0], x[-1], 300)])
+            assert np.max(np.abs(interp.log_shifted(pts) - oracle(pts))) <= 1e-14
+            slopes = oracle.derivative()(x[[0, -1]])
+            assert interp.slope_lo == slopes[0]
+            assert interp.slope_hi == pytest.approx(slopes[1], rel=1e-12, abs=1e-14)
+            # outside the nodes the log is linear with the end slopes
+            assert interp.log_shifted(x[-1] + 2.0) == pytest.approx(
+                log_values[-1] + 2.0 * interp.slope_hi, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("flat_share", [0.0, 0.3])
+def test_monotone_cubic_inverse(flat_share):
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        x, values = _monotone_nodes(rng, flat_share)
+        interp = _MonotoneLogInterp(x, values, 0.0)
+        pts = rng.uniform(x[0], x[-1], 20)
+        for p, v in zip(pts, interp(pts)):
+            back = interp.inverse(float(v))
+            assert x[0] <= back <= x[-1]
+            assert interp(back) == pytest.approx(v, rel=1e-13)  # a flat segment holds many x
+            if flat_share == 0.0:
+                assert back == pytest.approx(p, abs=1e-9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -71,6 +73,29 @@ def test_implied_vol_round_trip():
     for L0, K, v in [(0.04, 0.04, 0.2), (0.03, 0.05, 0.35), (0.06, 0.04, 0.1)]:
         price = black_caplet(L0, K, v, DELTA, 0.97)
         assert implied_vol(price, L0, K, DELTA, 0.97) == pytest.approx(v, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    L0=st.floats(1e-3, 0.2),
+    moneyness=st.floats(0.2, 5.0),
+    vol=st.floats(0.0, 4.0) | st.floats(0.0, 1e-6),
+    discount=st.floats(0.5, 1.0),
+)
+@example(L0=0.04, moneyness=0.8, vol=0.0, discount=0.97)  # the intrinsic edge, in the money
+@example(L0=0.04, moneyness=1.25, vol=0.0, discount=0.97)  # worthless
+@example(L0=0.04, moneyness=1.0, vol=1e-300, discount=0.97)
+def test_implied_vol_reprices_black_property(L0, moneyness, vol, discount):
+    strike = L0 * moneyness
+    price = black_caplet(L0, strike, vol, DELTA, discount)
+    total = implied_vol(price, L0, strike, DELTA, discount)
+    assert math.isfinite(total) and total >= 0.0
+    back = black_caplet(L0, strike, total, DELTA, discount)
+    assert back == pytest.approx(price, rel=1e-12, abs=1e-16)
+    d1 = (math.log(L0 / strike) + 0.5 * vol**2) / vol if vol > 0.0 else math.inf
+    vega = discount * DELTA * L0 * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    if vega > 1e-4 * discount * DELTA * L0:  # where the price pins the vol down
+        assert total == pytest.approx(vol, abs=1e-9)
 
 
 def test_implied_vol_bounds_and_intrinsic():
