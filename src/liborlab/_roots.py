@@ -8,16 +8,17 @@ import numpy as np
 
 from .errors import CalibrationError
 
+_RTOL = 8.9e-16  # brentq's default relative tolerance, about four machine epsilons
 
-def bracketed_root(f, lo, hi, xtol: float, rtol: float = 8.9e-16):
-    """Root of ``f`` in each bracket [lo, hi], to xtol + rtol |root|.
 
-    ``f`` maps points to values elementwise and the brackets broadcast; a
-    scalar bracket gives a scalar root.  Each step interpolates inverse
-    quadratically through the last three points where that is safe and
-    bisects elsewhere.  As in brentq, an element stops once its bracket is
-    narrower than xtol + rtol |x| or ``f`` is 0, returning the end with the
-    smaller |f|.  No sign change or a non-finite value raises ``CalibrationError``.
+def bracketed_root(f, lo, hi, xtol: float):
+    """Root of ``f`` in each bracket [lo, hi], to xtol + _RTOL |root|.
+
+    ``f`` maps points to values elementwise and the brackets broadcast; a scalar
+    bracket gives a scalar root.  Steps are inverse quadratic through the last three
+    points where that is safe and bisections elsewhere.  As in brentq, an element stops
+    at f = 0 or once its bracket is under xtol + _RTOL |x|, returning its end with the
+    smaller |f|; no sign change or a non-finite value raises ``CalibrationError``.
     """
     x1, x2 = (a[()] for a in np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float)))
     # scalars step as numpy scalars: 0-d array calls cost ten times brentq's time
@@ -43,7 +44,7 @@ def bracketed_root(f, lo, hi, xtol: float, rtol: float = 8.9e-16):
         for _ in range(200):
             near1 = abs(f1) < abs(f2)
             xm = where(near1, x1, x2)
-            tl = 0.5 * (xtol + rtol * abs(xm)) / abs(x2 - x1)
+            tl = 0.5 * (xtol + _RTOL * abs(xm)) / abs(x2 - x1)
             done = (tl > 0.5) | (where(near1, f1, f2) == 0.0)
             if every(done):
                 return xm

@@ -100,17 +100,16 @@ def terminal_bond_functional(x, curve: InitialCurve, variance: float):
     )
 
 
-def black_digital_price(L0: float, strike: float, total_vol: float, discount: float) -> float:
-    """Digital caplet quote discount * N(d2), paying 1_{L > K} at T_{i+1}."""
-    if strike <= 0.0:
-        raise LiborLabError(f"digital strike must be positive, got {strike}")
+def black_digital_price(L0: float, strike, total_vol: float, discount: float):
+    """Digital caplet quote discount * N(d2), paying 1_{L > K} at T_{i+1}; elementwise in strike."""
+    strike = np.asarray(strike, dtype=float)
+    if np.any(strike <= 0.0):
+        raise LiborLabError(f"digital strike must be positive, got {strike.min()}")
     if total_vol < 0.0:
         raise LiborLabError("total volatility must be nonnegative")
-    if L0 <= 0.0:
-        return 0.0
-    if total_vol == 0.0:
-        return discount if L0 > strike else 0.0
-    d2 = (math.log(L0 / strike) - 0.5 * total_vol**2) / total_vol
+    if L0 <= 0.0 or total_vol == 0.0:
+        return np.where(L0 > strike, discount, 0.0)[()]
+    d2 = (np.log(L0 / strike) - 0.5 * total_vol**2) / total_vol
     return discount * ndtr(d2)
 
 
@@ -121,7 +120,7 @@ def black_digital_strike(L0: float, target, total_vol: float, discount: float):
     bracket's value range raise ``CalibrationError``.
     """
     return bracketed_root(
-        lambda k: discount * ndtr((np.log(L0 / k) - 0.5 * total_vol**2) / total_vol) - target,
+        lambda k: black_digital_price(L0, k, total_vol, discount) - target,
         np.full(np.shape(target), 1e-8), 10.0 * L0 * math.exp(5.0 * total_vol), xtol=1e-12,
     )
 

@@ -85,6 +85,14 @@ def test_black_digital_price_limits():
     assert black_digital_price(0.04, k_med, v, 0.97) == pytest.approx(0.97 / 2.0, rel=1e-12)
     with pytest.raises(LiborLabError):
         black_digital_price(0.04, 0.0, 0.2, 0.97)
+    # elementwise over strikes, limits included
+    strikes = np.array([0.03, 0.04, 0.05])
+    assert black_digital_price(0.04, strikes, 0.0, 0.97).tolist() == [0.97, 0.0, 0.0]
+    assert black_digital_price(-0.01, strikes, 0.2, 0.97).tolist() == [0.0, 0.0, 0.0]
+    quotes = black_digital_price(0.04, strikes, 0.2, 0.97)
+    assert quotes.tolist() == [black_digital_price(0.04, k, 0.2, 0.97) for k in strikes]
+    with pytest.raises(LiborLabError):
+        black_digital_price(0.04, np.array([0.03, -0.01]), 0.2, 0.97)
 
 
 def test_black_digital_matches_tail_quadrature():
@@ -107,6 +115,11 @@ def test_black_digital_strike_round_trip():
         k = black_digital_strike(0.04, target, 0.3, 0.95)
         # strike resolved to 1e-12; the price tolerance scales with |dV/dK|
         assert black_digital_price(0.04, k, 0.3, 0.95) == pytest.approx(target, abs=5e-11)
+    # one array call, as calibration makes it, solves each target alone
+    targets = 0.95 * np.array([0.1, 0.5, 0.9])
+    ks = black_digital_strike(0.04, targets, 0.3, 0.95)
+    assert ks.tolist() == [black_digital_strike(0.04, t, 0.3, 0.95) for t in targets]
+    assert np.allclose(black_digital_price(0.04, ks, 0.3, 0.95), targets, rtol=0.0, atol=5e-11)
     with pytest.raises(CalibrationError):
         black_digital_strike(0.04, 0.96, 0.3, 0.95)  # above the zero-strike value
 
