@@ -306,7 +306,6 @@ def simulate_affine_paths(family: MartingaleFamily, n_paths: int, seed: int) -> 
 
     return LiborPathSet(
         tenor=tenor,
-        scheme="affine",
         grid=grid,
         initial_libors=l0,
         fixings=fixings,

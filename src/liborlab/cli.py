@@ -68,9 +68,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             result = run_compare(cfg, out_dir=cfg.out_dir)
-            for name in sorted(result.summary):
-                mx, mn = result.summary[name]
-                print(f"{name} vs lmm-exact: max |iv diff| {mx:.6g}, mean {mn:.6g}")
+            for name, pair in sorted(result.summary.items()):
+                if pair is None:
+                    print(f"{name} vs lmm-exact: no comparable implied vols")
+                else:
+                    print(f"{name} vs lmm-exact: max |iv diff| {pair[0]:.6g}, mean {pair[1]:.6g}")
             print(f"wrote {len(result.files)} files to {cfg.out_dir}")
         elif args.command == "verify":
             report = run_verify(cfg, out_dir=cfg.out_dir)

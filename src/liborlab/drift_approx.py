@@ -23,6 +23,7 @@ All three exponentiate, so approximate rates stay strictly positive.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -32,11 +33,84 @@ from .levy import DriverPathSet
 from .lmm import (
     LiborPathSet,
     LmmModel,
-    _FrozenStep,
-    _PicardStep,
-    _TaylorStep,
+    _drift_all,
     _simulate_core,
+    _Step,
+    forward_price_weights,
 )
+
+
+class _FrozenStep(_Step):
+    """Deterministic drift beta0, the exact drift at the time-zero weights."""
+
+    def interval(self, j: int, c0: int, lam_row):
+        return _drift_all(self.w0[:, c0:], lam_row, self.chars, self.rule)
+
+    def drift(self, log_state, aux, lam_row, table):
+        return table
+
+
+class _TaylorStep(_Step):
+    """First-order expansion of the subsequent rates inside the drift.
+
+    The first-variation process Y of each log-rate (the auxiliary state)
+    accumulates the frozen (deterministic) drift plus the loaded driver
+    increments; the drift of the main state is then evaluated at rates
+    L(0) * exp(Y) instead of the frozen initial values.
+    """
+
+    def interval(self, j: int, c0: int, lam_row):
+        beta0 = _drift_all(self.w0[:, c0:], lam_row, self.chars, self.rule)
+        return beta0, self.log_x0[c0:]
+
+    def start(self, n_paths: int):
+        return np.tile(self.log_x0, (n_paths, 1)), np.zeros((n_paths, len(self.log_x0)))
+
+    def drift(self, log_state, y, lam_row, table):
+        w = forward_price_weights(np.exp(table[1] + y), self.delta)  # table[1]: log L(0)
+        return _drift_all(w, lam_row, self.chars, self.rule)
+
+    def advance(self, y, lam_row, table, dt, dw, dh):
+        y += table[0] * dt + lam_row * dh[:, None]
+
+
+class _PicardStep(_Step):
+    """Gaussian first Picard iterate z of the forward-price weights.
+
+    Only continuous drivers reach this step, so the drift has no jump part.
+    """
+
+    def interval(self, j: int, c0: int, lam_row):
+        return picard_tables_row(self.w0[0, c0:], lam_row, self.chars.diffusion_c)
+
+    def start(self, n_paths: int):
+        return np.tile(self.log_x0, (n_paths, 1)), np.tile(self.w0[0], (n_paths, 1))
+
+    def drift(self, log_state, z, lam_row, table):
+        return _drift_all(z, lam_row, self.chars, None)
+
+    def advance(self, z, lam_row, table, dt, dw, dh):
+        drift, vol = table
+        z += drift * dt + vol * dw[:, None]
+
+
+def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
+    """Drift and diffusion coefficients of the weight-process SDE at w0.
+
+    Writing w = f(L) with f(x) = delta x / (1 + delta x), Ito's formula on
+    the log-normal rate dynamics gives (with f'(L) L = w (1 - w) and
+    f''(L) L^2 = -2 w^2 (1 - w))
+
+        drift_k = -c lambda_k w_k (1 - w_k) ( sum_{l>k} w_l lambda_l + w_k lambda_k ),
+        vol_k   = sqrt(c) lambda_k w_k (1 - w_k).
+    """
+    wl = w0 * lam_row
+    tail = np.cumsum(wl[::-1])[::-1]
+    tail = np.concatenate([tail[1:], [0.0]])
+    g = w0 * (1.0 - w0)
+    drift = -c * lam_row * g * (tail + wl)
+    vol = math.sqrt(c) * lam_row * g
+    return drift, vol
 
 
 def frozen_drift_simulate(
@@ -49,7 +123,7 @@ def frozen_drift_simulate(
 ) -> LiborPathSet:
     """Simulation with the weights frozen at their time-zero values."""
     return _simulate_core(
-        model, grid, n_paths, seed, _FrozenStep(model), "frozen",
+        model, grid, n_paths, seed, _FrozenStep(model),
         driver, store_dates,
     )
 
@@ -76,7 +150,7 @@ def picard_simulate(
         raise LiborLabError(f"Picard order must be 0 or 1, got {order}")
     step = _FrozenStep(model) if order == 0 else _PicardStep(model)
     return _simulate_core(
-        model, grid, n_paths, seed, step, f"picard{order}",
+        model, grid, n_paths, seed, step,
         driver, store_dates,
     )
 
@@ -102,7 +176,7 @@ def taylor_simulate(
     realized weights to first order.
     """
     return _simulate_core(
-        model, grid, n_paths, seed, _TaylorStep(model), "taylor",
+        model, grid, n_paths, seed, _TaylorStep(model),
         driver, store_dates,
     )
 

@@ -398,7 +398,7 @@ def _quote_loop(ctx: Context, producers: list) -> list:
 class CompareResult:
     quotes: dict  # scheme -> list[(model, scheme, CapletQuote)]
     diffs: dict  # scheme -> list[(k, strike, iv_diff)]
-    summary: dict  # scheme -> (max_abs, mean_abs)
+    summary: dict  # scheme -> (max_abs, mean_abs), None without implied-vol pairs
     files: list
 
 
@@ -433,7 +433,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
             arr = np.array([r[2] for r in rows])
             summary[name] = (float(np.max(np.abs(arr))), float(np.mean(np.abs(arr))))
         else:
-            summary[name] = (math.nan, math.nan)
+            summary[name] = None  # no implied-vol pair to compare
 
     files = []
     if out_dir is not None:
@@ -452,7 +452,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
         with open(spath, "w", encoding="utf-8") as fh:
             fh.write("scheme,max_abs_iv_diff,mean_abs_iv_diff\n")
             for name in sorted(summary):
-                mx, mn = summary[name]
+                mx, mn = summary[name] or (None, None)  # empty fields, not NaN
                 fh.write(f"{name},{_fmt(mx)},{_fmt(mn)}\n")
         files.append(spath)
     return CompareResult(quotes=quotes, diffs=diffs, summary=summary, files=files)

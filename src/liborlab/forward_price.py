@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, LiborLabError
 from .fourier import damped_call_expectation
 from .levy import DriverPathSet, LevyCharacteristics
-from .lmm import LiborPathSet, _simulate_core
+from .lmm import LiborPathSet, _simulate_core, _Step
 from .tenor import InitialCurve, TenorStructure
 from .volatility import VolatilitySurface
 
@@ -105,24 +105,21 @@ def simulate_fpm(
     increments.  Rates are reported as (F - 1) / delta and may be negative.
     """
     return _simulate_core(
-        model, grid, n_paths, seed, _FpmStep(model), "fpm",
+        model, grid, n_paths, seed, _FpmStep(model),
         driver, store_dates,
     )
 
 
-class _FpmStep:
+class _FpmStep(_Step):
     """Log forward-price state log(1 + delta L) with the deterministic drift table."""
 
     def __init__(self, model: FpmModel):
         self.delta = model.tenor.delta
-        self.log_f0 = np.log1p(self.delta * np.asarray(model.curve.libors))
+        self.log_x0 = np.log1p(self.delta * np.asarray(model.curve.libors))
         self.drift_table = model.drift_table
 
     def interval(self, j: int, c0: int, lam_row):
         return self.drift_table[j, c0:]
-
-    def start(self, n_paths: int):
-        return np.tile(self.log_f0, (n_paths, 1)), None
 
     def rate(self, log_f):
         return np.expm1(log_f) / self.delta
@@ -132,9 +129,6 @@ class _FpmStep:
 
     def drift(self, log_f, aux, lam_row, table):
         return table
-
-    def advance(self, aux, lam_row, table, dt, dw, dh):
-        pass
 
 
 def negative_rate_fraction(paths: LiborPathSet, k: Optional[int] = None) -> float:

@@ -212,7 +212,6 @@ class DriverPathSet:
     grid: np.ndarray = field(repr=False)
     dw: np.ndarray = field(repr=False)
     jump_sums: Optional[np.ndarray] = field(repr=False)
-    seed: int
     antithetic: bool = False
 
     @property
@@ -284,5 +283,5 @@ def simulate_driver(
             jump_sums = np.concatenate([jump_sums, jump_sums], axis=1)
 
     return DriverPathSet(
-        grid=grid, dw=dw, jump_sums=jump_sums, seed=int(seed), antithetic=antithetic
+        grid=grid, dw=dw, jump_sums=jump_sums, antithetic=antithetic
     )

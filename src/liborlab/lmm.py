@@ -53,34 +53,21 @@ def forward_price_weights(libors, delta: float):
     return delta * libors / (1.0 + delta * libors)
 
 
-class _JumpQuadrature:
-    """Fixed-order quadrature against the jump-size law of a driver."""
-
-    def __init__(self, chars: LevyCharacteristics, order: int):
-        self.order = order
-        self.nodes, self.weights = chars.jump_quadrature(order)
-        self.intensity = chars.jump_intensity
-        self.mean_rate = chars.jump_mean_rate
-
-    def expm1_table(self, lam_row: np.ndarray) -> np.ndarray:
-        """exp(lambda_k * x_q) - 1 for every (rate, node) pair."""
-        return np.exp(np.outer(lam_row, self.nodes)) - 1.0
-
-
 def _drift_all(
     w: np.ndarray,
     lam_row: np.ndarray,
     chars: LevyCharacteristics,
-    quad: Optional[_JumpQuadrature],
-    em1_table: Optional[np.ndarray] = None,
+    rule: Optional[tuple],
 ) -> np.ndarray:
     """Log-rate drift of every rate given left-endpoint weights.
 
     ``w`` has shape (paths, M) or (1, M); ``lam_row`` are the loadings at
     the current time (zero for already-fixed rates, which removes them from
-    the sums and products automatically).  Returns the same leading shape.
-    Column k reads only columns l >= k of its own row, so no other path and
-    no leading column changes its bits: ``[c0:]`` alone gives the same.
+    the sums and products automatically).  ``rule`` is the (nodes, weights)
+    quadrature of the jump-size law, or None for a continuous driver.
+    Returns the same leading shape.  Column k reads only columns l >= k of
+    its own row, so no other path and no leading column changes its bits:
+    ``[c0:]`` alone gives the same.
     """
     c = chars.diffusion_c
     b = chars.drift_b
@@ -90,9 +77,10 @@ def _drift_all(
     tail[:, :-1] = np.cumsum(wl[:, :0:-1], axis=1)[:, ::-1]
     drift = -lam_row * b - 0.5 * c * lam_row**2 - c * lam_row * tail
 
-    if quad is not None and quad.intensity > 0.0:
-        if em1_table is None:
-            em1_table = quad.expm1_table(lam_row)
+    if rule is not None:
+        nodes, weights = rule
+        intensity, mean_rate = chars.jump_intensity, chars.jump_mean_rate
+        em1 = np.exp(np.outer(lam_row, nodes)) - 1.0  # exp(lambda_k x_q) - 1
         prod = None  # prod_{l > k} gamma_l at the nodes, updated in place
         jump = np.zeros_like(drift)
         for k in range(len(lam_row) - 1, -1, -1):
@@ -100,19 +88,19 @@ def _drift_all(
                 continue
             if prod is None:
                 # the product is still 1, so the integrand is the same on every path
-                integral = (em1_table[k] * quad.weights).sum()
-                prod = w[:, k, None] * em1_table[k]
+                integral = (em1[k] * weights).sum()
+                prod = w[:, k, None] * em1[k]
                 prod += 1.0
                 tmp = np.empty_like(prod)
             else:
-                np.multiply(em1_table[k], prod, out=tmp)
-                tmp *= quad.weights
+                np.multiply(em1[k], prod, out=tmp)
+                tmp *= weights
                 integral = tmp.sum(axis=1)
                 if k > 0:  # no column left of 0 reads the product
-                    np.multiply(w[:, k, None], em1_table[k], out=tmp)
+                    np.multiply(w[:, k, None], em1[k], out=tmp)
                     tmp += 1.0
                     prod *= tmp
-            jump[:, k] = quad.intensity * integral - lam_row[k] * quad.mean_rate
+            jump[:, k] = intensity * integral - lam_row[k] * mean_rate
         drift = drift - jump
     return drift
 
@@ -153,10 +141,10 @@ class LmmModel:
         prev, best_err, best_order = math.nan, math.inf, None  # NaN: order 4 has no pair
         for order in _QUAD_ORDERS:
             with np.errstate(all="ignore"):  # large Gauss rules overflow
-                quad = _JumpQuadrature(self.chars, order)
-            if not np.all(np.isfinite(np.concatenate([quad.nodes, quad.weights]))):
+                rule = self.chars.jump_quadrature(order)
+            if not np.all(np.isfinite(np.concatenate(rule))):
                 break
-            cur = np.concatenate([_drift_all(w, lam, self.chars, quad) for lam in self.vols.values])
+            cur = np.concatenate([_drift_all(w, lam, self.chars, rule) for lam in self.vols.values])
             err = float(np.max(np.abs(cur - prev)))
             if err <= 1e-13:
                 return order
@@ -218,7 +206,6 @@ class LiborPathSet:
     """
 
     tenor: TenorStructure
-    scheme: str
     grid: np.ndarray = field(repr=False)
     initial_libors: np.ndarray = field(repr=False)
     fixings: np.ndarray = field(repr=False)
@@ -295,28 +282,33 @@ def _check_grid(tenor: TenorStructure, grid: np.ndarray) -> None:
             raise LiborLabError(f"grid must contain tenor date {t}")
 
 
-class _LmmStep:
-    """Log-rate state of one market-model scheme; see ``_simulate_core``.
+class _Step:
+    """Log-state of one scheme; see ``_simulate_core``.
 
-    The state is log L and the schemes differ only in the forward-price
-    weights fed to the drift.  The object holds read-only data only; the
-    state of a path block is what ``start`` returns.
+    The state is log x, with x = L for the market model and x = 1 + delta L
+    for the forward price model, started at ``log_x0``.  The market-model
+    schemes differ only in the forward-price weights fed to the drift; this
+    base class is the exact scheme, which reads them off the current state.
+    The object holds read-only data only; the state of a path block is what
+    ``start`` returns.
     """
 
     def __init__(self, model: LmmModel):
         self.delta = model.tenor.delta
         self.chars = model.chars
-        self.log_l0 = _safe_log(np.asarray(model.curve.libors))
-        self.w0 = forward_price_weights(np.asarray(model.curve.libors), self.delta)[None, :]
-        self.quad = _JumpQuadrature(self.chars, model.quad_order) if self.chars.has_jumps else None
+        libors = np.asarray(model.curve.libors)
+        with np.errstate(divide="ignore"):  # log 0 = -inf, which exp maps back to 0
+            self.log_x0 = np.log(libors)
+        self.w0 = forward_price_weights(libors, self.delta)[None, :]
+        self.rule = self.chars.jump_quadrature(model.quad_order) if self.chars.has_jumps else None
 
     def interval(self, j: int, c0: int, lam_row):
         """Read-only tables of tenor interval j for the rates ``[c0:]``."""
-        return self.quad.expm1_table(lam_row) if self.quad is not None else None
+        return None
 
     def start(self, n_paths: int):
         """Log-state and auxiliary state of a block of ``n_paths`` paths."""
-        return np.tile(self.log_l0, (n_paths, 1)), None
+        return np.tile(self.log_x0, (n_paths, 1)), None
 
     def rate(self, log_state):
         return np.exp(log_state)
@@ -325,96 +317,12 @@ class _LmmStep:
         return 1.0 + self.delta * libors
 
     def drift(self, log_state, aux, lam_row, table):
-        """Drift of the log-rates with the scheme's left-endpoint weights."""
-        raise NotImplementedError
+        """Drift of the log-state with the scheme's left-endpoint weights."""
+        w = forward_price_weights(np.exp(log_state), self.delta)
+        return _drift_all(w, lam_row, self.chars, self.rule)
 
     def advance(self, aux, lam_row, table, dt, dw, dh):
         """Update the auxiliary state after the main update of a step."""
-
-
-class _ExactStep(_LmmStep):
-    def drift(self, log_state, aux, lam_row, table):
-        w = forward_price_weights(np.exp(log_state), self.delta)
-        return _drift_all(w, lam_row, self.chars, self.quad, table)
-
-
-class _FrozenStep(_LmmStep):
-    """Deterministic drift beta0, the exact drift at the time-zero weights."""
-
-    def interval(self, j: int, c0: int, lam_row):
-        return _drift_all(self.w0[:, c0:], lam_row, self.chars, self.quad)
-
-    def drift(self, log_state, aux, lam_row, table):
-        return table
-
-
-class _TaylorStep(_LmmStep):
-    """First-order expansion of the subsequent rates inside the drift.
-
-    The first-variation process Y of each log-rate (the auxiliary state)
-    accumulates the frozen (deterministic) drift plus the loaded driver
-    increments; the drift of the main state is then evaluated at rates
-    L(0) * exp(Y) instead of the frozen initial values.
-    """
-
-    def interval(self, j: int, c0: int, lam_row):
-        em1 = super().interval(j, c0, lam_row)
-        beta0 = _drift_all(self.w0[:, c0:], lam_row, self.chars, self.quad, em1)
-        return em1, beta0, self.log_l0[c0:]
-
-    def start(self, n_paths: int):
-        return np.tile(self.log_l0, (n_paths, 1)), np.zeros((n_paths, len(self.log_l0)))
-
-    def drift(self, log_state, y, lam_row, table):
-        w = forward_price_weights(np.exp(table[2] + y), self.delta)  # table[2]: log L(0)
-        return _drift_all(w, lam_row, self.chars, self.quad, table[0])
-
-    def advance(self, y, lam_row, table, dt, dw, dh):
-        y += table[1] * dt + lam_row * dh[:, None]
-
-
-class _PicardStep(_LmmStep):
-    """Gaussian first Picard iterate z of the forward-price weights.
-
-    Only continuous drivers reach this step, so the drift has no jump part.
-    """
-
-    def interval(self, j: int, c0: int, lam_row):
-        return picard_tables_row(self.w0[0, c0:], lam_row, self.chars.diffusion_c)
-
-    def start(self, n_paths: int):
-        return np.tile(self.log_l0, (n_paths, 1)), np.tile(self.w0[0], (n_paths, 1))
-
-    def drift(self, log_state, z, lam_row, table):
-        return _drift_all(z, lam_row, self.chars, None)
-
-    def advance(self, z, lam_row, table, dt, dw, dh):
-        drift, vol = table
-        z += drift * dt + vol * dw[:, None]
-
-
-def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
-    """Drift and diffusion coefficients of the weight-process SDE at w0.
-
-    Writing w = f(L) with f(x) = delta x / (1 + delta x), Ito's formula on
-    the log-normal rate dynamics gives (with f'(L) L = w (1 - w) and
-    f''(L) L^2 = -2 w^2 (1 - w))
-
-        drift_k = -c lambda_k w_k (1 - w_k) ( sum_{l>k} w_l lambda_l + w_k lambda_k ),
-        vol_k   = sqrt(c) lambda_k w_k (1 - w_k).
-    """
-    wl = w0 * lam_row
-    tail = np.cumsum(wl[::-1])[::-1]
-    tail = np.concatenate([tail[1:], [0.0]])
-    g = w0 * (1.0 - w0)
-    drift = -c * lam_row * g * (tail + wl)
-    vol = math.sqrt(c) * lam_row * g
-    return drift, vol
-
-
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(values)
 
 
 def _n_workers() -> int:
@@ -431,7 +339,6 @@ def _simulate_core(
     n_paths: int,
     seed: int,
     step,
-    scheme: str,
     driver: Optional[DriverPathSet],
     store_dates: bool,
 ) -> LiborPathSet:
@@ -523,7 +430,6 @@ def _simulate_core(
 
     return LiborPathSet(
         tenor=tenor,
-        scheme=scheme,
         grid=grid,
         initial_libors=l0,
         fixings=fixings,
@@ -549,6 +455,6 @@ def simulate_exact(
     dates (their loadings vanish there).
     """
     return _simulate_core(
-        model, grid, n_paths, seed, _ExactStep(model), "exact",
+        model, grid, n_paths, seed, _Step(model),
         driver, store_dates,
     )

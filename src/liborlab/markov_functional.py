@@ -27,7 +27,7 @@ K(T_i, x*), which is the rate functional value L(T_i, T_i; x*).  The
 numeraire functional follows as 1 / ((1 + delta K) J_i).
 
 State grids are Gauss-Hermite nodes scaled by sqrt(Sigma_{T_i}), clipped
-to a configurable number of standard deviations: beyond the clip the
+to ``_NODE_CLIP`` = 6 standard deviations: beyond the clip the
 digital targets collide at double precision and the recovered strikes
 could not stay strictly monotone.  Functionals between nodes are monotone
 cubic in log(rho - 1) / log(rate), with linear extension of the log values
@@ -48,6 +48,8 @@ from .errors import CalibrationError, LiborLabError
 from .tenor import InitialCurve, TenorStructure
 
 _TAIL_EPS = 1e-300
+_NODE_CLIP = 6.0  # state nodes kept within this many standard deviations
+_PANEL_ORDER = 24  # Gauss-Legendre order of each digital panel
 
 
 @lru_cache(maxsize=32)
@@ -222,7 +224,6 @@ class FunctionalGrid:
     curve: InitialCurve
     driver: MfmDriver
     quad_order: int
-    node_clip: float
     x_nodes: list
     libor_values: list
     numeraire_values: list
@@ -286,7 +287,7 @@ def _tail_mass(grid: FunctionalGrid, i: int, c: float, upper: bool) -> float:
     return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
 
 
-def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
+def _tail_integrals(grid: FunctionalGrid, i: int):
     """T(x_m) = int_{x_m}^inf J_i(x) phi(x) dx per node, plus the total.
 
     Panels between consecutive nodes use Gauss-Legendre; the mass beyond
@@ -296,7 +297,7 @@ def _tail_integrals(grid: FunctionalGrid, i: int, panel_order: int = 24):
         return grid._tails_cache[i]
     x = grid.x_nodes[i]
     sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
-    y, w = _legendre(panel_order)
+    y, w = _legendre(_PANEL_ORDER)
 
     mid = 0.5 * (x[:-1] + x[1:])
     half = 0.5 * (x[1:] - x[:-1])
@@ -317,7 +318,6 @@ def calibrate_backward(
     curve: InitialCurve,
     driver: MfmDriver,
     quad_order: int = 64,
-    node_clip: float = 6.0,
 ) -> FunctionalGrid:
     """Backward induction recovering the rate and numeraire functionals.
 
@@ -345,7 +345,6 @@ def calibrate_backward(
             curve=curve,
             driver=driver,
             quad_order=quad_order,
-            node_clip=node_clip,
             x_nodes=[np.zeros(1) for _ in range(n)],
             libor_values=[None] * n,
             numeraire_values=[None] * n,
@@ -371,7 +370,6 @@ def calibrate_backward(
         curve=curve,
         driver=driver,
         quad_order=quad_order,
-        node_clip=node_clip,
         x_nodes=[None] * n,
         libor_values=[None] * n,
         numeraire_values=[None] * n,
@@ -386,7 +384,7 @@ def calibrate_backward(
         var = driver.variance(tenor.dates[i])
         sd = math.sqrt(var)
         nodes = math.sqrt(2.0 * var) * h
-        nodes = nodes[np.abs(nodes) <= node_clip * sd]
+        nodes = nodes[np.abs(nodes) <= _NODE_CLIP * sd]
         grid.x_nodes[i] = nodes
 
         j_nodes = np.asarray(grid.j_value(i, nodes))
@@ -437,7 +435,7 @@ def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     m = int(np.searchsorted(x, x_star, side="right") - 1)
     # exact tail at x_{m+1} plus the partial panel [x_star, x_{m+1}]
     sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
-    y, w = _legendre(24)
+    y, w = _legendre(_PANEL_ORDER)
     mid = 0.5 * (x_star + x[m + 1])
     half = 0.5 * (x[m + 1] - x_star)
     pts = mid + half * y

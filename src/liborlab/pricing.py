@@ -74,9 +74,9 @@ def implied_vol(
         raise PriceBoundsError(
             f"price {price} below intrinsic value {intrinsic}", bound="intrinsic"
         )
-    if price > upper + _IV_PRICE_TOL:
+    if price >= upper:  # Black reaches the bound only as the vol goes to infinity
         raise PriceBoundsError(
-            f"price {price} above forward bound {upper}", bound="forward"
+            f"price {price} at or above forward bound {upper}", bound="forward"
         )
     if price <= intrinsic:
         total = 0.0

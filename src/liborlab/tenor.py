@@ -148,12 +148,6 @@ class InitialCurve:
         b = np.asarray(self.bonds)
         return (b[:-1] / b[1:] - 1.0) / self.tenor.delta
 
-    def forward_price(self, k: int, l: int) -> float:
-        """F(0, T_k, T_l) = B(0, T_k) / B(0, T_l); telescopes over dates."""
-        if k > l:
-            raise CurveError(f"forward price needs k <= l, got k={k}, l={l}")
-        return self.bond(k) / self.bond(l)
-
 
 def read_curve_file(path) -> InitialCurve:
     """Read a curve file with one ``T_k,B(0,T_k)`` line per tenor date."""

@@ -62,12 +62,6 @@ class VolatilitySurface:
             vals[:k, k] = col
         return cls(tenor, vals)
 
-    def value(self, t: float, k: int) -> float:
-        """lambda(t, T_k); zero once t has reached the reset date T_k."""
-        if t >= self.tenor.dates[k]:
-            return 0.0
-        return float(self.values[self.tenor.index_of(t), k])
-
     def row(self, t: float) -> np.ndarray:
         """Loadings of all rates at time t (zeros for already-fixed rates)."""
         j = self.tenor.index_of(t)

@@ -300,6 +300,18 @@ def test_run_compare_scheme_ordering_and_determinism(tmp_path):
         assert fa == fb
 
 
+def test_compare_without_comparable_vols_writes_no_nan(tmp_path, capsys):
+    # every FPM price of this config lies above the forward bound, so the
+    # scheme has no implied-vol pairs: empty fields, never NaN
+    cfg_path = str(Path(__file__).resolve().parent.parent / "configs" / "fpm_negative_rates.cfg")
+    assert run_compare(override(parse_config(cfg_path), n_paths=2000)).summary["fpm"] is None
+    out = tmp_path / "out"
+    assert cli.main(["compare", cfg_path, "--paths", "2000", "--out-dir", str(out)]) == 0
+    assert "fpm vs lmm-exact: no comparable implied vols" in capsys.readouterr().out
+    assert (out / "summary.txt").read_text().splitlines()[1] == "fpm,,"
+    assert not any("nan" in path.read_text() for path in out.iterdir())
+
+
 def test_run_verify_expected_pattern(tmp_path):
     cfg = parse_config(VERIFY_ALL)
     report = run_verify(cfg, out_dir=str(tmp_path))

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from liborlab.drift_approx import (
+    _FrozenStep,
+    _PicardStep,
+    _TaylorStep,
     frozen_drift_law,
     frozen_drift_simulate,
     frozen_drift_table,
     picard_simulate,
+    picard_tables_row,
     taylor_simulate,
 )
 from liborlab.errors import UnsupportedSchemeError
 from liborlab.levy import LevyCharacteristics, NormalJumps, simulate_driver
 from liborlab.lmm import (
     LmmModel,
-    _FrozenStep,
-    _PicardStep,
-    _TaylorStep,
     forward_price_weights,
-    picard_tables_row,
     simulate_exact,
     simulation_grid,
 )
@@ -169,7 +169,7 @@ def test_picard_rejects_jump_driver(jump_model, tenor):
 
 
 def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
-    from liborlab.lmm import _JumpQuadrature, _drift_all
+    from liborlab.lmm import _drift_all
 
     grid = simulation_grid(tenor, 4)
     for mdl in (model, jump_model):
@@ -178,9 +178,9 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
         for i, k in [(0, 1), (3, 2), (9, 4)]:
             if grid[i] >= tenor.dates[k]:
                 continue
-            quad = _JumpQuadrature(mdl.chars, 48) if mdl.chars.has_jumps else None
+            rule = mdl.chars.jump_quadrature(48) if mdl.chars.has_jumps else None
             w = forward_price_weights(state[None, :], DELTA)
-            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, quad)[0, k]
+            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, rule)[0, k]
             assert table[i, k] == pytest.approx(direct, rel=1e-12)
 
 

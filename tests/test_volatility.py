@@ -15,18 +15,18 @@ def tenor():
 
 def test_flat_surface_lives_strictly_before_reset(tenor):
     vols = VolatilitySurface.flat(tenor, 0.2)
-    assert vols.value(0.0, 3) == 0.2
-    assert vols.value(1.49, 3) == 0.2
-    assert vols.value(1.5, 3) == 0.0  # at the reset date the loading is gone
-    assert vols.value(0.0, 0) == 0.0  # the first fixing has no dynamics
+    assert vols.row(0.0)[3] == 0.2
+    assert vols.row(1.49)[3] == 0.2
+    assert vols.row(1.5)[3] == 0.0  # at the reset date the loading is gone
+    assert vols.row(0.0)[0] == 0.0  # the first fixing has no dynamics
     assert vols.max_abs == 0.2
 
 
 def test_from_columns_round_trip(tenor):
     cols = [[0.3], [0.2, 0.25], [0.1, 0.15, 0.2]]
     vols = VolatilitySurface.from_columns(tenor, cols)
-    assert vols.value(0.7, 2) == 0.25
-    assert vols.value(1.2, 3) == 0.2
+    assert vols.row(0.7)[2] == 0.25
+    assert vols.row(1.2)[3] == 0.2
     with pytest.raises(CurveError):
         VolatilitySurface.from_columns(tenor, [[0.3, 0.4], [0.2, 0.25], [0.1, 0.15, 0.2]])
 
