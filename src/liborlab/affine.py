@@ -82,7 +82,7 @@ def _decay_slope(params: CirParams, t):
 def explosion_threshold(params: CirParams, t):
     """Upper boundary of the moment domain at horizon t (+inf at t = 0)."""
     _, slope = _decay_slope(params, t)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # s(t) = 0 or subnormal: +inf
         return np.where(
             np.asarray(t) > 0.0, 2.0 / (params.vol_of_vol**2 * np.maximum(slope, 0.0)), np.inf
         )[()]

@@ -90,6 +90,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model {m!r}; valid: {', '.join(KNOWN_MODELS)}")
         if (self.flat_libor is None) == (self.curve_file is None):
             raise ConfigError("curve section needs exactly one of flat_libor / file")
+        libor, lmm = self.flat_libor, any(m.startswith("lmm-") for m in self.models)
+        if libor is not None and (libor < 0.0 or (libor == 0.0 and lmm)):
+            raise ConfigError("flat_libor must be >= 0, and > 0 with an lmm-* model")
         if self.driver_type not in DRIVER_TYPES:
             raise ConfigError(f"unknown driver type {self.driver_type!r}")
         if self.driver_type == "brownian" and self.jump_intensity != 0.0:

@@ -44,7 +44,7 @@ class _FrozenStep(_Step):
     """Deterministic drift beta0, the exact drift at the time-zero weights."""
 
     def interval(self, j: int, c0: int, lam_row):
-        return _drift_all(self.w0[:, c0:], lam_row, self.chars, self.rule)
+        return _drift_all(self.w0[c0:], lam_row, self.chars, self.rule)
 
     def drift(self, log_state, aux, lam_row, table):
         return table
@@ -60,18 +60,18 @@ class _TaylorStep(_Step):
     """
 
     def interval(self, j: int, c0: int, lam_row):
-        beta0 = _drift_all(self.w0[:, c0:], lam_row, self.chars, self.rule)
+        beta0 = _drift_all(self.w0[c0:], lam_row, self.chars, self.rule)
         return beta0, self.log_x0[c0:]
 
     def start(self, n_paths: int):
-        return np.tile(self.log_x0, (n_paths, 1)), np.zeros((n_paths, len(self.log_x0)))
+        return np.tile(self.log_x0, (1, n_paths)), np.zeros((len(self.log_x0), n_paths))
 
     def drift(self, log_state, y, lam_row, table):
         w = forward_price_weights(np.exp(table[1] + y), self.delta)  # table[1]: log L(0)
         return _drift_all(w, lam_row, self.chars, self.rule)
 
     def advance(self, y, lam_row, table, dt, dw, dh):
-        y += table[0] * dt + lam_row * dh[:, None]
+        y += table[0] * dt + lam_row[:, None] * dh
 
 
 class _PicardStep(_Step):
@@ -81,17 +81,18 @@ class _PicardStep(_Step):
     """
 
     def interval(self, j: int, c0: int, lam_row):
-        return picard_tables_row(self.w0[0, c0:], lam_row, self.chars.diffusion_c)
+        drift, vol = picard_tables_row(self.w0[c0:, 0], lam_row, self.chars.diffusion_c)
+        return drift[:, None], vol[:, None]
 
     def start(self, n_paths: int):
-        return np.tile(self.log_x0, (n_paths, 1)), np.tile(self.w0[0], (n_paths, 1))
+        return np.tile(self.log_x0, (1, n_paths)), np.tile(self.w0, (1, n_paths))
 
     def drift(self, log_state, z, lam_row, table):
         return _drift_all(z, lam_row, self.chars, None)
 
     def advance(self, z, lam_row, table, dt, dw, dh):
         drift, vol = table
-        z += drift * dt + vol * dw[:, None]
+        z += drift * dt + vol * dw
 
 
 def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
@@ -122,10 +123,7 @@ def frozen_drift_simulate(
     store_dates: bool = False,
 ) -> LiborPathSet:
     """Simulation with the weights frozen at their time-zero values."""
-    return _simulate_core(
-        model, grid, n_paths, seed, _FrozenStep(model),
-        driver, store_dates,
-    )
+    return _simulate_core(model, grid, n_paths, seed, _FrozenStep(model), driver, store_dates)
 
 
 def picard_simulate(
@@ -149,10 +147,7 @@ def picard_simulate(
     if order not in (0, 1):
         raise LiborLabError(f"Picard order must be 0 or 1, got {order}")
     step = _FrozenStep(model) if order == 0 else _PicardStep(model)
-    return _simulate_core(
-        model, grid, n_paths, seed, step,
-        driver, store_dates,
-    )
+    return _simulate_core(model, grid, n_paths, seed, step, driver, store_dates)
 
 
 def taylor_simulate(
@@ -175,16 +170,14 @@ def taylor_simulate(
     L(0, T_l) exp(Y(t, T_l)), which decouples the system while tracking the
     realized weights to first order.
     """
-    return _simulate_core(
-        model, grid, n_paths, seed, _TaylorStep(model),
-        driver, store_dates,
-    )
+    return _simulate_core(model, grid, n_paths, seed, _TaylorStep(model), driver, store_dates)
 
 
 def frozen_drift_table(model: LmmModel, grid) -> np.ndarray:
     """Deterministic drift beta0 per (step, rate) on the given grid."""
     step, lam = _FrozenStep(model), model.vols.values
-    return np.array([step.interval(j, 0, lam[j])[0] for j in map(model.tenor.index_of, grid[:-1])])
+    intervals = map(model.tenor.index_of, grid[:-1])
+    return np.array([step.interval(j, 0, lam[j])[:, 0] for j in intervals])
 
 
 def frozen_drift_law(model: LmmModel, grid, k: int, t: float):

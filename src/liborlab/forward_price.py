@@ -104,10 +104,7 @@ def simulate_fpm(
     are exact; the only randomness enters through the shared driver
     increments.  Rates are reported as (F - 1) / delta and may be negative.
     """
-    return _simulate_core(
-        model, grid, n_paths, seed, _FpmStep(model),
-        driver, store_dates,
-    )
+    return _simulate_core(model, grid, n_paths, seed, _FpmStep(model), driver, store_dates)
 
 
 class _FpmStep(_Step):
@@ -115,11 +112,11 @@ class _FpmStep(_Step):
 
     def __init__(self, model: FpmModel):
         self.delta = model.tenor.delta
-        self.log_x0 = np.log1p(self.delta * np.asarray(model.curve.libors))
+        self.log_x0 = np.log1p(self.delta * np.asarray(model.curve.libors))[:, None]
         self.drift_table = model.drift_table
 
     def interval(self, j: int, c0: int, lam_row):
-        return self.drift_table[j, c0:]
+        return self.drift_table[j, c0:, None]
 
     def rate(self, log_f):
         return np.expm1(log_f) / self.delta

@@ -49,8 +49,8 @@ _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256)  # jump-drift quadrature orders trie
 
 def forward_price_weights(libors, delta: float):
     """w = delta L / (1 + delta L), the stochastic-exponential weights."""
-    libors = np.asarray(libors, dtype=float)
-    return delta * libors / (1.0 + delta * libors)
+    dl = delta * np.asarray(libors, dtype=float)
+    return dl / (1.0 + dl)
 
 
 def _drift_all(
@@ -61,21 +61,25 @@ def _drift_all(
 ) -> np.ndarray:
     """Log-rate drift of every rate given left-endpoint weights.
 
-    ``w`` has shape (paths, M) or (1, M); ``lam_row`` are the loadings at
+    ``w`` has shape (M, paths) or (M, 1): rate-major, so each per-rate
+    operation runs on a contiguous row.  ``lam_row`` are the M loadings at
     the current time (zero for already-fixed rates, which removes them from
     the sums and products automatically).  ``rule`` is the (nodes, weights)
     quadrature of the jump-size law, or None for a continuous driver.
-    Returns the same leading shape.  Column k reads only columns l >= k of
-    its own row, so no other path and no leading column changes its bits:
-    ``[c0:]`` alone gives the same.
+    Returns the shape of ``w``.  Row k reads only rows l >= k of its own
+    column, so no other path and no leading row changes its bits: ``[c0:]``
+    alone gives the same.  The jump integrand stays (paths, nodes), so its
+    sum runs along the contiguous node axis, whose pairwise summation fixes
+    the bits; a sum along the path axis would change them.
     """
     c = chars.diffusion_c
     b = chars.drift_b
-    wl = w * lam_row
-    # tail[:, k] = sum_{l > k} w_l lambda_l
+    lam = lam_row[:, None]
+    wl = w * lam
+    # tail[k] = sum_{l > k} w_l lambda_l
     tail = np.zeros_like(wl)
-    tail[:, :-1] = np.cumsum(wl[:, :0:-1], axis=1)[:, ::-1]
-    drift = -lam_row * b - 0.5 * c * lam_row**2 - c * lam_row * tail
+    tail[:-1] = np.cumsum(wl[:0:-1], axis=0)[::-1]
+    drift = -lam * b - 0.5 * c * lam**2 - c * lam * tail
 
     if rule is not None:
         nodes, weights = rule
@@ -89,7 +93,7 @@ def _drift_all(
             if prod is None:
                 # the product is still 1, so the integrand is the same on every path
                 integral = (em1[k] * weights).sum()
-                prod = w[:, k, None] * em1[k]
+                prod = w[k, :, None] * em1[k]
                 prod += 1.0
                 tmp = np.empty_like(prod)
             else:
@@ -97,10 +101,10 @@ def _drift_all(
                 tmp *= weights
                 integral = tmp.sum(axis=1)
                 if k > 0:  # no column left of 0 reads the product
-                    np.multiply(w[:, k, None], em1[k], out=tmp)
+                    np.multiply(w[k, :, None], em1[k], out=tmp)
                     tmp += 1.0
                     prod *= tmp
-            jump[:, k] = intensity * integral - lam_row[k] * mean_rate
+            jump[k] = intensity * integral - lam_row[k] * mean_rate
         drift = drift - jump
     return drift
 
@@ -137,7 +141,7 @@ class LmmModel:
             object.__setattr__(self, "quad_order", self._choose_quad_order())
 
     def _choose_quad_order(self) -> int:
-        w = forward_price_weights(self.curve.libors[None, :], self.tenor.delta)
+        w = forward_price_weights(self.curve.libors[:, None], self.tenor.delta)
         prev, best_err, best_order = math.nan, math.inf, None  # NaN: order 4 has no pair
         for order in _QUAD_ORDERS:
             with np.errstate(all="ignore"):  # large Gauss rules overflow
@@ -290,7 +294,8 @@ class _Step:
     schemes differ only in the forward-price weights fed to the drift; this
     base class is the exact scheme, which reads them off the current state.
     The object holds read-only data only; the state of a path block is what
-    ``start`` returns.
+    ``start`` returns, rate-major (rates, paths) like ``log_x0`` and ``w0``,
+    which are columns.
     """
 
     def __init__(self, model: LmmModel):
@@ -298,8 +303,8 @@ class _Step:
         self.chars = model.chars
         libors = np.asarray(model.curve.libors)
         with np.errstate(divide="ignore"):  # log 0 = -inf, which exp maps back to 0
-            self.log_x0 = np.log(libors)
-        self.w0 = forward_price_weights(libors, self.delta)[None, :]
+            self.log_x0 = np.log(libors)[:, None]
+        self.w0 = forward_price_weights(libors, self.delta)[:, None]
         self.rule = self.chars.jump_quadrature(model.quad_order) if self.chars.has_jumps else None
 
     def interval(self, j: int, c0: int, lam_row):
@@ -308,7 +313,7 @@ class _Step:
 
     def start(self, n_paths: int):
         """Log-state and auxiliary state of a block of ``n_paths`` paths."""
-        return np.tile(self.log_x0, (n_paths, 1)), None
+        return np.tile(self.log_x0, (1, n_paths)), None
 
     def rate(self, log_state):
         return np.exp(log_state)
@@ -352,14 +357,17 @@ def _simulate_core(
     step, and ``rate(s)`` / ``forward_price(s, L)`` map the state to the
     rates L and the forward prices 1 + delta L.  Every step applies
 
-        s += drift * dt + lam_row * dH,
+        s += drift * dt + lam_row[:, None] * dH,
 
     and the kernel records fixings, terminal-measure density weights and
     optional snapshots at the tenor dates.
 
-    On interval j the rates before the first nonzero loading c0 have zero
-    loading and drift, so ``interval``, ``drift``, the update and ``advance``
-    see only the live columns ``[c0:]`` of the loadings and the states.
+    A block's state is rate-major, shape (rates, paths): each per-rate
+    operation then runs on one contiguous row of the block's paths instead
+    of a strided column.  On interval j the rates before the first nonzero
+    loading c0 have zero loading and drift, so ``interval``, ``drift``, the
+    update and ``advance`` see only the live rows ``[c0:]`` of the loadings
+    and the states.
 
     The paths run in blocks of ``_BLOCK_PATHS`` through the whole grid, so
     a block's state stays in cache, and the blocks run on a thread pool
@@ -404,11 +412,11 @@ def _simulate_core(
             return
         libors = step.rate(state)
         if store_dates:
-            date_values[rows, d, :] = libors
+            date_values[rows, d, :] = libors.T
         if 1 <= d <= n - 1:
-            fixings[rows, d] = libors[:, d]
-            forward = step.forward_price(state[:, d + 1 : n], libors[:, d + 1 : n])
-            fixing_weights[rows, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n]), axis=1)
+            fixings[rows, d] = libors[d]
+            forward = step.forward_price(state[d + 1 : n], libors[d + 1 : n])
+            fixing_weights[rows, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n, None]), axis=0)
 
     def run_block(lo: int):
         rows = slice(lo, min(lo + _BLOCK_PATHS, n_paths))
@@ -419,9 +427,9 @@ def _simulate_core(
         record(rows, state, 0)
         for i, j in enumerate(intervals):
             c0 = live[j]
-            lam_row, s = lam[j, c0:], state[:, c0:]
-            a = None if aux is None else aux[:, c0:]
-            s += step.drift(s, a, lam_row, tables[j]) * dts[i] + lam_row * dh[i][:, None]
+            lam_row, s = lam[j, c0:], state[c0:]
+            a = None if aux is None else aux[c0:]
+            s += step.drift(s, a, lam_row, tables[j]) * dts[i] + lam_row[:, None] * dh[i]
             step.advance(a, lam_row, tables[j], dts[i], block.dw[i], dh[i])
             record(rows, state, i + 1)
 
@@ -454,7 +462,4 @@ def simulate_exact(
     values of the subsequent rates.  Rates are constant after their reset
     dates (their loadings vanish there).
     """
-    return _simulate_core(
-        model, grid, n_paths, seed, _Step(model),
-        driver, store_dates,
-    )
+    return _simulate_core(model, grid, n_paths, seed, _Step(model), driver, store_dates)

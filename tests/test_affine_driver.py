@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from liborlab.affine import (
@@ -60,6 +62,30 @@ def test_semiflow_identities(params):
                 phi_ts, psi_ts = cir_flow(params, t + s, u)
                 assert phi_ts == pytest.approx(phi_t + phi_s, abs=1e-8)
                 assert psi_ts == pytest.approx(psi_s, abs=1e-8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    params=st.builds(
+        CirParams,
+        mean_reversion=st.just(0.0) | st.floats(0.0, 5.0),
+        long_run_level=st.floats(0.0, 0.2),
+        vol_of_vol=st.floats(0.05, 2.0),
+        x0=st.floats(0.0, 0.2),
+    ),
+    t=st.floats(0.0, 5.0),
+    s=st.floats(0.0, 5.0),
+    frac=st.floats(-1.0, 0.95),
+)
+def test_semiflow_identities_property(params, t, s, frac):
+    # phi_{t+s}(u) = phi_t(u) + phi_s(psi_t(u)) and psi_{t+s}(u) = psi_s(psi_t(u))
+    # for u inside the moment domain at t + s, which then holds psi_t(u) at s
+    u = frac * min(float(explosion_threshold(params, t + s)), 50.0)
+    phi_t, psi_t = cir_flow(params, t, u)
+    phi_s, psi_s = cir_flow(params, s, psi_t)
+    phi_ts, psi_ts = cir_flow(params, t + s, u)
+    assert phi_ts == pytest.approx(phi_t + phi_s, rel=1e-12, abs=1e-12)
+    assert psi_ts == pytest.approx(psi_s, rel=1e-12, abs=1e-12)
 
 
 def test_explosion_boundary_by_ode_bisection(params):

@@ -137,7 +137,7 @@ def test_unknown_section_or_key_refused(old, new, named):
         parse_config(SMALL_COMPARE.replace(old, new))
 
 
-# command, (old, new) config edit, CLI flags
+# command, (old, new, ...) config edits made in turn, CLI flags
 RUN_AND_PRICING = "run = lmm-exact, fpm, mfm, affine\n\n[pricing]\nstrike_factors = 1.0"
 DOUBLE_EXP = "type = jump-double-exp\np_up = {p_up}\nalpha_pos = {alpha}\nalpha_neg = 7.0"
 UNRUNNABLE = {
@@ -169,6 +169,19 @@ UNRUNNABLE = {
     "p-up-negative": ("verify", ("type = jump-normal", DOUBLE_EXP.format(p_up=-0.1, alpha=9.0)), ()),
     "alpha-zero": ("verify", ("type = jump-normal", DOUBLE_EXP.format(p_up=0.45, alpha=0.0)), ()),
     "diffusion-c-negative": ("verify", ("diffusion_c = 0.4", "diffusion_c = -0.4"), ()),
+    # a negative flat rate for every model; a zero one where the market model runs
+    "flat-libor-negative-fpm": (
+        "price", ("flat_libor = 0.04", "flat_libor = -0.01", RUN_AND_PRICING, "run = fpm"), ()
+    ),
+    "flat-libor-negative-lmm": (
+        "compare", ("flat_libor = 0.04", "flat_libor = -0.01", RUN_AND_PRICING, "run = lmm-exact"), ()
+    ),
+    "flat-libor-zero-compare": (
+        "compare", ("flat_libor = 0.04", "flat_libor = 0.0", RUN_AND_PRICING, "run = lmm-exact, fpm"), ()
+    ),
+    "flat-libor-zero-verify": (
+        "verify", ("flat_libor = 0.04", "flat_libor = 0.0", RUN_AND_PRICING, "run = lmm-exact, affine"), ()
+    ),
 }
 
 
@@ -176,9 +189,12 @@ UNRUNNABLE = {
 def test_cli_refuses_values_it_cannot_run(tmp_path, capsys, case):
     # values that parse but cannot run stop at the config check with exit 2,
     # rather than run as something else, end in a traceback or exit 1
-    command, edit, flags = UNRUNNABLE[case]
+    command, edits, flags = UNRUNNABLE[case]
+    text, edits = VERIFY_ALL, edits or ()
+    for old, new in zip(edits[::2], edits[1::2]):
+        text = text.replace(old, new)
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(VERIFY_ALL.replace(*edit) if edit else VERIFY_ALL)
+    cfg_file.write_text(text)
     code = cli.main([command, str(cfg_file), "--out-dir", str(tmp_path / "out"), *flags])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
@@ -223,7 +239,7 @@ def configs(draw):
         mfm_sigma=draw(st.none() | FINITE),
     )
     if draw(st.booleans()):
-        values["flat_libor"] = draw(MODERATE if priced else FINITE)
+        values["flat_libor"] = draw(MODERATE if priced else POSITIVE)  # every model is lmm-*
     else:
         values["curve_file"] = os.path.abspath(__file__)  # only its existence is checked
     if strikes:
@@ -249,6 +265,13 @@ def configs(draw):
 @given(cfg=configs())
 def test_serialized_config_parses_back_equal(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_zero_flat_libor_is_refused_only_with_the_market_model():
+    text = VERIFY_ALL.replace("flat_libor = 0.04", "flat_libor = 0.0").replace(RUN_AND_PRICING, "run = fpm")
+    assert parse_config(text).flat_libor == 0.0
+    with pytest.raises(ConfigError, match="flat_libor must be >= 0, and > 0 with an lmm-"):
+        parse_config(text.replace("run = fpm", "run = fpm, lmm-frozen"))
 
 
 def test_every_committed_config_parses():

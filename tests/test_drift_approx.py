@@ -179,8 +179,8 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
             if grid[i] >= tenor.dates[k]:
                 continue
             rule = mdl.chars.jump_quadrature(48) if mdl.chars.has_jumps else None
-            w = forward_price_weights(state[None, :], DELTA)
-            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, rule)[0, k]
+            w = forward_price_weights(state[:, None], DELTA)
+            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, rule)[k, 0]
             assert table[i, k] == pytest.approx(direct, rel=1e-12)
 
 
@@ -191,7 +191,7 @@ def test_taylor_first_variation_starts_at_zero(model):
     frozen, taylor = _FrozenStep(model), _TaylorStep(model)
     table = taylor.interval(0, 0, lam)
     s, y = taylor.start(16)
-    assert y.shape == (16, 5) and np.all(y == 0.0)
+    assert y.T.shape == (16, 5) and np.all(y == 0.0)
     beta0 = np.broadcast_to(frozen.drift(s, None, lam, frozen.interval(0, 0, lam)), s.shape)
     assert np.allclose(taylor.drift(s, y, lam, table), beta0, rtol=1e-14, atol=0.0)
     dh = np.random.default_rng(9).normal(0.0, math.sqrt(0.125), 16)

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from liborlab import lmm
 from liborlab.config import parse_config
-from liborlab.drift_approx import picard_simulate, picard_tables_row, taylor_simulate
+from liborlab.drift_approx import (
+    frozen_drift_simulate,
+    picard_simulate,
+    picard_tables_row,
+    taylor_simulate,
+)
 from liborlab.errors import DomainError, LiborLabError, QuadratureError
 from liborlab.experiment import _LMM_SCHEMES, Context
 from liborlab.forward_price import FpmModel, simulate_fpm
@@ -63,8 +68,8 @@ def jumpy():
 def drift_of(state, s, k, chars, vols, quad_order=48):
     """Terminal-measure drift of log L(., T_k) at time s, as the kernel computes it."""
     rule = chars.jump_quadrature(quad_order) if chars.has_jumps else None
-    w = forward_price_weights(np.atleast_2d(state), DELTA)
-    return _drift_all(w, vols.row(s), chars, rule)[0, k]
+    w = forward_price_weights(np.atleast_2d(state).T, DELTA)
+    return _drift_all(w, vols.row(s), chars, rule)[k, 0]
 
 
 def test_jump_tilt_factor_reductions(tenor, jumpy):
@@ -343,7 +348,7 @@ def test_chosen_jump_order_matches_order_48(law, loading, tenor, curve):
     rng = np.random.default_rng(48)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(500, tenor.n))), DELTA)
     for lam_row in vols.values:
-        err = np.abs(_drift_all(w, lam_row, chars, chosen) - _drift_all(w, lam_row, chars, ref))
+        err = np.abs(_drift_all(w.T, lam_row, chars, chosen) - _drift_all(w.T, lam_row, chars, ref))
         assert np.max(err) <= 1e-13
 
 
@@ -387,8 +392,8 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
     rng = np.random.default_rng(n_paths)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(n_paths, 5))), DELTA)
     rule = jumpy.jump_quadrature(48)
-    whole = _drift_all(w, vols.values[0], jumpy, rule)
-    blocks = [_drift_all(w[lo : lo + size], vols.values[0], jumpy, rule) for lo in range(0, n_paths, size)]
+    whole = _drift_all(w.T, vols.values[0], jumpy, rule).T
+    blocks = [_drift_all(w[lo : lo + size].T, vols.values[0], jumpy, rule).T for lo in range(0, n_paths, size)]
     assert np.array_equal(whole, np.concatenate(blocks))
 
     grid = simulation_grid(tenor, 4)
@@ -413,6 +418,52 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
         assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
 
 
+def edge_vols(tenor, case):
+    if case == "zero-loadings":
+        return VolatilitySurface.flat(tenor, 0.0)
+    if case == "zeros-inside-rows":  # rows 0 and 2 end in a zero, row 1 starts at rate 4
+        columns = [[0.2], [0.0, 0.0], [0.15, 0.0, 0.2], [0.0, 0.1, 0.0, 0.2]]
+        return VolatilitySurface.from_columns(tenor, columns)
+    return VolatilitySurface.flat(tenor, 0.2)
+
+
+@pytest.mark.parametrize("block, n_paths", [(1, 203), (7, 203), (None, 4_099)])
+@pytest.mark.parametrize("case, n", [("n2", 2), ("zero-loadings", 5), ("zeros-inside-rows", 5)])
+def test_kernel_edge_shapes_do_not_depend_on_the_split(
+    monkeypatch, brownian, jumpy, case, n, block, n_paths
+):
+    # n = 2 leaves one live row and an empty tail sum on the last interval;
+    # zero loadings, everywhere or inside a row, are skipped by the live
+    # slice and by the jump loop.  Every scheme must give finite fixings and
+    # weights, the same bits for any block size and thread count
+    size = block or lmm._BLOCK_PATHS
+    tenor = TenorStructure(delta=DELTA, n=n)
+    curve, vols = InitialCurve.flat(tenor, 0.04), edge_vols(tenor, case)
+    grid = simulation_grid(tenor, 4)
+    runs = []
+    for chars in (brownian, jumpy):
+        driver = simulate_driver(chars, grid, n_paths, seed=5)
+        model = LmmModel(tenor, curve, vols, chars)
+        schemes = [simulate_exact, frozen_drift_simulate, taylor_simulate]
+        if not chars.has_jumps:
+            schemes.append(picard_simulate)
+        runs += [(scheme, model, driver) for scheme in schemes]
+        runs.append((simulate_fpm, FpmModel(tenor, curve, vols, chars), driver))
+
+    def run_all():
+        return [scheme(model, grid, n_paths, 5, driver=driver) for scheme, model, driver in runs]
+
+    monkeypatch.setattr(lmm, "_BLOCK_PATHS", n_paths)
+    monkeypatch.setattr(lmm, "_n_workers", lambda: 1)
+    reference = run_all()
+    monkeypatch.setattr(lmm, "_BLOCK_PATHS", size)
+    monkeypatch.setattr(lmm, "_n_workers", lambda: 2)
+    for ref, split in zip(reference, run_all()):
+        assert np.all(np.isfinite(ref.fixings)) and np.all(np.isfinite(ref.fixing_weights))
+        assert ref.fixings.tobytes() == split.fixings.tobytes()
+        assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     law=st.sampled_from([None, NormalJumps(-0.08, 0.25), DoubleExponentialJumps(0.45, 9.0, 7.0)]),
@@ -433,8 +484,8 @@ def test_live_columns_match_full_columns(law, loadings, c0, seed):
     rule = chars.jump_quadrature(8) if chars.has_jumps else None
     rng = np.random.default_rng(seed)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(7, n))), DELTA)
-    full = _drift_all(w, lam_row, chars, rule)
-    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:], lam_row[c0:], chars, rule).tobytes()
+    full = _drift_all(w.T, lam_row, chars, rule).T
+    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:].T, lam_row[c0:], chars, rule).T.tobytes()
     full_tables = picard_tables_row(w[0], lam_row, chars.diffusion_c)
     live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
     for whole, live in zip(full_tables, live_tables):
