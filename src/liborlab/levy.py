@@ -192,7 +192,7 @@ class LevyCharacteristics:
         """E[H_t]; the jump part is compensated, so only the drift remains."""
         return self.drift_b * t
 
-    def jump_quadrature(self, order: int = 48):
+    def jump_quadrature(self, order: int):
         """Probability-weighted nodes of the jump-size law."""
         if not self.has_jumps:
             return np.zeros(0), np.zeros(0)

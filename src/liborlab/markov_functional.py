@@ -26,6 +26,13 @@ and equating it with the Black digital quote yields the unique strike
 K(T_i, x*), which is the rate functional value L(T_i, T_i; x*).  The
 numeraire functional follows as 1 / ((1 + delta K) J_i).
 
+Every time-zero quote at T_i is one integral against the law phi of X_{T_i}:
+with L(T_i, T_i; x*) = K and I_r(x*) = int_{x*}^inf L(T_i, T_i; x)^r J_i phi dx,
+the digital is B(0, T_N) I_0(x*), the caplet delta B(0, T_N) (I_1 - K I_0)
+and the bond repricing B(0, T_N) I_0(-inf) = B(0, T_{i+1}).  Gauss-Legendre
+panels between the state nodes and closed-form Gaussian tails beyond them
+evaluate all three.
+
 State grids are Gauss-Hermite nodes scaled by sqrt(Sigma_{T_i}), clipped
 to ``_NODE_CLIP`` = 6 standard deviations: beyond the clip the
 digital targets collide at double precision and the recovered strikes
@@ -209,10 +216,6 @@ def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
     return math.exp(0.5 * b * b * var) * ndtr(-y if upper else y)
 
 
-def _gaussian_density(x, sd: float):
-    return np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-
-
 @dataclass
 class FunctionalGrid:
     """Calibrated rate and numeraire functionals at the tenor dates.
@@ -232,17 +235,12 @@ class FunctionalGrid:
     _rate_interp: list = field(default_factory=list, repr=False)
     _rho_interp: list = field(default_factory=list, repr=False)
     _j_interp: list = field(default_factory=list, repr=False)
-    _tails_cache: dict = field(default_factory=dict, repr=False)
+    _panels: dict = field(default_factory=dict, repr=False)  # date -> panel points, J phi
+    _tails_cache: dict = field(default_factory=dict, repr=False)  # (date, rate) -> tables
 
     @property
     def tenor(self) -> TenorStructure:
         return self.curve.tenor
-
-    def rate_value(self, i: int, x):
-        """L(T_i, T_i; x) with monotone-cubic interpolation between nodes."""
-        if self.deterministic:
-            return np.full_like(np.asarray(x, dtype=float), self.curve.libor(i))[()]
-        return self._rate_interp[i](x)
 
     def reciprocal_numeraire(self, i: int, x):
         """1 / B(T_i, T_N; x)."""
@@ -273,45 +271,71 @@ class FunctionalGrid:
         return (vals @ w / math.sqrt(math.pi))[()]
 
 
-def _tail_mass(grid: FunctionalGrid, i: int, c: float, upper: bool) -> float:
-    """int J_i(x) phi(x) dx over (c, inf) or (-inf, c), for c beyond the nodes.
+def _j_density(grid: FunctionalGrid, i: int, pts: np.ndarray) -> np.ndarray:
+    """J_i(x) phi(x) at an array of states, J_i by Gauss-Hermite."""
+    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
+    jv = np.asarray(grid.j_value(i, pts.reshape(-1))).reshape(pts.shape)
+    return jv * (np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)))
 
-    J_i ~ 1 + exp(a + b x) in each tail; a J_i that is 1 at the edge node
-    (rate-free) has a pure Gaussian tail on that side.
+
+def _tail_mass(grid: FunctionalGrid, i: int, c: float, upper: bool, rate: int = 0) -> float:
+    """int L_i^rate J_i phi dx over (c, inf) or (-inf, c), for c beyond the nodes.
+
+    In each tail L_i = exp(a' + b' x) and J_i = 1 + exp(a + b x), or J_i = 1
+    when the edge node is rate-free, so the integral is a sum of at most two
+    Gaussian exponential moments.
     """
     var = grid.driver.variance(grid.tenor.dates[i])
-    base = ndtr((-c if upper else c) / math.sqrt(var))
-    if grid.j_values[i][-1 if upper else 0] - 1.0 <= _TAIL_EPS:
-        return float(base)
-    a, b = grid._j_interp[i].tail_coeffs(upper)
-    return float(base + math.exp(a) * _gaussian_exp_tail(c, b, var, upper))
+    terms = [(0.0, 0.0)]
+    if grid.j_values[i][-1 if upper else 0] - 1.0 > _TAIL_EPS:
+        terms.append(grid._j_interp[i].tail_coeffs(upper))
+    if rate:
+        a_rate, b_rate = grid._rate_interp[i].tail_coeffs(upper)
+        terms = [(a + a_rate, b + b_rate) for a, b in terms]
+    return float(sum(math.exp(a) * _gaussian_exp_tail(c, b, var, upper) for a, b in terms))
 
 
-def _tail_integrals(grid: FunctionalGrid, i: int):
-    """T(x_m) = int_{x_m}^inf J_i(x) phi(x) dx per node, plus the total.
+def _tail_integrals(grid: FunctionalGrid, i: int, rate: int = 0):
+    """T(x_m) = int_{x_m}^inf L_i^rate J_i phi dx per node, plus the total.
 
-    Panels between consecutive nodes use Gauss-Legendre; the mass beyond
-    the node range is ``_tail_mass``.
+    Panels between consecutive nodes use Gauss-Legendre on J_i phi, kept per
+    date; the mass beyond the node range is ``_tail_mass``.  The rate-weighted
+    table is built on a date's first quote: calibration solves for L_i.
     """
-    if i in grid._tails_cache:
-        return grid._tails_cache[i]
+    if (i, rate) in grid._tails_cache:
+        return grid._tails_cache[i, rate]
     x = grid.x_nodes[i]
-    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
     y, w = _legendre(_PANEL_ORDER)
+    if i not in grid._panels:
+        half = 0.5 * (x[1:] - x[:-1])
+        pts = 0.5 * (x[:-1] + x[1:])[:, None] + half[:, None] * y  # (panels, order)
+        grid._panels[i] = pts, half, _j_density(grid, i, pts)
+    pts, half, jphi = grid._panels[i]
+    panels = (jphi * grid._rate_interp[i](pts) if rate else jphi) @ w * half
+    t_vals = _tail_mass(grid, i, x[-1], True, rate) + np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    grid._tails_cache[i, rate] = t_vals, t_vals[0] + _tail_mass(grid, i, x[0], False, rate)
+    return grid._tails_cache[i, rate]
 
-    mid = 0.5 * (x[:-1] + x[1:])
-    half = 0.5 * (x[1:] - x[:-1])
-    pts = mid[:, None] + half[:, None] * y  # (panels, order)
-    jv = np.asarray(grid.j_value(i, pts.reshape(-1))).reshape(pts.shape)
-    panels = (jv * _gaussian_density(pts, sd)) @ w * half
 
-    upper_tail = _tail_mass(grid, i, x[-1], True)
-    t_vals = np.empty(len(x))
-    t_vals[-1] = upper_tail
-    t_vals[:-1] = upper_tail + np.cumsum(panels[::-1])[::-1]
-    total = t_vals[0] + _tail_mass(grid, i, x[0], False)
-    grid._tails_cache[i] = (t_vals, total)
-    return t_vals, total
+def _upper_integral(grid: FunctionalGrid, i: int, x_star: float) -> np.ndarray:
+    """[I_0, I_1] with I_r = int_{x*}^inf L_i^r J_i phi dx.
+
+    For x* between nodes m and m + 1: the node table of ``_tail_integrals``
+    at m + 1 plus one partial panel [x*, x_{m+1}]; else the closed-form tails.
+    """
+    x = grid.x_nodes[i]
+    if x_star >= x[-1]:
+        return np.array([_tail_mass(grid, i, x_star, True, r) for r in (0, 1)])
+    if x_star <= x[0]:
+        return np.array([_tail_integrals(grid, i, r)[1] - _tail_mass(grid, i, x_star, False, r)
+                         for r in (0, 1)])
+    m = int(np.searchsorted(x, x_star, side="right")) - 1
+    y, w = _legendre(_PANEL_ORDER)
+    half = 0.5 * (x[m + 1] - x_star)
+    pts = 0.5 * (x_star + x[m + 1]) + half * y
+    jphi = _j_density(grid, i, pts) * w * half
+    tails = np.array([_tail_integrals(grid, i, r)[0][m + 1] for r in (0, 1)])
+    return tails + [np.sum(jphi), np.sum(jphi * grid._rate_interp[i](pts))]
 
 
 def calibrate_backward(
@@ -412,67 +436,27 @@ def calibrate_backward(
 
 
 def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
-    """Model value of the digital caplet 1_{L(T_i,T_i) > K} paid at T_{i+1}.
-
-    Inverts the calibrated rate functional for the state level x* and
-    integrates J_i against the Gaussian law beyond it; state levels past
-    the node range fall back to the tail form of J_i.
-    """
+    """Model value B(0, T_N) I_0(x*) of the digital 1_{L(T_i,T_i) > K} paid at T_{i+1}."""
     if grid.deterministic:
         pays = grid.curve.libor(i) > strike
         return grid.curve.bond(i + 1) if pays else 0.0
-    x_star = grid._rate_interp[i].inverse(strike)
-    x = grid.x_nodes[i]
-    tails, _ = _tail_integrals(grid, i)
-    bond_n = grid.curve.bond(grid.tenor.n)
-    if x_star >= x[-1]:
-        return bond_n * _tail_mass(grid, i, x_star, True)
-    if x_star <= x[0]:
-        return bond_n * (
-            tails[0] + _tail_mass(grid, i, x_star, False) - _tail_mass(grid, i, x[0], False)
-        )
-
-    m = int(np.searchsorted(x, x_star, side="right") - 1)
-    # exact tail at x_{m+1} plus the partial panel [x_star, x_{m+1}]
-    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
-    y, w = _legendre(_PANEL_ORDER)
-    mid = 0.5 * (x_star + x[m + 1])
-    half = 0.5 * (x[m + 1] - x_star)
-    pts = mid + half * y
-    jv = np.asarray(grid.j_value(i, pts))
-    partial = float(np.sum(jv * _gaussian_density(pts, sd) * w) * half)
-    return bond_n * (tails[m + 1] + partial)
+    i0, _ = _upper_integral(grid, i, grid._rate_interp[i].inverse(strike))
+    return grid.curve.bond(grid.tenor.n) * float(i0)
 
 
 def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     """Caplet value B(0,T_{i+1}) delta E^{T_{i+1}}[(L(T_i,T_i) - K)^+].
 
     Valued in the terminal numeraire: delta B(0,T_N) E[ (L(X) - K)^+ J_i(X) ],
-    integrating the smooth part beyond the exercise level x* by panels.
+    which is delta B(0,T_N) (I_1(x*) - K I_0(x*)) beyond the exercise level x*.
     """
     if grid.deterministic:
         intrinsic = max(grid.curve.libor(i) - strike, 0.0)
         return grid.curve.bond(i + 1) * grid.tenor.delta * intrinsic
     if strike <= 0.0:
         raise LiborLabError("caplet strike must be positive for the grid valuation")
-    x_star = grid._rate_interp[i].inverse(strike)
-    x = grid.x_nodes[i]
-    var = grid.driver.variance(grid.tenor.dates[i])
-    sd = math.sqrt(var)
-    lo = max(x_star, x[0])
-    hi = x[-1] + 2.0 * sd
-    if x_star >= hi:
-        return 0.0
-    y, w = _legendre(64)
-    edges = np.linspace(lo, hi, 33)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * y).reshape(-1)
-    rate = np.asarray(grid.rate_value(i, pts))
-    jv = np.asarray(grid.j_value(i, pts))
-    payoff = np.clip(rate - strike, 0.0, None) * jv * _gaussian_density(pts, sd)
-    value = float(np.sum(payoff.reshape(len(mid), -1) @ w * half))
-    return grid.curve.bond(grid.tenor.n) * grid.tenor.delta * value
+    i0, i1 = _upper_integral(grid, i, grid._rate_interp[i].inverse(strike))
+    return grid.curve.bond(grid.tenor.n) * grid.tenor.delta * float(i1 - strike * i0)
 
 
 def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:

@@ -438,6 +438,64 @@ def test_run_verify_fails_on_nan(monkeypatch, case):
     assert report.failed
 
 
+def test_zero_loadings_hold_a_deterministic_gap_to_round_off(monkeypatch):
+    # with zero loadings every fixing is L(0, T_k) up to round-off and its SE is
+    # 0: the martingale and structure lines pass, but a deterministic 1e-10 gap
+    # and a NaN fixing still fail
+    exact = experiment._LMM_SCHEMES["lmm-exact"]
+
+    def patched(poison):
+        def run(*args, **kwargs):
+            paths = exact(*args, **kwargs)
+            poison(paths.fixings)
+            return paths
+        return run
+
+    def shift(fixings):
+        fixings[:, 1] += 1e-10
+
+    def poison(fixings):
+        fixings[0, 2] = np.nan
+
+    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", patched(shift))
+    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-taylor", patched(poison))
+    cfg = parse_config(VERIFY_ALL.replace("flat = 0.15", "flat = 0.0").replace(
+        "run = lmm-exact, fpm, mfm, affine", "run = lmm-exact, lmm-frozen, lmm-taylor"))
+    report = run_verify(override(cfg, n_paths=500))
+    by_key = {(c.model, c.check): c for c in report.checks}
+    assert by_key[("lmm-exact", "martingale")].status == "PASS"
+    assert by_key[("lmm-exact", "structure")].status == "PASS"
+    for scheme in ("lmm-frozen", "lmm-taylor"):
+        line = by_key[(scheme, "martingale")]
+        assert line.status == "FAIL" and "inf SE" in line.detail
+    assert report.failed
+
+
+EDGE_VARIANTS = {
+    "zero-loadings": [("flat = 0.15", "flat = 0.0")],
+    "mfm-sigma-0": [("sigma = 0.2", "sigma = 0.0")],
+    "both": [("flat = 0.15", "flat = 0.0"), ("sigma = 0.2", "sigma = 0.0")],
+    "n-2": [("\nn = 5\n", "\nn = 2\n")],
+}
+
+
+@pytest.mark.parametrize("variant", list(EDGE_VARIANTS))
+def test_cli_edge_configs_run_without_nan(tmp_path, variant):
+    # zero loadings, a zero MFM driver and the shortest tenor: every command
+    # exits 0 and writes no nan or inf
+    text = (Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg").read_text()
+    for old, new in EDGE_VARIANTS[variant]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg_file = tmp_path / "edge.cfg"
+    cfg_file.write_text(text)
+    for command in ("compare", "verify", "price", "calibrate-mfm"):
+        out = tmp_path / command
+        assert cli.main([command, str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
+        for path in out.iterdir():
+            assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.I), (command, path.name)
+
+
 def test_run_price_writes_table(tmp_path):
     cfg = parse_config(VERIFY_ALL.replace("strike_factors = 1.0", "strikes = 0.05, 0.03"))
     rows = run_price(override(cfg, n_paths=2000), out_dir=str(tmp_path))

@@ -220,6 +220,60 @@ def test_caplet_value_against_black(curve, driver):
             assert got == pytest.approx(oracle, rel=2e-6, abs=1e-12)
 
 
+def _upper_integral_by_quad(grid, i, x_star, rate):
+    """int_{x*}^inf L_i^rate J_i phi dx by adaptive quadrature.
+
+    J_i is the Gauss-Hermite ``j_value`` on the node range and the date's
+    calibrated tail form past the end nodes, 1 beside a rate-free edge node.
+    """
+    x = grid.x_nodes[i]
+    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
+
+    def integrand(p):
+        if x[0] <= p <= x[-1]:
+            j = float(grid.j_value(i, p))
+        else:
+            rate_free = grid.j_values[i][0 if p < x[0] else -1] - 1.0 <= 1e-300
+            j = 1.0 if rate_free else float(grid._j_interp[i](p))
+        density = math.exp(-0.5 * (p / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        return float(grid._rate_interp[i](p)) ** rate * j * density
+
+    edges = [x_star, *x[x > x_star], max(x_star, x[-1]) + 40.0 * sd]
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("i", [1, 2, 4])
+@pytest.mark.parametrize("where", ["below", "between", "above"])
+def test_quotes_match_adaptive_quadrature(curve, driver, i, where):
+    # digital B_N I_0 and caplet delta B_N (I_1 - K I_0) against quad of the
+    # same integrals, for the exercise level below, inside and above the nodes
+    grid = calibrate_backward(curve, driver)
+    lv = grid.libor_values[i]
+    strike = {"below": 0.5 * lv[0], "between": 1.0001 * lv[len(lv) // 3],
+              "above": 2.0 * lv[-1]}[where]
+    x_star = grid._rate_interp[i].inverse(strike)
+    assert (x_star < grid.x_nodes[i][0], x_star > grid.x_nodes[i][-1]) == (
+        where == "below", where == "above")
+    i0, i1 = (_upper_integral_by_quad(grid, i, x_star, rate) for rate in (0, 1))
+    bond_n = curve.bond(5)
+    assert digital_value(grid, i, strike) == pytest.approx(bond_n * i0, rel=5e-9, abs=0.0)
+    assert caplet_value(grid, i, strike) == pytest.approx(
+        DELTA * bond_n * (i1 - strike * i0), rel=5e-9, abs=0.0)
+
+
+def test_a_later_caplet_reads_the_next_numeraire_on_one_panel(curve, driver):
+    # after a date's first quote its node tables are kept, so one more caplet
+    # evaluates rho_{i+1} only on its partial panel: 24 states x 64 Hermite nodes
+    grid = calibrate_backward(curve, driver)
+    i = 2
+    caplet_value(grid, i, curve.libor(i))
+    rho, sizes = grid._rho_interp[i + 1], []
+    grid._rho_interp[i + 1] = lambda x: sizes.append(np.size(x)) or rho(x)
+    caplet_value(grid, i, 1.1 * curve.libor(i))
+    assert 0 < sum(sizes) <= 24 * 64
+
+
 def test_calibration_rejects_bad_inputs(tenor, curve):
     with pytest.raises(CalibrationError):
         calibrate_backward(curve, MfmDriver(tenor, np.array([0.2, 0.0, 0.2, 0.2, 0.2])))
