@@ -306,7 +306,6 @@ def simulate_affine_paths(family: MartingaleFamily, n_paths: int, seed: int) -> 
 
     return LiborPathSet(
         tenor=tenor,
-        grid=grid,
         initial_libors=l0,
         fixings=fixings,
         fixing_weights=fixing_weights,

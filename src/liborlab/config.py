@@ -93,6 +93,8 @@ class ExperimentConfig:
         libor, lmm = self.flat_libor, any(m.startswith("lmm-") for m in self.models)
         if libor is not None and (libor < 0.0 or (libor == 0.0 and lmm)):
             raise ConfigError("flat_libor must be >= 0, and > 0 with an lmm-* model")
+        if self.steps_per_period < 4 and (lmm or "fpm" in self.models):
+            raise ConfigError("steps_per_period must be >= 4 with an lmm-* model or fpm")
         if self.driver_type not in DRIVER_TYPES:
             raise ConfigError(f"unknown driver type {self.driver_type!r}")
         if self.driver_type == "brownian" and self.jump_intensity != 0.0:

@@ -36,6 +36,7 @@ from .lmm import (
     _drift_all,
     _simulate_core,
     _Step,
+    _steps_per_period,
     forward_price_weights,
 )
 
@@ -174,10 +175,11 @@ def taylor_simulate(
 
 
 def frozen_drift_table(model: LmmModel, grid) -> np.ndarray:
-    """Deterministic drift beta0 per (step, rate) on the given grid."""
+    """Deterministic drift beta0 per (step, rate) on ``simulation_grid(tenor, m)``."""
+    m = _steps_per_period(model.tenor, np.asarray(grid, dtype=float))
     step, lam = _FrozenStep(model), model.vols.values
-    intervals = map(model.tenor.index_of, grid[:-1])
-    return np.array([step.interval(j, 0, lam[j])[:, 0] for j in intervals])
+    rows = [step.interval(j, 0, lam[j])[:, 0] for j in range(model.tenor.n - 1)]
+    return np.repeat(rows, m, axis=0)
 
 
 def frozen_drift_law(model: LmmModel, grid, k: int, t: float):
@@ -186,7 +188,7 @@ def frozen_drift_law(model: LmmModel, grid, k: int, t: float):
     Only defined for continuous drivers, where the scheme's log-rate is
     Gaussian:  mean = log L(0,T_k) + int_0^t beta0,  var = int_0^t lambda^2 c.
     Both integrals are sums over steps because the integrands are piecewise
-    constant on the grid.
+    constant on the grid; step i lies in tenor interval i // m.
     """
     if model.chars.has_jumps:
         raise UnsupportedSchemeError("closed-form law requires a continuous driver")
@@ -197,9 +199,8 @@ def frozen_drift_law(model: LmmModel, grid, k: int, t: float):
     stop = int(hits[0])
     table = frozen_drift_table(model, grid)
     dts = np.diff(grid)[:stop]
-    lam = np.array(
-        [model.vols.values[model.tenor.index_of(s), k] for s in grid[:stop]]
-    )
+    m = _steps_per_period(model.tenor, grid)
+    lam = np.repeat(model.vols.values[: model.tenor.n - 1, k], m)[:stop]
     mean = float(np.log(model.curve.libor(k)) + np.sum(table[:stop, k] * dts))
     var = float(model.chars.diffusion_c * np.sum(lam**2 * dts))
     return mean, var

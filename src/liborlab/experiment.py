@@ -21,7 +21,7 @@ import numpy as np
 from . import affine_libor, markov_functional
 from .affine import CirParams
 from .config import ExperimentConfig
-from .errors import ConfigError, LiborLabError
+from .errors import ConfigError, CurveError, LiborLabError
 from .drift_approx import frozen_drift_simulate, picard_simulate, taylor_simulate
 from .forward_price import FpmModel, caplet_price_fourier, negative_rate_fraction, simulate_fpm
 from .levy import DoubleExponentialJumps, LevyCharacteristics, NormalJumps, simulate_driver
@@ -64,10 +64,13 @@ class Context:
     def curve(self) -> InitialCurve:
         cfg = self.cfg
         if cfg.curve_file is not None:
-            curve = read_curve_file(cfg.curve_file)
+            try:
+                curve = read_curve_file(cfg.curve_file)
+            except CurveError as exc:
+                raise ConfigError(f"curve file {cfg.curve_file!r}: {exc}") from exc
             if curve.tenor.n != cfg.n or abs(curve.tenor.delta - cfg.delta) > 1e-12:
                 raise ConfigError("curve file tenor disagrees with the [tenor] block")
-            return curve
+            return InitialCurve(self.tenor, curve.bonds)  # T_k = k * delta of the config
         return InitialCurve.flat(self.tenor, cfg.flat_libor)
 
     @cached_property
@@ -262,22 +265,19 @@ def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
 
 def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
     paths = ctx.simulate("fpm")
-    fpm, grid = ctx.fpm, ctx.grid
+    fpm, m = ctx.fpm, ctx.cfg.steps_per_period
     frac = negative_rate_fraction(paths)
     note = " (reported, not a failure)" if frac else ""
     report.add("fpm", "positivity", True, f"negative fixing fraction {frac:.4f}{note}",
                witness=frac > 0.0)
     _martingale_line(report, "fpm", paths)
     # structure: the log density against the terminal measure minus the loaded
-    # driver integral must be the same constant on every path.
+    # driver integral must be the same constant on every path; the k * m
+    # steps before T_k lie in intervals 0 .. k - 1, m steps each.
     dh = ctx.driver.increments(fpm.chars)
     spreads = []
     for k in range(1, ctx.cfg.n - 1):
-        steps = np.searchsorted(grid, fpm.tenor.dates[k], side="left")
-        tail_vals = np.array(
-            [fpm.loading_tails[fpm.tenor.index_of(grid[i]), k + 1] for i in range(steps)]
-        )
-        stoch = tail_vals @ dh[:steps]
+        stoch = np.repeat(fpm.loading_tails[:k, k + 1], m) @ dh[: k * m]
         resid = np.log(paths.fixing_weights[:, k]) - stoch
         spreads.append(np.max(resid) - np.min(resid))
     spread = _worst(spreads)

@@ -219,10 +219,6 @@ class DriverPathSet:
         return self.dw.shape[1]
 
     @property
-    def n_steps(self) -> int:
-        return self.dw.shape[0]
-
-    @property
     def dts(self) -> np.ndarray:
         return np.diff(self.grid)
 

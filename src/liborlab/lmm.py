@@ -19,9 +19,12 @@ subsequent rates, which is exactly why the driver's structure is not
 preserved under the intermediate forward measures.
 
 Simulation is a log-Euler scheme with predictable (left-endpoint) drift
-evaluation on a grid that refines the tenor dates, so the piecewise-constant
-loadings are integrated exactly and only the state dependence of the drift
-is discretized.  Radon-Nikodym weights against the terminal measure follow
+evaluation on ``simulation_grid(tenor, m)``: the tenor dates T_0 .. T_{N-1},
+each period cut into a whole number m >= 4 of equal steps, so the
+piecewise-constant loadings are integrated exactly and only the state
+dependence of the drift is discretized.  Step i lies in tenor interval
+i // m, and grid point i is tenor date i / m when m divides i; no other
+grid is accepted.  Radon-Nikodym weights against the terminal measure follow
 pathwise from the product of forward prices and are recorded at each rate's
 fixing date.
 """
@@ -41,8 +44,6 @@ from .levy import DriverPathSet, LevyCharacteristics, simulate_driver
 from .tenor import InitialCurve, TenorStructure
 from .volatility import VolatilitySurface
 
-_STEP_RTOL = 1e-9
-_GRID_ATOL = 1e-10
 _BLOCK_PATHS = 4096  # paths per block of the simulation kernel
 _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256)  # jump-drift quadrature orders tried
 
@@ -210,7 +211,6 @@ class LiborPathSet:
     """
 
     tenor: TenorStructure
-    grid: np.ndarray = field(repr=False)
     initial_libors: np.ndarray = field(repr=False)
     fixings: np.ndarray = field(repr=False)
     fixing_weights: np.ndarray = field(repr=False)
@@ -241,49 +241,30 @@ class LiborPathSet:
         return np.prod(ratios, axis=1)
 
     def min_rate(self) -> float:
-        """Smallest stored rate; ignores fixings beyond the simulated horizon.
-
-        A NaN rate anywhere else makes the result NaN, so it fails every
-        positivity test.
-        """
-        dates = np.asarray(self.tenor.dates[: self.tenor.n])
-        reached = int(np.sum(dates <= self.grid[-1] + _GRID_ATOL))
-        vals = [np.min(self.fixings[:, :reached])]
+        """Smallest stored rate; a NaN rate makes it NaN, so it fails every positivity test."""
+        vals = [np.min(self.fixings)]
         if self.date_values is not None:
             vals.append(np.min(self.date_values))
         return float(np.min(vals))
 
 
-def simulation_grid(
-    tenor: TenorStructure, steps_per_period: int = 4, horizon: Optional[float] = None
-) -> np.ndarray:
-    """Uniform refinement of the tenor dates by ``steps_per_period``.
+def simulation_grid(tenor: TenorStructure, steps_per_period: int = 4) -> np.ndarray:
+    """T_0 .. T_{N-1}, each period cut into ``steps_per_period`` >= 4 equal steps.
 
-    The default horizon is T_{N-1}, after which every modeled rate is fixed.
+    The only grid the simulators accept; after T_{N-1} every rate is fixed.
     """
-    if steps_per_period < 1:
-        raise LiborLabError("steps_per_period must be >= 1")
-    if horizon is None:
-        horizon = tenor.dates[tenor.n - 1]
-    n_periods = int(round(horizon / tenor.delta))
-    if abs(n_periods * tenor.delta - horizon) > _GRID_ATOL:
-        raise LiborLabError("horizon must be a tenor date")
-    return np.linspace(0.0, horizon, n_periods * steps_per_period + 1)
+    if steps_per_period < 4:
+        raise LiborLabError(f"steps_per_period must be >= 4, got {steps_per_period}")
+    n_periods = tenor.n - 1
+    return np.linspace(0.0, tenor.dates[n_periods], n_periods * steps_per_period + 1)
 
 
-def _check_grid(tenor: TenorStructure, grid: np.ndarray) -> None:
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or grid[0] != 0.0:
-        raise LiborLabError("simulation grid must start at 0 and hold at least one step")
-    max_step = float(np.max(np.diff(grid)))
-    if max_step > tenor.delta / 4.0 * (1.0 + _STEP_RTOL):
-        raise LiborLabError(
-            f"step {max_step} violates the delta/4 = {tenor.delta / 4.0} bound"
-        )
-    covered = [t for t in tenor.dates if t <= grid[-1] + _GRID_ATOL]
-    for t in covered:
-        if not np.any(np.abs(grid - t) <= _GRID_ATOL):
-            raise LiborLabError(f"grid must contain tenor date {t}")
+def _steps_per_period(tenor: TenorStructure, grid: np.ndarray) -> int:
+    """m of a grid ``simulation_grid(tenor, m)``; any other grid raises."""
+    m = (len(grid) - 1) // max(tenor.n - 1, 1)
+    if m < 4 or not np.array_equal(grid, simulation_grid(tenor, m)):
+        raise LiborLabError("the simulation grid must be simulation_grid(tenor, m) with m >= 4")
+    return m
 
 
 class _Step:
@@ -375,10 +356,10 @@ def _simulate_core(
     results do not depend on the block size or the number of threads.
     """
     grid = np.asarray(grid, dtype=float)
-    _check_grid(model.tenor, grid)
+    m = _steps_per_period(model.tenor, grid)
     if driver is None:
         driver = simulate_driver(model.chars, grid, n_paths, seed)
-    elif driver.n_steps != len(grid) - 1 or not np.allclose(driver.grid, grid):
+    elif not np.array_equal(driver.grid, grid):
         raise LiborLabError("driver path set does not match the simulation grid")
     n_paths = driver.n_paths
 
@@ -387,33 +368,24 @@ def _simulate_core(
     delta = tenor.delta
     l0 = np.asarray(model.curve.libors)
     dts = driver.dts
-    intervals = [tenor.index_of(t) for t in grid[:-1]]
-    lam = model.vols.values
-    live = {j: int(np.argmax(lam[j] != 0.0)) for j in set(intervals)}  # c0; 0 if none
-    tables = {j: step.interval(j, c0, lam[j, c0:]) for j, c0 in live.items()}
+    lam = model.vols.values[: n - 1]  # the grid ends at T_{N-1}
+    live = [int(np.argmax(row != 0.0)) for row in lam]  # c0 of each interval; 0 if none
+    tables = [step.interval(j, c0, lam[j, c0:]) for j, c0 in enumerate(live)]
 
     # column-major, so each rate's fixings and weights are one contiguous column
     fixings = np.full((n_paths, n), np.nan, order="F")  # nan until the fixing date
     fixings[:, 0] = l0[0]
     fixing_weights = np.ones((n_paths, n), order="F")
-
-    date_idx = {}
-    for d, t in enumerate(tenor.dates):
-        hits = np.nonzero(np.abs(grid - t) <= _GRID_ATOL)[0]
-        if hits.size:
-            date_idx[int(hits[0])] = d
-    n_dates = max(date_idx.values()) + 1
-
-    date_values = np.empty((n_paths, n_dates, n)) if store_dates else None
+    date_values = np.empty((n_paths, n, n)) if store_dates else None  # at T_0 .. T_{N-1}
 
     def record(rows: slice, state, i_grid: int):
-        d = date_idx.get(i_grid)
-        if d is None:
+        d, r = divmod(i_grid, m)
+        if r:
             return
         libors = step.rate(state)
         if store_dates:
             date_values[rows, d, :] = libors.T
-        if 1 <= d <= n - 1:
+        if d >= 1:
             fixings[rows, d] = libors[d]
             forward = step.forward_price(state[d + 1 : n], libors[d + 1 : n])
             fixing_weights[rows, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n, None]), axis=0)
@@ -425,7 +397,8 @@ def _simulate_core(
         dh = block.increments(model.chars)
         state, aux = step.start(block.n_paths)
         record(rows, state, 0)
-        for i, j in enumerate(intervals):
+        for i in range(len(dts)):
+            j = i // m
             c0 = live[j]
             lam_row, s = lam[j, c0:], state[c0:]
             a = None if aux is None else aux[c0:]
@@ -438,7 +411,6 @@ def _simulate_core(
 
     return LiborPathSet(
         tenor=tenor,
-        grid=grid,
         initial_libors=l0,
         fixings=fixings,
         fixing_weights=fixing_weights,

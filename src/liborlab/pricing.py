@@ -135,7 +135,7 @@ def mc_caplet(
     if not 1 <= k <= n - 1:
         raise LiborLabError(f"caplet index {k} outside 1..{n - 1}")
     if np.isnan(paths.fixings[:, k]).any():
-        raise LiborLabError(f"paths do not cover the fixing date of rate {k}")
+        raise LiborLabError(f"fixing of rate {k} is NaN on some path")
     payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]
     mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
     scale = curve.bond(k + 1) * paths.delta

@@ -38,29 +38,14 @@ class TenorStructure:
 
     delta: float
     n: int
-    dates: tuple = field(default=None)
+    dates: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # NaN too
             raise CurveError(f"tenor spacing must be positive, got {self.delta}")
         if self.n < 1:
             raise CurveError(f"need at least one accrual period, got n={self.n}")
-        if self.dates is None:
-            object.__setattr__(
-                self, "dates", tuple(k * self.delta for k in range(self.n + 1))
-            )
-        dates = np.asarray(self.dates, dtype=float)
-        if len(dates) != self.n + 1:
-            raise CurveError(
-                f"expected {self.n + 1} dates for n={self.n}, got {len(dates)}"
-            )
-        if dates[0] != 0.0:
-            raise CurveError(f"tenor structure must start at 0, got T_0={dates[0]}")
-        gaps = np.diff(dates)
-        if np.any(gaps <= 0.0):
-            raise CurveError("tenor dates must be strictly increasing")
-        if np.any(np.abs(gaps - self.delta) > _SPACING_RTOL * self.delta):
-            raise CurveError("tenor dates must be equally spaced by delta")
+        object.__setattr__(self, "dates", tuple(k * self.delta for k in range(self.n + 1)))
 
     @property
     def horizon(self) -> float:
@@ -75,8 +60,8 @@ class TenorStructure:
     def index_of(self, t: float) -> int:
         """Index j of the interval [T_j, T_{j+1}) containing t (t < T_N).
 
-        Times within 1e-9 periods below a tenor date count as that date,
-        matching the grid-matching tolerance of the simulators.
+        Times within 1e-9 periods below a tenor date count as that date, so
+        a date computed in floating point reads the interval it starts.
         """
         j = int(np.floor(t / self.delta + 1e-9))
         return min(max(j, 0), self.n - 1)
@@ -100,7 +85,7 @@ class InitialCurve:
             raise CurveError(
                 f"expected {self.tenor.n + 1} bond prices, got {len(bonds)}"
             )
-        if np.any(bonds <= 0.0) or np.any(bonds > 1.0):
+        if not np.all((bonds > 0.0) & (bonds <= 1.0)):  # NaN too
             raise CurveError("bond prices must lie in (0, 1]")
         if np.any(np.diff(bonds) > 0.0):
             raise CurveError(
@@ -150,7 +135,10 @@ class InitialCurve:
 
 
 def read_curve_file(path) -> InitialCurve:
-    """Read a curve file with one ``T_k,B(0,T_k)`` line per tenor date."""
+    """Read a curve file with one ``T_k,B(0,T_k)`` line per tenor date.
+
+    delta is T_1 - T_0, and every T_k must be k * delta within 1e-12 delta.
+    """
     dates = []
     bonds = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -158,13 +146,15 @@ def read_curve_file(path) -> InitialCurve:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise CurveError(f"malformed curve line: {raw!r}")
-            dates.append(float(parts[0]))
-            bonds.append(float(parts[1]))
+            try:
+                date, bond = map(float, line.split(","))
+            except ValueError:
+                raise CurveError(f"malformed curve line: {raw!r}") from None
+            dates.append(date)
+            bonds.append(bond)
     if len(dates) < 2:
         raise CurveError("curve file needs at least two tenor dates")
-    delta = dates[1] - dates[0]
-    tenor = TenorStructure(delta=delta, n=len(dates) - 1, dates=tuple(dates))
+    tenor = TenorStructure(delta=dates[1] - dates[0], n=len(dates) - 1)
+    if not np.all(np.abs(np.subtract(dates, tenor.dates)) <= _SPACING_RTOL * tenor.delta):
+        raise CurveError("curve file dates must be 0, delta, 2 delta, ... (equally spaced from 0)")
     return InitialCurve.from_bonds(tenor, bonds)

@@ -182,6 +182,11 @@ UNRUNNABLE = {
     "flat-libor-zero-verify": (
         "verify", ("flat_libor = 0.04", "flat_libor = 0.0", RUN_AND_PRICING, "run = lmm-exact, affine"), ()
     ),
+    # steps longer than delta / 4 where the market model or the FPM simulates
+    "steps-per-period-2-lmm": ("verify", ("steps_per_period = 4", "steps_per_period = 2"), ()),
+    "steps-per-period-3-fpm": (
+        "price", ("steps_per_period = 4", "steps_per_period = 3", RUN_AND_PRICING, "run = fpm"), ()
+    ),
 }
 
 
@@ -219,6 +224,8 @@ def configs(draw):
     models = tuple(draw(st.lists(st.sampled_from(models), min_size=1, unique=True)))
     # mfm, affine and fpm value only strikes above a floor; positive ones clear all three
     priced = bool({"mfm", "affine", "fpm"} & set(models))
+    # the market model and the FPM step at most delta / 4
+    simulated = any(m.startswith("lmm-") or m == "fpm" for m in models)
     antithetic = draw(st.booleans())
     vol_rows = tuple(draw(st.lists(FLOAT_LISTS, max_size=4)))
     strikes = draw(st.sampled_from(["strikes", "strike_factors", None]))
@@ -228,7 +235,7 @@ def configs(draw):
         delta=draw(POSITIVE),
         n=draw(st.integers(2, 12)),
         models=models,
-        steps_per_period=draw(st.integers(1, 8)),
+        steps_per_period=draw(st.integers(4 if simulated else 1, 8)),
         out_dir=draw(st.text("abcxyz019_./-", min_size=1, max_size=12)),
         quad_order=draw(st.integers(2, 128)),
         driver_type=driver_type,
@@ -653,6 +660,45 @@ def test_cli_curve_file_beside_config(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "mout" / "mfm_grid.csv").exists()
+
+
+def _curve_file_config(tmp_path, delta, lines):
+    (tmp_path / "curve.txt").write_text("".join(line + "\n" for line in lines))
+    text = VERIFY_ALL.replace("flat_libor = 0.04", "file = curve.txt")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(text.replace("delta = 0.5", f"delta = {delta}"))
+    return cfg_file
+
+
+@pytest.mark.parametrize("command", ["verify", "price"])
+def test_cli_reads_a_curve_file_with_decimal_dates(tmp_path, command):
+    # 0.3 in the file is not 3 * 0.1 in floating point; the models still get
+    # the config's tenor T_k = k * delta
+    bonds = np.cumprod([1.0] + [1.0 / 1.004] * 4).tolist()  # flat 4% at delta = 0.1
+    dates = ["0.0", "0.1", "0.2", "0.3", "0.4"]
+    cfg_file = _curve_file_config(tmp_path, 0.1, [f"{t},{b!r}" for t, b in zip(dates, bonds)])
+    code = cli.main([command, str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+
+
+BAD_CURVE_FILES = {
+    "three-fields": ["0.0,1.0", "0.5,0.98,1", "1.0,0.96", "1.5,0.94", "2.0,0.92"],
+    "not-a-number": ["0.0,1.0", "0.5,abc", "1.0,0.96", "1.5,0.94", "2.0,0.92"],
+    "bond-above-one": ["0.0,1.0", "0.5,1.01", "1.0,0.96", "1.5,0.94", "2.0,0.92"],
+    "bond-nan": ["0.0,1.0", "0.5,nan", "1.0,0.96", "1.5,0.94", "2.0,0.92"],
+    "dates-not-k-delta": ["0.0,1.0", "0.5,0.98", "1.2,0.96", "1.5,0.94", "2.0,0.92"],
+    "dates-not-from-zero": ["0.1,1.0", "0.6,0.98", "1.1,0.96", "1.6,0.94", "2.1,0.92"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CURVE_FILES))
+def test_cli_refuses_a_malformed_curve_file(tmp_path, capsys, case):
+    # a curve file the models cannot use is a config error (exit 2), not an
+    # invariant failure or a traceback
+    cfg_file = _curve_file_config(tmp_path, 0.5, BAD_CURVE_FILES[case])
+    code = cli.main(["price", str(cfg_file), "--paths", "200", "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: curve file")
 
 
 def test_fpm_caplet_table(tmp_path):

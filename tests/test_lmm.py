@@ -250,6 +250,19 @@ def test_grid_validation(tenor, curve, vols, brownian):
     no_t3 = np.concatenate([np.linspace(0.0, 1.4, 29), np.linspace(1.43, 2.0, 30)])
     with pytest.raises(LiborLabError):
         simulate_exact(model, no_t3, 10, seed=1)  # misses the 1.5 tenor date
+    # only simulation_grid(tenor, m) with m >= 4 runs: T_0 .. T_{N-1} = 2.0
+    nudged = simulation_grid(tenor, 4).copy()
+    nudged[3] = np.nextafter(nudged[3], 1.0)
+    for grid in (
+        np.linspace(0.0, 2.0, 13),  # 3 steps per period
+        simulation_grid(tenor, 4)[:9],  # stops at T_2
+        np.linspace(0.0, 2.5, 21),  # runs on to T_N
+        nudged,
+    ):
+        with pytest.raises(LiborLabError, match="simulation_grid"):
+            simulate_exact(model, grid, 10, seed=1)
+    with pytest.raises(LiborLabError):
+        simulation_grid(tenor, 3)
 
 
 def test_loading_exceeding_moment_bound_rejected(tenor, curve):
@@ -276,17 +289,17 @@ def test_weights_formula():
     assert w[1] == pytest.approx(0.02 / 1.02, rel=1e-15)
 
 
-def test_partial_horizon_marks_unreached_fixings(tenor, curve, vols, brownian):
+def test_mc_caplet_refuses_a_nan_fixing(tenor, curve, vols, brownian):
     from liborlab.pricing import mc_caplet
 
     model = LmmModel(tenor, curve, vols, brownian)
-    grid = simulation_grid(tenor, 4, horizon=1.0)  # covers fixings of k <= 2
-    paths = simulate_exact(model, grid, 32, seed=6)
-    assert not np.isnan(paths.fixings[:, 2]).any()
-    assert np.isnan(paths.fixings[:, 3]).all()
-    assert paths.min_rate() > 0.0
-    with pytest.raises(LiborLabError):
+    paths = simulate_exact(model, simulation_grid(tenor, 4), 32, seed=6)
+    assert not np.isnan(paths.fixings).any()  # the grid reaches every fixing date
+    assert mc_caplet(paths, 3, 0.04, curve).price > 0.0
+    paths.fixings[5, 3] = np.nan
+    with pytest.raises(LiborLabError, match="NaN"):
         mc_caplet(paths, 3, 0.04, curve)
+    assert np.isfinite(mc_caplet(paths, 2, 0.04, curve).price)  # other rates still quote
 
 
 @pytest.mark.parametrize("scheme", [*_LMM_SCHEMES, "lmm-picard0", "fpm"])
@@ -354,8 +367,8 @@ def test_chosen_jump_order_matches_order_48(law, loading, tenor, curve):
 
 def test_min_rate_does_not_hide_nan(tenor, curve, vols, brownian):
     model = LmmModel(tenor, curve, vols, brownian)
-    paths = simulate_exact(model, simulation_grid(tenor, 4, horizon=1.0), 32, seed=6)
-    assert paths.min_rate() > 0.0  # fixings past the horizon are ignored
+    paths = simulate_exact(model, simulation_grid(tenor, 4), 32, seed=6)
+    assert paths.min_rate() > 0.0
     paths.fixings[5, 2] = np.nan
     assert np.isnan(paths.min_rate())
 

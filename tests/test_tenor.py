@@ -19,13 +19,17 @@ def test_tenor_dates_regular(tenor):
     assert list(tenor.rate_indices) == [1, 2, 3, 4]
 
 
-def test_tenor_rejects_irregular_spacing():
-    with pytest.raises(CurveError):
-        TenorStructure(delta=0.5, n=2, dates=(0.0, 0.5, 1.2))
-    with pytest.raises(CurveError):
-        TenorStructure(delta=0.5, n=2, dates=(0.1, 0.6, 1.1))
+def test_curve_file_rejects_irregular_spacing(tmp_path):
+    # the dates of a curve file must be k * delta, with delta = T_1 - T_0
+    for dates in ((0.0, 0.5, 1.2), (0.1, 0.6, 1.1), (0.0, 0.5, 0.4), (0.0, 0.5, float("nan"))):
+        path = tmp_path / "curve.txt"
+        path.write_text("".join(f"{t!r},{b!r}\n" for t, b in zip(dates, (1.0, 0.98, 0.96))))
+        with pytest.raises(CurveError):
+            read_curve_file(path)
     with pytest.raises(CurveError):
         TenorStructure(delta=-0.5, n=2)
+    with pytest.raises(CurveError):
+        TenorStructure(delta=float("nan"), n=2)
 
 
 def test_flat_curve_zero_rate_bonds(tenor):
@@ -102,8 +106,7 @@ def _path_set_at_dates(tenor, curve, date_values):
     # a path set whose only content is hand-made rate snapshots at tenor dates
     n_paths = date_values.shape[0]
     return LiborPathSet(
-        tenor=tenor, grid=np.asarray(tenor.dates),
-        initial_libors=curve.libors, fixings=np.zeros((n_paths, tenor.n)),
+        tenor=tenor, initial_libors=curve.libors, fixings=np.zeros((n_paths, tenor.n)),
         fixing_weights=np.ones((n_paths, tenor.n)), date_values=date_values,
     )
 
