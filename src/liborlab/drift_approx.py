@@ -36,7 +36,6 @@ from .lmm import (
     _drift_all,
     _simulate_core,
     _Step,
-    _steps_per_period,
     forward_price_weights,
 )
 
@@ -174,33 +173,21 @@ def taylor_simulate(
     return _simulate_core(model, grid, n_paths, seed, _TaylorStep(model), driver, store_dates)
 
 
-def frozen_drift_table(model: LmmModel, grid) -> np.ndarray:
-    """Deterministic drift beta0 per (step, rate) on ``simulation_grid(tenor, m)``."""
-    m = _steps_per_period(model.tenor, np.asarray(grid, dtype=float))
-    step, lam = _FrozenStep(model), model.vols.values
-    rows = [step.interval(j, 0, lam[j])[:, 0] for j in range(model.tenor.n - 1)]
-    return np.repeat(rows, m, axis=0)
-
-
-def frozen_drift_law(model: LmmModel, grid, k: int, t: float):
-    """Mean and variance of log L(t, T_k) under the frozen-drift scheme.
+def frozen_drift_law(model: LmmModel, k: int, d: int):
+    """Mean and variance of log L(T_d, T_k) under the frozen-drift scheme.
 
     Only defined for continuous drivers, where the scheme's log-rate is
-    Gaussian:  mean = log L(0,T_k) + int_0^t beta0,  var = int_0^t lambda^2 c.
-    Both integrals are sums over steps because the integrands are piecewise
-    constant on the grid; step i lies in tenor interval i // m.
+    Gaussian:  mean = log L(0,T_k) + int_0^{T_d} beta0,  var = int_0^{T_d} lambda^2 c.
+    Both integrands are constant on each tenor interval, so the integrals
+    are sums over the intervals j < d, for d in 0..N-1.
     """
     if model.chars.has_jumps:
         raise UnsupportedSchemeError("closed-form law requires a continuous driver")
-    grid = np.asarray(grid, dtype=float)
-    hits = np.nonzero(np.abs(grid - t) <= 1e-10)[0]
-    if not hits.size:
-        raise LiborLabError(f"time {t} is not a grid point")
-    stop = int(hits[0])
-    table = frozen_drift_table(model, grid)
-    dts = np.diff(grid)[:stop]
-    m = _steps_per_period(model.tenor, grid)
-    lam = np.repeat(model.vols.values[: model.tenor.n - 1, k], m)[:stop]
-    mean = float(np.log(model.curve.libor(k)) + np.sum(table[:stop, k] * dts))
-    var = float(model.chars.diffusion_c * np.sum(lam**2 * dts))
+    if not 0 <= d < model.tenor.n:
+        raise LiborLabError(f"date index {d} outside 0..{model.tenor.n - 1}")
+    log_l0 = np.log(model.curve.libor(k))  # refuses k outside 0..N-1
+    step, lam = _FrozenStep(model), model.vols.values[:d]
+    beta0 = sum(step.interval(j, 0, lam[j])[k, 0] for j in range(d))
+    mean = float(log_l0 + beta0 * model.delta)
+    var = float(model.chars.diffusion_c * np.sum(lam[:, k] ** 2) * model.delta)
     return mean, var

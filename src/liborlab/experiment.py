@@ -249,16 +249,14 @@ def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
         _martingale_line(report, name, paths)
         del paths  # one path set at a time
 
-    # structure witness: the measure-change data of rate 1 depends on the later
-    # rates at T_1 through their loadings; with all of them zero, nothing to witness
+    # structure witness: rate 1's measure-change data at T_1 depends on the later
+    # rates through their loadings on [T_1, T_2); all of them zero: nothing to witness
     lmm = ctx.lmm
-    shift, factor = forward_measure_characteristics(
-        at_t1, lmm.tenor.dates[1], 1, lmm.chars, lmm.vols, lmm.delta
-    )
+    shift, factor = forward_measure_characteristics(at_t1, 1, 1, lmm.chars, lmm.vols, lmm.delta)
     jumps = lmm.chars.has_jumps
     witness = float(np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12)) if jumps else shift))
     label = "compensator factor" if jumps else "Brownian shift"
-    report.add(models[0], "structure", not np.any(lmm.vols.row(lmm.tenor.dates[1])[2:]),
+    report.add(models[0], "structure", not np.any(lmm.vols.values[1, 2:]),
                f"forward-measure {label} variance {witness:.3e} (> 0: structure not preserved)",
                witness=witness > 0.0)
 

@@ -170,7 +170,7 @@ class LmmModel:
 
 def forward_measure_characteristics(
     state,
-    s: float,
+    j: int,
     k: int,
     chars: LevyCharacteristics,
     vols: VolatilitySurface,
@@ -179,14 +179,19 @@ def forward_measure_characteristics(
     """Girsanov data of the driver under the forward measure of T_{k+1}.
 
     Returns the Brownian drift shift ``sqrt(c) * sum_{l>k} w_l lambda_l`` and
-    the jump-compensator factor ``x -> prod_{l>k} gamma_l(x)``.  Both depend
-    on the subsequent rates, i.e. the change of measure is state dependent.
+    the jump-compensator factor ``x -> prod_{l>k} gamma_l(x)`` on the tenor
+    interval [T_j, T_{j+1}), whose loadings are ``vols.values[j]``; j and k
+    lie in 0..N-1.  Both depend on the subsequent rates, i.e. the change of
+    measure is state dependent.
     ``state`` holds the rates of one path, shape (N,), or of many, shape
     (paths, N); the shift and the factor at a scalar x then have one value
     per path.
     """
+    n = vols.tenor.n
+    if not (0 <= j < n and 0 <= k < n):
+        raise LiborLabError(f"interval index {j} or rate index {k} outside 0..{n - 1}")
     state = np.asarray(state, dtype=float)
-    lam_row = vols.row(s)
+    lam_row = vols.values[j]
     w = forward_price_weights(state, delta)
     shift = math.sqrt(chars.diffusion_c) * np.sum(w[..., k + 1 :] * lam_row[k + 1 :], axis=-1)
 
@@ -226,17 +231,19 @@ class LiborPathSet:
         return self.tenor.delta
 
     def density_weight(self, date_index: int, measure_index: int) -> np.ndarray:
-        """Normalized dP_{T_m}/dP_{T_N} per path at tenor date T_d.
+        """Normalized dP_{T_m}/dP_{T_N} per path at tenor date T_d, d in 0..N-1.
 
         Requires tenor-date snapshots.  The weight is the forward-price
         ratio prod_{l=m}^{N-1} (1 + delta L(T_d, T_l)) / (1 + delta L(0, T_l)).
         """
         if self.date_values is None:
             raise LiborLabError("path set was simulated without tenor-date snapshots")
-        m, n = measure_index, self.tenor.n
+        d, m, n = date_index, measure_index, self.tenor.n
+        if not 0 <= d < n:
+            raise LiborLabError(f"date index {d} outside 0..{n - 1}")
         if not 1 <= m <= n:
             raise LiborLabError(f"measure index {m} outside 1..{n}")
-        state = self.date_values[:, date_index, m:n]
+        state = self.date_values[:, d, m:n]
         ratios = (1.0 + self.delta * state) / (1.0 + self.delta * self.initial_libors[m:n])
         return np.prod(ratios, axis=1)
 
@@ -257,14 +264,6 @@ def simulation_grid(tenor: TenorStructure, steps_per_period: int = 4) -> np.ndar
         raise LiborLabError(f"steps_per_period must be >= 4, got {steps_per_period}")
     n_periods = tenor.n - 1
     return np.linspace(0.0, tenor.dates[n_periods], n_periods * steps_per_period + 1)
-
-
-def _steps_per_period(tenor: TenorStructure, grid: np.ndarray) -> int:
-    """m of a grid ``simulation_grid(tenor, m)``; any other grid raises."""
-    m = (len(grid) - 1) // max(tenor.n - 1, 1)
-    if m < 4 or not np.array_equal(grid, simulation_grid(tenor, m)):
-        raise LiborLabError("the simulation grid must be simulation_grid(tenor, m) with m >= 4")
-    return m
 
 
 class _Step:
@@ -355,16 +354,17 @@ def _simulate_core(
     (numpy releases the GIL).  Every operation is local to a path, so the
     results do not depend on the block size or the number of threads.
     """
+    tenor, n = model.tenor, model.tenor.n
     grid = np.asarray(grid, dtype=float)
-    m = _steps_per_period(model.tenor, grid)
+    m = (len(grid) - 1) // max(n - 1, 1)  # steps per period
+    if m < 4 or not np.array_equal(grid, simulation_grid(tenor, m)):
+        raise LiborLabError("the simulation grid must be simulation_grid(tenor, m) with m >= 4")
     if driver is None:
         driver = simulate_driver(model.chars, grid, n_paths, seed)
     elif not np.array_equal(driver.grid, grid):
         raise LiborLabError("driver path set does not match the simulation grid")
     n_paths = driver.n_paths
 
-    tenor = model.tenor
-    n = tenor.n
     delta = tenor.delta
     l0 = np.asarray(model.curve.libors)
     dts = driver.dts

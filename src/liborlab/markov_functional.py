@@ -435,8 +435,15 @@ def calibrate_backward(
     return grid
 
 
+def _check_date(grid: FunctionalGrid, i: int) -> None:
+    """Refuse a quote date outside 1..N-1, the dates calibration covers."""
+    if not 1 <= i <= grid.tenor.n - 1:
+        raise LiborLabError(f"date index {i} outside 1..{grid.tenor.n - 1}")
+
+
 def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     """Model value B(0, T_N) I_0(x*) of the digital 1_{L(T_i,T_i) > K} paid at T_{i+1}."""
+    _check_date(grid, i)
     if grid.deterministic:
         pays = grid.curve.libor(i) > strike
         return grid.curve.bond(i + 1) if pays else 0.0
@@ -450,6 +457,7 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     Valued in the terminal numeraire: delta B(0,T_N) E[ (L(X) - K)^+ J_i(X) ],
     which is delta B(0,T_N) (I_1(x*) - K I_0(x*)) beyond the exercise level x*.
     """
+    _check_date(grid, i)
     if grid.deterministic:
         intrinsic = max(grid.curve.libor(i) - strike, 0.0)
         return grid.curve.bond(i + 1) * grid.tenor.delta * intrinsic
@@ -461,6 +469,7 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
 
 def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
     """B(0, T_N) E[J_i(X_{T_i})], which must reproduce B(0, T_{i+1})."""
+    _check_date(grid, i)
     if grid.deterministic:
         return grid.curve.bond(i + 1)
     _, total = _tail_integrals(grid, i)

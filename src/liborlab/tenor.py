@@ -57,15 +57,6 @@ class TenorStructure:
         """Indices k of rates L(., T_k) with nontrivial dynamics (1..N-1)."""
         return range(1, self.n)
 
-    def index_of(self, t: float) -> int:
-        """Index j of the interval [T_j, T_{j+1}) containing t (t < T_N).
-
-        Times within 1e-9 periods below a tenor date count as that date, so
-        a date computed in floating point reads the interval it starts.
-        """
-        j = int(np.floor(t / self.delta + 1e-9))
-        return min(max(j, 0), self.n - 1)
-
 
 @dataclass(frozen=True)
 class InitialCurve:

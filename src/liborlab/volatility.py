@@ -62,13 +62,6 @@ class VolatilitySurface:
             vals[:k, k] = col
         return cls(tenor, vals)
 
-    def row(self, t: float) -> np.ndarray:
-        """Loadings of all rates at time t (zeros for already-fixed rates)."""
-        j = self.tenor.index_of(t)
-        row = self.values[j].copy()
-        row[: j + 1] = 0.0
-        return row
-
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

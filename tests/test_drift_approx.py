@@ -9,12 +9,11 @@ from liborlab.drift_approx import (
     _TaylorStep,
     frozen_drift_law,
     frozen_drift_simulate,
-    frozen_drift_table,
     picard_simulate,
     picard_tables_row,
     taylor_simulate,
 )
-from liborlab.errors import UnsupportedSchemeError
+from liborlab.errors import LiborLabError, UnsupportedSchemeError
 from liborlab.levy import LevyCharacteristics, NormalJumps, simulate_driver
 from liborlab.lmm import (
     LmmModel,
@@ -99,8 +98,9 @@ def test_frozen_law_matches_closed_form_integrals(model, tenor):
     # mean log L0 + int beta0 and variance int lambda^2 c
     grid = simulation_grid(tenor, 4)
     w0 = DELTA * 0.04 / (1.0 + DELTA * 0.04)
-    for k, t in [(2, 1.0), (4, 2.0)]:
-        mean, var = frozen_drift_law(model, grid, k, t)
+    for k, d in [(2, 2), (4, 4)]:
+        mean, var = frozen_drift_law(model, k, d)
+        t = tenor.dates[d]
         lam = 0.2
         live = [j for j in range(4 * 4) if grid[j] < tenor.dates[k] and grid[j] < t]
         # beta0 per step: -lam^2/2 - lam * sum_{l>k, live} w0 lam
@@ -112,6 +112,9 @@ def test_frozen_law_matches_closed_form_integrals(model, tenor):
             beta += (-0.5 * lam**2 - lam * w0 * lam * n_live_after) * (grid[1] - grid[0])
         assert mean == pytest.approx(math.log(0.04) + beta, abs=1e-10)
         assert var == pytest.approx(lam**2 * min(t, tenor.dates[k]), abs=1e-10)
+    for d in (-1, 5):  # the grid ends at T_4
+        with pytest.raises(LiborLabError, match="date index"):
+            frozen_drift_law(model, 2, d)
 
 
 def test_frozen_paths_consistent_with_law(model, tenor):
@@ -120,11 +123,11 @@ def test_frozen_paths_consistent_with_law(model, tenor):
     driver = simulate_driver(model.chars, grid, 8, seed=3)
     paths = frozen_drift_simulate(model, grid, 8, seed=3, driver=driver)
     k = 2
-    mean, _ = frozen_drift_law(model, grid, k, tenor.dates[k])
+    mean, _ = frozen_drift_law(model, k, k)
     dh = driver.increments(model.chars)
     loaded = np.zeros(8)
     for i in range(len(grid) - 1):
-        lam = model.vols.values[tenor.index_of(grid[i]), k]
+        lam = model.vols.values[i // 4, k]
         loaded += lam * dh[i]
     resid = np.log(paths.fixings[:, k]) - loaded
     assert np.max(np.abs(resid - mean)) < 1e-10
@@ -173,15 +176,16 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
 
     grid = simulation_grid(tenor, 4)
     for mdl in (model, jump_model):
-        table = frozen_drift_table(mdl, grid)
         state = np.asarray(mdl.curve.libors)
         for i, k in [(0, 1), (3, 2), (9, 4)]:
             if grid[i] >= tenor.dates[k]:
                 continue
+            lam = mdl.vols.values[i // 4]
+            beta0 = _FrozenStep(mdl).interval(i // 4, 0, lam)[k, 0]
             rule = mdl.chars.jump_quadrature(48) if mdl.chars.has_jumps else None
             w = forward_price_weights(state[:, None], DELTA)
-            direct = _drift_all(w, mdl.vols.row(grid[i]), mdl.chars, rule)[k, 0]
-            assert table[i, k] == pytest.approx(direct, rel=1e-12)
+            direct = _drift_all(w, lam, mdl.chars, rule)[k, 0]
+            assert beta0 == pytest.approx(direct, rel=1e-12)
 
 
 def test_taylor_first_variation_starts_at_zero(model):

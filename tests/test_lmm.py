@@ -65,11 +65,11 @@ def jumpy():
     )
 
 
-def drift_of(state, s, k, chars, vols, quad_order=48):
-    """Terminal-measure drift of log L(., T_k) at time s, as the kernel computes it."""
+def drift_of(state, j, k, chars, vols, quad_order=48):
+    """Terminal-measure drift of log L(., T_k) on tenor interval j, as the kernel computes it."""
     rule = chars.jump_quadrature(quad_order) if chars.has_jumps else None
     w = forward_price_weights(np.atleast_2d(state).T, DELTA)
-    return _drift_all(w, vols.row(s), chars, rule)[k, 0]
+    return _drift_all(w, vols.values[j], chars, rule)[k, 0]
 
 
 def test_jump_tilt_factor_reductions(tenor, jumpy):
@@ -78,7 +78,7 @@ def test_jump_tilt_factor_reductions(tenor, jumpy):
     def tilt(libor, loading, x):
         vols = VolatilitySurface.flat(tenor, loading)
         state = np.full(5, libor)
-        return forward_measure_characteristics(state, 0.1, 3, jumpy, vols, DELTA)[1](x)
+        return forward_measure_characteristics(state, 0, 3, jumpy, vols, DELTA)[1](x)
 
     assert tilt(0.05, 1.0, 0.0) == 1.0
     assert tilt(0.0, 1.0, 0.7) == 1.0
@@ -90,7 +90,7 @@ def test_jump_tilt_factor_reductions(tenor, jumpy):
 
 def test_terminal_rate_drift_is_minus_half_lambda_sq(curve, vols, brownian):
     state = np.full(5, 0.04)
-    drift = drift_of(state, 0.1, 4, brownian, vols)
+    drift = drift_of(state, 0, 4, brownian, vols)
     assert drift == pytest.approx(-0.5 * 0.2**2, rel=1e-14)
 
 
@@ -98,7 +98,7 @@ def test_zero_state_reduces_to_single_exponential_drift(curve, vols, jumpy):
     # all subsequent rates at zero: weighted sums vanish and every tilt
     # factor is one, so the drift is the plain martingale drift -kappa(lambda)
     state = np.zeros(5)
-    drift = drift_of(state, 0.1, 2, jumpy, vols)
+    drift = drift_of(state, 0, 2, jumpy, vols)
     assert drift == pytest.approx(-float(jumpy.cumulant(0.2)), abs=1e-10)
 
 
@@ -106,7 +106,7 @@ def test_two_rate_brownian_drift_reduction(tenor, brownian):
     # two live rates: drift of the first is -lam^2/2 - lam * w * lam_last
     vols = VolatilitySurface.flat(tenor, 0.25)
     state = np.array([0.04, 0.03, 0.05, 0.045, 0.06])
-    drift = drift_of(state, 1.2, 3, brownian, vols)
+    drift = drift_of(state, 2, 3, brownian, vols)
     w4 = DELTA * 0.06 / (1.0 + DELTA * 0.06)
     expected = -0.5 * 0.25**2 - 0.25 * w4 * 0.25
     assert drift == pytest.approx(expected, rel=1e-12)
@@ -121,9 +121,9 @@ def test_drift_identity_between_measure_representations(tenor, curve, jumpy):
     nodes, weights = jumpy.jump_quadrature(96)
     for _ in range(5):
         state = 0.04 * np.exp(rng.normal(0.0, 0.4, size=5))
-        s, k = 0.3, 2
-        lam = vols.row(s)[k]
-        shift, factor = forward_measure_characteristics(state, s, k, jumpy, vols, DELTA)
+        j, k = 0, 2
+        lam = vols.values[j, k]
+        shift, factor = forward_measure_characteristics(state, j, k, jumpy, vols, DELTA)
         # b^{k+1} = b + c * shift/sqrt(c) + int x (factor - 1) dF
         tilt = factor(nodes)
         b_shift = math.sqrt(jumpy.diffusion_c) * shift
@@ -135,20 +135,23 @@ def test_drift_identity_between_measure_representations(tenor, curve, jumpy):
             ((np.exp(lam * nodes) - 1.0 - lam * nodes) * tilt) @ weights
         )
         direct = -lam * b_fwd - 0.5 * lam**2 * jumpy.diffusion_c - jump_int
-        via_terminal = drift_of(state, s, k, jumpy, vols, quad_order=96)
+        via_terminal = drift_of(state, j, k, jumpy, vols, quad_order=96)
         assert via_terminal == pytest.approx(direct, abs=1e-10)
 
 
 def test_forward_measure_characteristics_terminal_trivial(curve, vols, jumpy):
     state = np.asarray(curve.libors)
-    shift, factor = forward_measure_characteristics(state, 0.2, 4, jumpy, vols, DELTA)
+    shift, factor = forward_measure_characteristics(state, 0, 4, jumpy, vols, DELTA)
     assert shift == 0.0
     assert np.all(factor(np.array([-0.5, 0.1, 2.0])) == 1.0)
     shift0, factor0 = forward_measure_characteristics(
-        np.zeros(5), 0.2, 1, jumpy, vols, DELTA
+        np.zeros(5), 0, 1, jumpy, vols, DELTA
     )
     assert shift0 == 0.0
     assert np.all(factor0(np.array([0.3])) == 1.0)
+    for j, k in [(-1, 1), (5, 1), (0, -1), (0, 5)]:
+        with pytest.raises(LiborLabError, match="outside 0..4"):
+            forward_measure_characteristics(state, j, k, jumpy, vols, DELTA)
 
 
 def test_zero_vol_freezes_rates(tenor, curve, brownian):
@@ -229,16 +232,16 @@ def test_compensator_product_not_deterministic(tenor, curve, jumpy):
     state = paths.date_values[:, 2, :]
     factors = np.array(
         [
-            forward_measure_characteristics(s, 1.0, 1, jumpy, vols, DELTA)[1](0.25)
+            forward_measure_characteristics(s, 2, 1, jumpy, vols, DELTA)[1](0.25)
             for s in state[:200]
         ]
     )
     assert np.var(factors) > 0.0
     # one call over all paths gives the same factor and shift per path
-    shift, factor = forward_measure_characteristics(state[:200], 1.0, 1, jumpy, vols, DELTA)
+    shift, factor = forward_measure_characteristics(state[:200], 2, 1, jumpy, vols, DELTA)
     assert np.array_equal(factor(0.25), factors)
     shifts = [
-        forward_measure_characteristics(s, 1.0, 1, jumpy, vols, DELTA)[0] for s in state[:200]
+        forward_measure_characteristics(s, 2, 1, jumpy, vols, DELTA)[0] for s in state[:200]
     ]
     assert np.array_equal(shift, shifts)
 
@@ -392,6 +395,10 @@ def test_density_weight_chain_rule_pathwise(tenor, curve, vols, brownian):
                 assert np.array_equal(w_m, paths.fixing_weights[:, d])
     with pytest.raises(LiborLabError):
         paths.density_weight(1, 0)
+    with pytest.raises(LiborLabError):
+        paths.density_weight(-1, 2)
+    with pytest.raises(LiborLabError):
+        paths.density_weight(n, 2)
     with pytest.raises(LiborLabError):
         simulate_exact(model, simulation_grid(tenor, 4), 8, seed=8).density_weight(1, 2)
 

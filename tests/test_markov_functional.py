@@ -274,6 +274,20 @@ def test_a_later_caplet_reads_the_next_numeraire_on_one_panel(curve, driver):
     assert 0 < sum(sizes) <= 24 * 64
 
 
+@pytest.mark.parametrize("sigma", [0.2, 0.0])
+def test_quotes_refuse_a_date_outside_the_calibrated_range(tenor, curve, sigma):
+    # dates 1..N-1 are calibrated; the sigma = 0 grid takes its deterministic branch
+    grid = calibrate_backward(curve, MfmDriver.flat(tenor, sigma))
+    for i in (-1, 0, 5):
+        for quote in (
+            lambda: caplet_value(grid, i, 0.03),
+            lambda: digital_value(grid, i, 0.03),
+            lambda: initial_bond_repricing(grid, i),
+        ):
+            with pytest.raises(LiborLabError, match=f"date index {i} outside 1..4"):
+                quote()
+
+
 def test_calibration_rejects_bad_inputs(tenor, curve):
     with pytest.raises(CalibrationError):
         calibrate_backward(curve, MfmDriver(tenor, np.array([0.2, 0.0, 0.2, 0.2, 0.2])))
