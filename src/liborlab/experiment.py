@@ -46,15 +46,26 @@ _ROUNDOFF_ULPS = 4
 
 
 class Context:
-    """What one command builds from its config, each member on first use.
+    """What one command builds from its config, each member once.
 
-    The tenor, curve, loadings and driver law are built once and shared by
-    every model.  Path sets are not members: a command simulates, quotes and
-    drops one path set before it draws the next.
+    Every input a listed model reads is built here, so a value outside its
+    constructor's range is a ``ConfigError`` before any work; the models are
+    built on first use.  Path sets are not members: a command simulates,
+    quotes and drops one path set before it draws the next.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        try:
+            self.curve, self.vols, self.chars
+            if any(m in _LMM_SCHEMES or m == "fpm" for m in cfg.models):
+                self.grid
+            if "mfm" in cfg.models:
+                self.mfm_driver
+            if "affine" in cfg.models:
+                self.cir_params
+        except LiborLabError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @cached_property
     def tenor(self) -> TenorStructure:
@@ -76,27 +87,18 @@ class Context:
     @cached_property
     def chars(self) -> LevyCharacteristics:
         cfg = self.cfg
-        if cfg.driver_type == "brownian":
-            law, intensity = None, 0.0
-        elif cfg.driver_type == "jump-normal":
-            law, intensity = NormalJumps(cfg.jump_mean, cfg.jump_sd), cfg.jump_intensity
-        else:
+        law = None  # a brownian driver has jump_intensity 0
+        if cfg.driver_type == "jump-normal":
+            law = NormalJumps(cfg.jump_mean, cfg.jump_sd)
+        elif cfg.driver_type == "jump-double-exp":
             law = DoubleExponentialJumps(cfg.p_up, cfg.alpha_pos, cfg.alpha_neg)
-            intensity = cfg.jump_intensity
-        return LevyCharacteristics(
-            drift_b=cfg.drift_b,
-            diffusion_c=cfg.diffusion_c,
-            jump_intensity=intensity,
-            jump_law=law,
-        )
+        return LevyCharacteristics(cfg.drift_b, cfg.diffusion_c, cfg.jump_intensity, law)
 
     @cached_property
     def vols(self) -> VolatilitySurface:
         cfg = self.cfg
         if cfg.vol_rows:
-            if len(cfg.vol_rows) != cfg.n - 1:
-                raise ConfigError(f"need {cfg.n - 1} vol rows (rate_1..rate_{cfg.n - 1})")
-            return VolatilitySurface.from_columns(self.tenor, list(cfg.vol_rows))
+            return VolatilitySurface.from_columns(self.tenor, cfg.vol_rows)
         return VolatilitySurface.flat(self.tenor, cfg.vol_flat)
 
     @cached_property
@@ -119,24 +121,28 @@ class Context:
         return FpmModel(self.tenor, self.curve, self.vols, self.chars)
 
     @cached_property
-    def mfm_grid(self) -> markov_functional.FunctionalGrid:
+    def mfm_driver(self) -> markov_functional.MfmDriver:
         cfg = self.cfg
         sigma = cfg.mfm_sigma if cfg.mfm_sigma is not None else cfg.vol_flat
         if sigma is None:
             raise ConfigError("mfm needs [mfm] sigma or a flat vols value")
-        driver = markov_functional.MfmDriver.flat(self.tenor, sigma)
-        return markov_functional.calibrate_backward(self.curve, driver, quad_order=cfg.quad_order)
+        return markov_functional.MfmDriver.flat(self.tenor, sigma)
+
+    @cached_property
+    def mfm_grid(self) -> markov_functional.FunctionalGrid:
+        return markov_functional.calibrate_backward(
+            self.curve, self.mfm_driver, quad_order=self.cfg.quad_order
+        )
+
+    @cached_property
+    def cir_params(self) -> CirParams:
+        cfg = self.cfg
+        return CirParams(cfg.affine_mean_reversion, cfg.affine_long_run_level,
+                         cfg.affine_vol_of_vol, cfg.affine_x0)
 
     @cached_property
     def affine_family(self) -> affine_libor.MartingaleFamily:
-        cfg = self.cfg
-        params = CirParams(
-            mean_reversion=cfg.affine_mean_reversion,
-            long_run_level=cfg.affine_long_run_level,
-            vol_of_vol=cfg.affine_vol_of_vol,
-            x0=cfg.affine_x0,
-        )
-        return affine_libor.fit_initial_curve(self.curve, params)
+        return affine_libor.fit_initial_curve(self.curve, self.cir_params)
 
     def simulate(self, name: str, store_dates: bool = False) -> LiborPathSet:
         """Path set of a market-model scheme or the FPM on the shared driver."""
@@ -164,20 +170,23 @@ def build_affine_family(cfg: ExperimentConfig) -> affine_libor.MartingaleFamily:
 
 
 def _fmt(value) -> str:
+    """One CSV field: None empty, a str as it is, a number with every digit (.17g)."""
     if value is None:
         return ""
-    return f"{value:.17g}"
+    return value if isinstance(value, str) else f"{value:.17g}"
 
 
-def write_quotes_csv(path, rows) -> None:
-    """``model,scheme,k,strike,price,stderr,implied_vol`` rows."""
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one line of comma-joined fields per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model,scheme,k,strike,price,stderr,implied_vol\n")
-        for model, scheme, q in rows:
-            fh.write(
-                f"{model},{scheme},{q.k},{_fmt(q.strike)},{_fmt(q.price)},"
-                f"{_fmt(q.stderr)},{_fmt(q.implied_vol)}\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_quotes(path, rows) -> None:
+    _write_csv(path, "model,scheme,k,strike,price,stderr,implied_vol",
+               [(m, s, q.k, q.strike, q.price, q.stderr, q.implied_vol) for m, s, q in rows])
 
 
 def weighted_martingale_gap(paths: LiborPathSet, k: int):
@@ -440,21 +449,16 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         qpath = os.path.join(out_dir, "quotes.csv")
-        write_quotes_csv(qpath, [row for name in schemes for row in quotes[name]])
+        _write_quotes(qpath, [row for name in schemes for row in quotes[name]])
         files.append(qpath)
         for name, rows in diffs.items():
             dpath = os.path.join(out_dir, f"ivdiff_{name}_vs_lmm-exact.csv")
-            with open(dpath, "w", encoding="utf-8") as fh:
-                fh.write("k,strike,iv_diff\n")
-                for k, strike, dv in rows:
-                    fh.write(f"{k},{_fmt(strike)},{_fmt(dv)}\n")
+            _write_csv(dpath, "k,strike,iv_diff", rows)
             files.append(dpath)
         spath = os.path.join(out_dir, "summary.txt")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write("scheme,max_abs_iv_diff,mean_abs_iv_diff\n")
-            for name in sorted(summary):
-                mx, mn = summary[name] or (None, None)  # empty fields, not NaN
-                fh.write(f"{name},{_fmt(mx)},{_fmt(mn)}\n")
+        # a scheme without implied-vol pairs gets empty fields, not NaN
+        _write_csv(spath, "scheme,max_abs_iv_diff,mean_abs_iv_diff",
+                   [(name, *(summary[name] or (None, None))) for name in sorted(summary)])
         files.append(spath)
     return CompareResult(quotes=quotes, diffs=diffs, summary=summary, files=files)
 
@@ -465,7 +469,7 @@ def run_price(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list:
     rows = [row for name in cfg.models for row in _quote_loop(ctx, _producers(ctx, name))]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_quotes_csv(os.path.join(out_dir, "prices.csv"), rows)
+        _write_quotes(os.path.join(out_dir, "prices.csv"), rows)
     return rows
 
 
@@ -474,5 +478,8 @@ def run_calibrate_mfm(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     grid = Context(cfg).mfm_grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        markov_functional.export_grid_csv(os.path.join(out_dir, "mfm_grid.csv"), grid)
+        rows = [(i, *node) for i in range(1, grid.tenor.n)
+                for node in zip(grid.x_nodes[i], grid.libor_values[i], grid.numeraire_values[i])]
+        _write_csv(os.path.join(out_dir, "mfm_grid.csv"),
+                   "i,x,L_functional,numeraire_functional", rows)
     return grid

@@ -128,11 +128,10 @@ class _FpmStep(_Step):
         return table
 
 
-def negative_rate_fraction(paths: LiborPathSet, k: Optional[int] = None) -> float:
-    """Empirical probability of a negative fixing (per rate or overall)."""
-    fix = paths.fixings[:, 1:] if k is None else paths.fixings[:, k]
-    fix = fix[~np.isnan(fix)]
-    return float(np.mean(fix < 0.0))
+def negative_rate_fraction(paths: LiborPathSet) -> float:
+    """Empirical probability of a negative fixing, over every rate."""
+    fix = paths.fixings[:, 1:]
+    return float(np.mean(fix[~np.isnan(fix)] < 0.0))
 
 
 def log_forward_cumulant(model: FpmModel, k: int, w) -> complex:

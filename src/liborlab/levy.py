@@ -30,14 +30,16 @@ import numpy as np
 from .errors import DomainError, LiborLabError
 
 
+@dataclass(frozen=True)
 class NormalJumps:
     """Gaussian jump sizes, mean ``mean`` and standard deviation ``sd``."""
 
-    def __init__(self, mean: float, sd: float):
-        if sd <= 0.0:
-            raise LiborLabError(f"jump-size sd must be positive, got {sd}")
-        self.mean = float(mean)
-        self.sd = float(sd)
+    mean: float
+    sd: float
+
+    def __post_init__(self):
+        if not self.sd > 0.0:
+            raise LiborLabError(f"jump-size sd must be positive, got {self.sd}")
 
     def mgf(self, z):
         return np.exp(z * self.mean + 0.5 * z * z * self.sd**2)
@@ -57,10 +59,8 @@ class NormalJumps:
         """Sum of ``counts`` i.i.d. jump sizes, one draw per entry."""
         return rng.normal(counts * self.mean, self.sd * np.sqrt(counts))
 
-    def __repr__(self):
-        return f"NormalJumps(mean={self.mean}, sd={self.sd})"
 
-
+@dataclass(frozen=True)
 class DoubleExponentialJumps:
     """Two-sided exponential (Kou) jump sizes.
 
@@ -69,14 +69,15 @@ class DoubleExponentialJumps:
     alpha_neg).
     """
 
-    def __init__(self, p: float, alpha_pos: float, alpha_neg: float):
-        if not 0.0 <= p <= 1.0:
-            raise LiborLabError(f"up-jump probability must lie in [0,1], got {p}")
-        if alpha_pos <= 0.0 or alpha_neg <= 0.0:
+    p: float
+    alpha_pos: float
+    alpha_neg: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:
+            raise LiborLabError(f"up-jump probability must lie in [0,1], got {self.p}")
+        if not (self.alpha_pos > 0.0 and self.alpha_neg > 0.0):
             raise LiborLabError("jump tail rates must be positive")
-        self.p = float(p)
-        self.alpha_pos = float(alpha_pos)
-        self.alpha_neg = float(alpha_neg)
 
     def mgf(self, z):
         # the poles are real: off the real axis this is the analytic continuation
@@ -109,12 +110,6 @@ class DoubleExponentialJumps:
         up = rng.binomial(counts, self.p)
         # a sum of exponentials is a gamma variate; numpy's gamma is 0 at shape 0
         return rng.gamma(up, 1.0 / self.alpha_pos) - rng.gamma(counts - up, 1.0 / self.alpha_neg)
-
-    def __repr__(self):
-        return (
-            f"DoubleExponentialJumps(p={self.p}, alpha_pos={self.alpha_pos}, "
-            f"alpha_neg={self.alpha_neg})"
-        )
 
 
 @dataclass(frozen=True)

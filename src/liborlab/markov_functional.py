@@ -85,7 +85,7 @@ class MfmDriver:
         if sig.shape != (self.tenor.n,):
             raise LiborLabError(f"need one volatility per tenor interval ({self.tenor.n})")
         if not np.all(np.isfinite(sig) & (sig >= 0.0)):
-            raise LiborLabError("driver volatilities must be finite and nonnegative")
+            raise LiborLabError("MFM driver volatilities must be finite and nonnegative")
         object.__setattr__(self, "sigma", sig)
 
     @classmethod
@@ -475,13 +475,3 @@ def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
     _, total = _tail_integrals(grid, i)
     return grid.curve.bond(grid.tenor.n) * total
 
-
-def export_grid_csv(path, grid: FunctionalGrid) -> None:
-    """Write the calibrated functionals as ``i,x,L_functional,numeraire_functional``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,x,L_functional,numeraire_functional\n")
-        for i in range(1, grid.tenor.n):
-            for x, lv, bv in zip(
-                grid.x_nodes[i], grid.libor_values[i], grid.numeraire_values[i]
-            ):
-                fh.write(f"{i},{x:.17g},{lv:.17g},{bv:.17g}\n")

@@ -54,6 +54,8 @@ class VolatilitySurface:
         [T_0,T_1), ..., [T_{k-1},T_k); k runs over 1..N-1.
         """
         n = tenor.n
+        if len(columns) != n - 1:
+            raise CurveError(f"need {n - 1} rate columns (rates 1..{n - 1}), got {len(columns)}")
         vals = np.zeros((n, n))
         for k in range(1, n):
             col = np.asarray(columns[k - 1], dtype=float)
@@ -67,5 +69,7 @@ class VolatilitySurface:
         return float(np.max(np.abs(self.values)))
 
     def total_variance(self, k: int, c: float = 1.0) -> float:
-        """Integral of c * lambda(s, T_k)^2 over [0, T_k]."""
+        """Integral of c * lambda(s, T_k)^2 over [0, T_k], k = 1..N-1."""
+        if not 1 <= k < self.tenor.n:
+            raise CurveError(f"rate index {k} outside 1..{self.tenor.n - 1}")
         return float(c * self.tenor.delta * np.sum(self.values[:k, k] ** 2))

@@ -187,13 +187,28 @@ UNRUNNABLE = {
     "steps-per-period-3-fpm": (
         "price", ("steps_per_period = 4", "steps_per_period = 3", RUN_AND_PRICING, "run = fpm"), ()
     ),
+    # ranges of the affine and MFM drivers and the shape of the loading rows
+    "affine-vol-of-vol-zero": ("verify", ("vol_of_vol = 0.5", "vol_of_vol = 0"), ()),
+    "affine-x0-negative": ("verify", ("x0 = 0.06", "x0 = -0.01"), ()),
+    "mfm-sigma-negative": ("verify", ("sigma = 0.2", "sigma = -0.2"), ()),
+    "vol-row-too-short": (
+        "verify", ("flat = 0.15", "rate_1 = 0.15\nrate_2 = 0.1\nrate_3 = 0.15, 0.15, 0.15"), ()
+    ),
 }
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a config error must stop the command before any model work")
+
+
 @pytest.mark.parametrize("case", list(UNRUNNABLE))
-def test_cli_refuses_values_it_cannot_run(tmp_path, capsys, case):
+def test_cli_refuses_values_it_cannot_run(tmp_path, capsys, monkeypatch, case):
     # values that parse but cannot run stop at the config check with exit 2,
-    # rather than run as something else, end in a traceback or exit 1
+    # rather than run as something else, end in a traceback or exit 1, and
+    # they stop there before any simulation, calibration or curve fit
+    for module, name in ((experiment, "simulate_driver"), (markov_functional, "calibrate_backward"),
+                         (affine_libor, "fit_initial_curve")):
+        monkeypatch.setattr(module, name, _no_work)
     command, edits, flags = UNRUNNABLE[case]
     text, edits = VERIFY_ALL, edits or ()
     for old, new in zip(edits[::2], edits[1::2]):
@@ -501,6 +516,34 @@ def test_cli_edge_configs_run_without_nan(tmp_path, variant):
         assert cli.main([command, str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
         for path in out.iterdir():
             assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.I), (command, path.name)
+
+
+def test_cli_loading_rows_equal_to_the_flat_value_change_no_output(tmp_path):
+    # a rate_k row per rate, every value the flat one, is the same loading surface
+    text = (Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg").read_text()
+    rows = "\n".join(f"rate_{k} = " + ", ".join(["0.15"] * k) for k in range(1, 5))
+    for name, vols in (("flat", "flat = 0.15"), ("rows", rows)):
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(text.replace("flat = 0.15", vols))
+        for command in ("verify", "price"):
+            out = str(tmp_path / name)
+            assert cli.main([command, str(cfg_file), "--paths", "2000", "--out-dir", out]) == 0
+    for output in ("verify_report.txt", "prices.csv"):
+        assert (tmp_path / "rows" / output).read_bytes() == (tmp_path / "flat" / output).read_bytes()
+
+
+def test_cli_price_leaves_the_implied_vol_empty_at_a_negative_strike(tmp_path):
+    # Black has no implied vol at a nonpositive strike: every fpm quote at
+    # -0.01, Monte Carlo and Fourier, writes an empty implied_vol field
+    cfg_file = tmp_path / "fpm.cfg"
+    fpm_only = "run = fpm\n\n[pricing]\nstrikes = -0.01, 0.02"
+    cfg_file.write_text(VERIFY_ALL.replace(RUN_AND_PRICING, fpm_only))
+    out = tmp_path / "out"
+    assert cli.main(["price", str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "prices.csv").read_text().splitlines()[1:]]
+    negative = [row for row in rows if row[3] == "-0.01"]
+    assert len(negative) == 2 * 3  # two schemes, rates 1..3
+    assert all(row[6] == "" for row in negative)
 
 
 def test_run_price_writes_table(tmp_path):

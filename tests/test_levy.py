@@ -337,3 +337,15 @@ def test_non_finite_characteristics_refused(field, value):
     # a NaN intensity compares false with 0, so it would pass as "no jumps"
     with pytest.raises(LiborLabError, match="must be finite"):
         LevyCharacteristics(**{field: value}, jump_law=NormalJumps(-0.05, 0.2))
+
+
+@pytest.mark.parametrize("law, args", [
+    (NormalJumps, (0.0, math.nan)),
+    (DoubleExponentialJumps, (0.5, math.nan, 7.0)),
+    (DoubleExponentialJumps, (0.5, 9.0, math.nan)),
+    (DoubleExponentialJumps, (math.nan, 9.0, 7.0)),
+])
+def test_jump_law_refuses_nan(law, args):
+    # NaN compares false with every bound: each check asks that the range holds
+    with pytest.raises(LiborLabError):
+        law(*args)

@@ -12,7 +12,7 @@ from liborlab.errors import LiborLabError, PriceBoundsError
 from liborlab.levy import LevyCharacteristics, simulate_driver
 from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
 from liborlab.markov_functional import black_digital_price
-from liborlab.pricing import black_caplet, implied_vol, mc_caplet
+from liborlab.pricing import black_caplet, implied_vol, implied_vol_or_none, mc_caplet
 from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
 
@@ -117,6 +117,13 @@ def test_implied_vol_monotone_in_price():
     prices = np.linspace(0.0022, 0.0075, 7)
     vols = [implied_vol(p, 0.04, 0.04, DELTA, 0.97) for p in prices]
     assert all(a < b for a, b in zip(vols, vols[1:]))
+
+
+def test_implied_vol_or_none_where_black_has_no_vol(tenor, curve):
+    assert implied_vol_or_none(0.001, curve, 2, 0.04) > 0.0
+    for strike in (0.0, -0.01):
+        assert implied_vol_or_none(0.001, curve, 2, strike) is None
+    assert implied_vol_or_none(0.001, InitialCurve.flat(tenor, 0.0), 2, 0.04) is None
 
 
 def test_implied_vol_annualized(tenor):

@@ -29,6 +29,9 @@ def test_from_columns_round_trip(tenor):
     assert vols.values[2][3] == 0.2
     with pytest.raises(CurveError):
         VolatilitySurface.from_columns(tenor, [[0.3, 0.4], [0.2, 0.25], [0.1, 0.15, 0.2]])
+    for count in (2, 4):  # one column per rate 1..N-1, no fewer and no more
+        with pytest.raises(CurveError, match="3 rate columns"):
+            VolatilitySurface.from_columns(tenor, (cols * 2)[:count])
 
 
 def test_nonzero_loading_after_reset_rejected(tenor):
@@ -63,3 +66,6 @@ def test_row_masks_already_fixed_rates(tenor):
 def test_total_variance(tenor):
     vols = VolatilitySurface.flat(tenor, 0.2)
     assert vols.total_variance(3, c=0.5) == pytest.approx(0.5 * 0.2**2 * 1.5, rel=1e-14)
+    for k in (-1, 0, 4):  # rates 1..N-1 only; a negative k must not wrap to the last rate
+        with pytest.raises(CurveError, match="outside 1..3"):
+            vols.total_variance(k)
