@@ -5,7 +5,9 @@
 Runs ``compare``, ``verify``, ``price`` and ``calibrate-mfm`` on each
 ``configs/*.cfg`` and on ``perfbench/price_analytic.cfg``, wherever the
 command applies (``compare`` needs ``lmm-exact`` in the model list).  Each
-config first gets one line with the sha256 of its parsed field values.  Each
+config first gets one line with the sha256 of its parsed field values, where
+a curve file's absolute path is replaced by the sha256 of its bytes, so the
+directory a tree sits in does not enter.  Each
 run is a child ``python -m liborlab.cli`` with this process's environment,
 writing into a temporary directory; it prints its exit code and the sha256
 of each output file.  Two trees give the same lines exactly when they parse
@@ -48,8 +50,11 @@ def main(argv=None) -> None:
     with nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as tmp:
         for cfg_path in configs:
             cfg = parse_config(cfg_path)
-            fields = repr(sorted(dataclasses.asdict(cfg).items())).encode()
-            print(f"{cfg_path.relative_to(ROOT)} parsed {hashlib.sha256(fields).hexdigest()}")
+            fields = dataclasses.asdict(cfg)
+            if cfg.curve_file is not None:
+                fields["curve_file"] = hashlib.sha256(Path(cfg.curve_file).read_bytes()).hexdigest()
+            digest = hashlib.sha256(repr(sorted(fields.items())).encode()).hexdigest()
+            print(f"{cfg_path.relative_to(ROOT)} parsed {digest}")
             for command in COMMANDS:
                 if command == "compare" and "lmm-exact" not in cfg.models:
                     continue

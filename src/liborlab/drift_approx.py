@@ -36,6 +36,7 @@ from .lmm import (
     _drift_all,
     _simulate_core,
     _Step,
+    _tail_sums,
     forward_price_weights,
 )
 
@@ -106,8 +107,7 @@ def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
         vol_k   = sqrt(c) lambda_k w_k (1 - w_k).
     """
     wl = w0 * lam_row
-    tail = np.cumsum(wl[::-1])[::-1]
-    tail = np.concatenate([tail[1:], [0.0]])
+    tail = _tail_sums(wl)
     g = w0 * (1.0 - w0)
     drift = -c * lam_row * g * (tail + wl)
     vol = math.sqrt(c) * lam_row * g

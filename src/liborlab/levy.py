@@ -259,7 +259,8 @@ def simulate_driver(
     dts = np.diff(grid)
     n_steps = len(dts)
 
-    dw = rng.normal(0.0, np.sqrt(dts)[:, None], size=(n_steps, n_base))
+    dw = rng.standard_normal((n_steps, n_base))
+    dw *= np.sqrt(dts)[:, None]  # the bits and stream of rng.normal(0.0, sqrt(dts)[:, None])
 
     jump_sums = None
     if chars.has_jumps:

@@ -44,7 +44,7 @@ from .levy import DriverPathSet, LevyCharacteristics, simulate_driver
 from .tenor import InitialCurve, TenorStructure
 from .volatility import VolatilitySurface
 
-_BLOCK_PATHS = 4096  # paths per block of the simulation kernel
+_BLOCK_PATHS = 8192  # paths per block of the simulation kernel
 _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256)  # jump-drift quadrature orders tried
 
 
@@ -52,6 +52,21 @@ def forward_price_weights(libors, delta: float):
     """w = delta L / (1 + delta L), the stochastic-exponential weights."""
     dl = delta * np.asarray(libors, dtype=float)
     return dl / (1.0 + dl)
+
+
+def _tail_sums(wl: np.ndarray) -> np.ndarray:
+    """tail[k] = sum_{l>k} wl[l] along axis 0, for shape (M,) or (M, paths).
+
+    One contiguous row add per rate, from the last row down: the add order,
+    and so the bits, of ``np.cumsum(wl[:0:-1], axis=0)[::-1]``.  Row M-2 is
+    a copy of row M-1, as in the cumsum, so a negative zero keeps its sign.
+    """
+    tail = np.zeros_like(wl)
+    if len(wl) > 1:
+        tail[-2] = wl[-1]
+        for k in range(len(wl) - 3, -1, -1):
+            np.add(tail[k + 1 : k + 2], wl[k + 1 : k + 2], out=tail[k : k + 1])
+    return tail
 
 
 def _drift_all(
@@ -76,10 +91,7 @@ def _drift_all(
     c = chars.diffusion_c
     b = chars.drift_b
     lam = lam_row[:, None]
-    wl = w * lam
-    # tail[k] = sum_{l > k} w_l lambda_l
-    tail = np.zeros_like(wl)
-    tail[:-1] = np.cumsum(wl[:0:-1], axis=0)[::-1]
+    tail = _tail_sums(w * lam)  # sum_{l > k} w_l lambda_l
     drift = -lam * b - 0.5 * c * lam**2 - c * lam * tail
 
     if rule is not None:
@@ -349,9 +361,13 @@ def _simulate_core(
     update and ``advance`` see only the live rows ``[c0:]`` of the loadings
     and the states.
 
-    The paths run in blocks of ``_BLOCK_PATHS`` through the whole grid, so
-    a block's state stays in cache, and the blocks run on a thread pool
-    (numpy releases the GIL).  Every operation is local to a path, so the
+    The paths run in blocks of ``_BLOCK_PATHS`` (8,192) through the whole
+    grid, so a block's state stays in cache, and the blocks run on a thread
+    pool (numpy releases the GIL).  Each thread holds its block's state,
+    driver increments and drift temporaries at once, so the block size
+    trades time against peak memory: on the 200,000-path compare benchmark
+    8,192 ran faster than 4,096, and 16,384 ran no faster than 8,192 but
+    raised the peak RSS by 13% over 4,096.  Every operation is local to a path, so the
     results do not depend on the block size or the number of threads.
     """
     tenor, n = model.tenor, model.tenor.n

@@ -262,6 +262,29 @@ def test_driver_sampling_matches_plain_formula_bitwise(jump_kou, seed):
     assert np.array_equal(paths.jump_sums != 0.0, counts > 0)
 
 
+@pytest.mark.parametrize("jumps, antithetic", [(False, False), (True, False), (True, True)])
+def test_driver_stream_matches_rng_normal_bitwise(jump_normal, jumps, antithetic):
+    # dw is rng.normal(0, sqrt(dt)) from a fresh generator, bit for bit on an
+    # uneven grid, and the jumps drawn after it from the same stream keep
+    # their sums, so the compare prices keep their committed reference
+    chars = jump_normal if jumps else LevyCharacteristics(drift_b=0.01, diffusion_c=0.5)
+    grid = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
+    rng, dw, counts = _plain_counts(chars, grid, 2_001, seed=29)
+    jump_sums = None
+    if jumps:
+        jump_sums = np.zeros(dw.shape)
+        jump_sums[counts > 0] = chars.jump_law.sum_sample(rng, counts[counts > 0])
+    if antithetic:
+        dw = np.concatenate([dw, -dw], axis=1)
+        jump_sums = np.concatenate([jump_sums, jump_sums], axis=1)
+    paths = simulate_driver(chars, grid, dw.shape[1], seed=29, antithetic=antithetic)
+    assert paths.dw.tobytes() == dw.tobytes()
+    if jumps:
+        assert paths.jump_sums.tobytes() == jump_sums.tobytes()
+    else:
+        assert paths.jump_sums is None
+
+
 @pytest.mark.parametrize("law", [NormalJumps(-0.05, 0.2), DoubleExponentialJumps(0.4, 8.0, 6.0)])
 def test_driver_jump_sums_follow_exact_law(law):
     # intensity 16 on steps of 1/8 puts about two jumps in a cell, so every

@@ -403,11 +403,13 @@ def test_density_weight_chain_rule_pathwise(tenor, curve, vols, brownian):
         simulate_exact(model, simulation_grid(tenor, 4), 8, seed=8).density_weight(1, 2)
 
 
-@pytest.mark.parametrize("block, n_paths", [(1, 203), (7, 4_099), (2_048, 4_099), (None, 4_099)])
+@pytest.mark.parametrize(
+    "block, n_paths", [(1, 203), (7, 4_099), (2_048, 4_099), (None, lmm._BLOCK_PATHS + 3)]
+)
 def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jumpy, block, n_paths):
     # the jump drift of a path is the same whichever rows share the call, and
     # the kernel gives the same bits for any block size and thread count
-    # (block None is the default size, 4,096: one full block and a rest)
+    # (block None is the default size: one full block and a rest of 3 paths)
     size = block or lmm._BLOCK_PATHS
     rng = np.random.default_rng(n_paths)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(n_paths, 5))), DELTA)
@@ -438,6 +440,26 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
         assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_tail_sums_match_the_cumsum_bitwise(m):
+    # the row loop adds in the order of the reversed cumsum that _drift_all
+    # (on (M, paths) blocks) and picard_tables_row (on (M,) rows) used, and
+    # keeps the -0.0 that w = 0 times a negative loading puts in the last row
+    rng = np.random.default_rng(m)
+    lam = rng.normal(0.0, 0.2, size=m)
+    lam[-1] = -0.15
+    w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(m, 257))), DELTA)
+    w[:, 0] = 0.0
+    wl = w * lam[:, None]
+    assert np.signbit(wl[-1, 0])
+    block = np.zeros_like(wl)
+    block[:-1] = np.cumsum(wl[:0:-1], axis=0)[::-1]
+    assert lmm._tail_sums(wl).tobytes() == block.tobytes()
+    for col in (wl[:, 0], wl[:, 1]):
+        row = np.concatenate([np.cumsum(col[::-1])[::-1][1:], [0.0]])
+        assert lmm._tail_sums(col).tobytes() == row.tobytes()
+
+
 def edge_vols(tenor, case):
     if case == "zero-loadings":
         return VolatilitySurface.flat(tenor, 0.0)
@@ -447,7 +469,7 @@ def edge_vols(tenor, case):
     return VolatilitySurface.flat(tenor, 0.2)
 
 
-@pytest.mark.parametrize("block, n_paths", [(1, 203), (7, 203), (None, 4_099)])
+@pytest.mark.parametrize("block, n_paths", [(1, 203), (7, 203), (None, lmm._BLOCK_PATHS + 3)])
 @pytest.mark.parametrize("case, n", [("n2", 2), ("zero-loadings", 5), ("zeros-inside-rows", 5)])
 def test_kernel_edge_shapes_do_not_depend_on_the_split(
     monkeypatch, brownian, jumpy, case, n, block, n_paths
@@ -455,7 +477,8 @@ def test_kernel_edge_shapes_do_not_depend_on_the_split(
     # n = 2 leaves one live row and an empty tail sum on the last interval;
     # zero loadings, everywhere or inside a row, are skipped by the live
     # slice and by the jump loop.  Every scheme must give finite fixings and
-    # weights, the same bits for any block size and thread count
+    # weights, the same bits for any block size and thread count (block None
+    # is the default size: one full block and a rest of 3 paths)
     size = block or lmm._BLOCK_PATHS
     tenor = TenorStructure(delta=DELTA, n=n)
     curve, vols = InitialCurve.flat(tenor, 0.04), edge_vols(tenor, case)

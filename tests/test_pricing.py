@@ -12,7 +12,13 @@ from liborlab.errors import LiborLabError, PriceBoundsError
 from liborlab.levy import LevyCharacteristics, simulate_driver
 from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
 from liborlab.markov_functional import black_digital_price
-from liborlab.pricing import black_caplet, implied_vol, implied_vol_or_none, mc_caplet
+from liborlab.pricing import (
+    _mc_mean_stderr,
+    black_caplet,
+    implied_vol,
+    implied_vol_or_none,
+    mc_caplet,
+)
 from liborlab.tenor import InitialCurve, TenorStructure
 from liborlab.volatility import VolatilitySurface
 
@@ -159,6 +165,19 @@ def test_mc_caplet_price_monotone_convex_in_strike(curve, lmm_paths):
     # convexity on the equally spaced strike grid, within MC noise
     for i in range(1, len(prices) - 1):
         assert prices[i] <= 0.5 * (prices[i - 1] + prices[i + 1]) + 1e-5
+
+
+def test_mc_stderr_averages_antithetic_pairs_first():
+    # path i pairs with path i + n/2; the pairs nearly cancel, so the paired
+    # standard error is far below the one that treats all n paths as independent
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=500)
+    samples = np.concatenate([1.0 + x, 1.0 - x + 0.1 * rng.normal(size=500)])
+    pairs = 0.5 * (samples[:500] + samples[500:])
+    mean, stderr = _mc_mean_stderr(samples, antithetic=True)
+    assert mean == pytest.approx(np.mean(pairs), rel=1e-14)
+    assert stderr == pytest.approx(np.std(pairs, ddof=1) / math.sqrt(500), rel=1e-14)
+    assert _mc_mean_stderr(samples, antithetic=False)[1] > 10.0 * stderr
 
 
 def test_normal_cdf_matches_scipy_norm_bitwise():
