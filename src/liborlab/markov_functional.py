@@ -29,9 +29,11 @@ numeraire functional follows as 1 / ((1 + delta K) J_i).
 Every time-zero quote at T_i is one integral against the law phi of X_{T_i}:
 with L(T_i, T_i; x*) = K and I_r(x*) = int_{x*}^inf L(T_i, T_i; x)^r J_i phi dx,
 the digital is B(0, T_N) I_0(x*), the caplet delta B(0, T_N) (I_1 - K I_0)
-and the bond repricing B(0, T_N) I_0(-inf) = B(0, T_{i+1}).  Gauss-Legendre
-panels between the state nodes and closed-form Gaussian tails beyond them
-evaluate all three.
+and the bond repricing B(0, T_N) I_0(-inf) = B(0, T_{i+1}).  All three
+evaluate the one integrand L_i^r J_i phi, with J_i by Gauss-Hermite at every
+point, on Gauss-Legendre panels: one between each pair of state nodes and a
+fixed rule of ``_TAIL_PANELS`` panels on each Gaussian tail.  Past the end
+nodes L_i is the linear extension of its log.
 
 State grids are Gauss-Hermite nodes scaled by sqrt(Sigma_{T_i}), clipped
 to ``_NODE_CLIP`` = 6 standard deviations: beyond the clip the
@@ -54,9 +56,10 @@ from ._roots import bracketed_root
 from .errors import CalibrationError, LiborLabError
 from .tenor import InitialCurve, TenorStructure
 
-_TAIL_EPS = 1e-300
 _NODE_CLIP = 6.0  # state nodes kept within this many standard deviations
-_PANEL_ORDER = 24  # Gauss-Legendre order of each digital panel
+_PANEL_ORDER = 24  # Gauss-Legendre order of each quote panel
+_TAIL_PANELS = 4  # panels on each Gaussian tail past the end nodes
+_TAIL_WIDTH = 10.0  # width of a tail panel in Gaussian decay lengths
 
 
 @lru_cache(maxsize=32)
@@ -139,10 +142,10 @@ class _MonotoneLogInterp:
 
     ``shift = 0`` interpolates positive rates in log(rate).  ``shift = 1``
     evaluates functions f > 1 that behave like 1 + exp(linear) in the tails
-    (reciprocal numeraires and their conditional expectations).  The cubic
-    is PCHIP (Fritsch & Carlson 1980): its node slopes are weighted harmonic
-    means of the neighbouring secants, 0 where they change sign or vanish,
-    and one-sided three-point slopes at the ends, clamped to keep the shape.
+    (reciprocal numeraires).  The cubic is PCHIP (Fritsch & Carlson 1980):
+    its node slopes are weighted harmonic means of the neighbouring secants,
+    0 where they change sign or vanish, and one-sided three-point slopes at
+    the ends, clamped to keep the shape.
     """
 
     def __init__(self, x_nodes: np.ndarray, values: np.ndarray, shift: float):
@@ -186,12 +189,6 @@ class _MonotoneLogInterp:
     def __call__(self, x):
         return self.shift + np.exp(self.log_shifted(x))
 
-    def tail_coeffs(self, upper: bool):
-        """(a, b) of the tail form shift + exp(a + b x)."""
-        if upper:
-            return self.logv[-1] - self.slope_hi * self.x[-1], self.slope_hi
-        return self.logv[0] - self.slope_lo * self.x[0], self.slope_lo
-
     def inverse(self, value: float) -> float:
         """State x with f(x) = value; -inf or inf past a flat tail."""
         logv = math.log(value - self.shift)
@@ -209,13 +206,6 @@ class _MonotoneLogInterp:
         ))
 
 
-def _gaussian_exp_tail(c: float, b: float, var: float, upper: bool) -> float:
-    """int e^{b x} phi_var(x) dx over (c, inf) or (-inf, c)."""
-    sd = math.sqrt(var)
-    y = (c - b * var) / sd
-    return math.exp(0.5 * b * b * var) * ndtr(-y if upper else y)
-
-
 @dataclass
 class FunctionalGrid:
     """Calibrated rate and numeraire functionals at the tenor dates.
@@ -230,13 +220,10 @@ class FunctionalGrid:
     x_nodes: list
     libor_values: list
     numeraire_values: list
-    j_values: list
     deterministic: bool = False
     _rate_interp: list = field(default_factory=list, repr=False)
     _rho_interp: list = field(default_factory=list, repr=False)
-    _j_interp: list = field(default_factory=list, repr=False)
-    _panels: dict = field(default_factory=dict, repr=False)  # date -> panel points, J phi
-    _tails_cache: dict = field(default_factory=dict, repr=False)  # (date, rate) -> tables
+    _tables: list = field(default_factory=list, repr=False)  # date -> [I_0, I_1] per node, total
 
     @property
     def tenor(self) -> TenorStructure:
@@ -271,71 +258,63 @@ class FunctionalGrid:
         return (vals @ w / math.sqrt(math.pi))[()]
 
 
-def _j_density(grid: FunctionalGrid, i: int, pts: np.ndarray) -> np.ndarray:
-    """J_i(x) phi(x) at an array of states, J_i by Gauss-Hermite."""
-    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
-    jv = np.asarray(grid.j_value(i, pts.reshape(-1))).reshape(pts.shape)
-    return jv * (np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi)))
+def _tail_edges(grid: FunctionalGrid, i: int, c: float, upper: bool) -> np.ndarray:
+    """Increasing panel edges of the tail [c, inf) or (-inf, c] of X_{T_i}.
 
-
-def _tail_mass(grid: FunctionalGrid, i: int, c: float, upper: bool, rate: int = 0) -> float:
-    """int L_i^rate J_i phi dx over (c, inf) or (-inf, c), for c beyond the nodes.
-
-    In each tail L_i = exp(a' + b' x) and J_i = 1 + exp(a + b x), or J_i = 1
-    when the edge node is rate-free, so the integral is a sum of at most two
-    Gaussian exponential moments.
+    ``_TAIL_PANELS`` panels from c outward, each ``_TAIL_WIDTH`` Gaussian decay
+    lengths var / max(|c|, sd) wide, so the density falls by at least e^-40
+    across them.  An infinite c is the one edge of an empty tail.
     """
     var = grid.driver.variance(grid.tenor.dates[i])
-    terms = [(0.0, 0.0)]
-    if grid.j_values[i][-1 if upper else 0] - 1.0 > _TAIL_EPS:
-        terms.append(grid._j_interp[i].tail_coeffs(upper))
-    if rate:
-        a_rate, b_rate = grid._rate_interp[i].tail_coeffs(upper)
-        terms = [(a + a_rate, b + b_rate) for a, b in terms]
-    return float(sum(math.exp(a) * _gaussian_exp_tail(c, b, var, upper) for a, b in terms))
+    panels = 0 if math.isinf(c) else _TAIL_PANELS
+    steps = _TAIL_WIDTH * var / max(abs(c), math.sqrt(var)) * np.arange(panels + 1)
+    return c + steps if upper else c - steps[::-1]
 
 
-def _tail_integrals(grid: FunctionalGrid, i: int, rate: int = 0):
-    """T(x_m) = int_{x_m}^inf L_i^rate J_i phi dx per node, plus the total.
+def _panel_rule(grid: FunctionalGrid, i: int, edges: np.ndarray):
+    """Gauss-Legendre points and weights against J_i phi dx, J_i by Gauss-Hermite.
 
-    Panels between consecutive nodes use Gauss-Legendre on J_i phi, kept per
-    date; the mass beyond the node range is ``_tail_mass``.  The rate-weighted
-    table is built on a date's first quote: calibration solves for L_i.
+    One panel of order ``_PANEL_ORDER`` per row, between consecutive edges.
     """
-    if (i, rate) in grid._tails_cache:
-        return grid._tails_cache[i, rate]
-    x = grid.x_nodes[i]
     y, w = _legendre(_PANEL_ORDER)
-    if i not in grid._panels:
-        half = 0.5 * (x[1:] - x[:-1])
-        pts = 0.5 * (x[:-1] + x[1:])[:, None] + half[:, None] * y  # (panels, order)
-        grid._panels[i] = pts, half, _j_density(grid, i, pts)
-    pts, half, jphi = grid._panels[i]
-    panels = (jphi * grid._rate_interp[i](pts) if rate else jphi) @ w * half
-    t_vals = _tail_mass(grid, i, x[-1], True, rate) + np.append(np.cumsum(panels[::-1])[::-1], 0.0)
-    grid._tails_cache[i, rate] = t_vals, t_vals[0] + _tail_mass(grid, i, x[0], False, rate)
-    return grid._tails_cache[i, rate]
+    half = 0.5 * np.diff(edges)[:, None]
+    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * y
+    sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
+    jv = np.asarray(grid.j_value(i, pts.reshape(-1))).reshape(pts.shape)
+    return pts, half * w * jv * np.exp(-0.5 * (pts / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def _integrals(grid: FunctionalGrid, i: int, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """[I_0, I_1] per panel of a rule against J_i phi dx: sums of its weights times L_i^r."""
+    return np.stack([weights.sum(-1), (weights * grid._rate_interp[i](pts)).sum(-1)])
+
+
+def _from_nodes(panels: np.ndarray, n_nodes: int):
+    """Sums of a date's per-panel values from each node upward, and in all.
+
+    The date's panels are ``_TAIL_PANELS`` on the lower tail from the lowest
+    node, one between each pair of nodes, then the upper tail's.
+    """
+    sums = np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1]
+    return sums[..., _TAIL_PANELS:_TAIL_PANELS + n_nodes], sums[..., 0]
 
 
 def _upper_integral(grid: FunctionalGrid, i: int, x_star: float) -> np.ndarray:
     """[I_0, I_1] with I_r = int_{x*}^inf L_i^r J_i phi dx.
 
-    For x* between nodes m and m + 1: the node table of ``_tail_integrals``
-    at m + 1 plus one partial panel [x*, x_{m+1}]; else the closed-form tails.
+    Above the nodes: the upper tail from x*.  Below them: the whole line less
+    the lower tail up to x*.  Between nodes m and m + 1: the node table at
+    m + 1 plus one panel [x*, x_{m+1}].
     """
     x = grid.x_nodes[i]
     if x_star >= x[-1]:
-        return np.array([_tail_mass(grid, i, x_star, True, r) for r in (0, 1)])
-    if x_star <= x[0]:
-        return np.array([_tail_integrals(grid, i, r)[1] - _tail_mass(grid, i, x_star, False, r)
-                         for r in (0, 1)])
-    m = int(np.searchsorted(x, x_star, side="right")) - 1
-    y, w = _legendre(_PANEL_ORDER)
-    half = 0.5 * (x[m + 1] - x_star)
-    pts = 0.5 * (x_star + x[m + 1]) + half * y
-    jphi = _j_density(grid, i, pts) * w * half
-    tails = np.array([_tail_integrals(grid, i, r)[0][m + 1] for r in (0, 1)])
-    return tails + [np.sum(jphi), np.sum(jphi * grid._rate_interp[i](pts))]
+        base, sign, edges = 0.0, 1.0, _tail_edges(grid, i, x_star, True)
+    elif x_star <= x[0]:
+        base, sign, edges = grid._tables[i][1], -1.0, _tail_edges(grid, i, x_star, False)
+    else:
+        m = int(np.searchsorted(x, x_star, side="right")) - 1
+        base, sign, edges = grid._tables[i][0][:, m + 1], 1.0, np.array([x_star, x[m + 1]])
+    return base + sign * _integrals(grid, i, *_panel_rule(grid, i, edges)).sum(-1)
 
 
 def calibrate_backward(
@@ -348,9 +327,10 @@ def calibrate_backward(
     For i = N-1 down to 1: evaluate J_i at the date's state nodes, compute
     the model digitals U_0(T_i, x*) by quadrature, invert Black's digital
     formula for the strike at each node, and assemble the numeraire from
-    1 / ((1 + delta K) J_i).  The induction starts from B(T_N, T_N) = 1;
-    at i = N-1 (where J = 1) it reproduces the log-normal terminal
-    functional up to the root-finding tolerance.
+    1 / ((1 + delta K) J_i).  The date's panel sums of I_0 and I_1 from each
+    node upward are kept for the quotes.  The induction starts from
+    B(T_N, T_N) = 1; at i = N-1 (where J = 1) it reproduces the log-normal
+    terminal functional up to the root-finding tolerance.
 
     Raises
     ------
@@ -372,15 +352,11 @@ def calibrate_backward(
             x_nodes=[np.zeros(1) for _ in range(n)],
             libor_values=[None] * n,
             numeraire_values=[None] * n,
-            j_values=[None] * n,
             deterministic=True,
         )
         for i in range(1, n):
             grid.libor_values[i] = np.array([curve.libor(i)])
             grid.numeraire_values[i] = np.array([curve.bond(n) / curve.bond(i)])
-            grid.j_values[i] = np.array([curve.bond(i + 1) / curve.bond(i)]) * (
-                curve.bond(i) / curve.bond(n)
-            )
         return grid
     if np.any(used == 0.0):
         raise CalibrationError(
@@ -397,10 +373,9 @@ def calibrate_backward(
         x_nodes=[None] * n,
         libor_values=[None] * n,
         numeraire_values=[None] * n,
-        j_values=[None] * n,
         _rate_interp=[None] * n,
         _rho_interp=[None] * n,
-        _j_interp=[None] * n,
+        _tables=[None] * n,
     )
 
     h, _ = _hermite(quad_order)
@@ -412,10 +387,10 @@ def calibrate_backward(
         grid.x_nodes[i] = nodes
 
         j_nodes = np.asarray(grid.j_value(i, nodes))
-        grid.j_values[i] = j_nodes
-        if not np.all(j_nodes[[0, -1]] - 1.0 <= _TAIL_EPS):  # a tail with rates in it
-            grid._j_interp[i] = _MonotoneLogInterp(nodes, j_nodes, shift=1.0)
-        tails, _ = _tail_integrals(grid, i)
+        pts, weights = _panel_rule(grid, i, np.concatenate([
+            _tail_edges(grid, i, nodes[0], False), nodes[1:-1],
+            _tail_edges(grid, i, nodes[-1], True)]))
+        tails, _ = _from_nodes(weights.sum(-1), len(nodes))
         u0 = curve.bond(n) * tails
 
         l0 = curve.libor(i)
@@ -431,6 +406,7 @@ def calibrate_backward(
         grid.numeraire_values[i] = 1.0 / rho
         grid._rho_interp[i] = _MonotoneLogInterp(nodes, rho, shift=1.0)
         grid._rate_interp[i] = _MonotoneLogInterp(nodes, strikes, shift=0.0)
+        grid._tables[i] = _from_nodes(_integrals(grid, i, pts, weights), len(nodes))
 
     return grid
 
@@ -441,13 +417,25 @@ def _check_date(grid: FunctionalGrid, i: int) -> None:
         raise LiborLabError(f"date index {i} outside 1..{grid.tenor.n - 1}")
 
 
+def _exercise_level(grid: FunctionalGrid, i: int, strike: float):
+    """State x* with L(T_i, T_i; x*) = K, or None on the deterministic grid.
+
+    Refuses a date outside 1..N-1 and a strike <= 0, which no positive rate
+    functional reaches.
+    """
+    _check_date(grid, i)
+    if strike <= 0.0:
+        raise LiborLabError(f"MFM quotes need a strike > 0, got {strike}")
+    return None if grid.deterministic else grid._rate_interp[i].inverse(strike)
+
+
 def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     """Model value B(0, T_N) I_0(x*) of the digital 1_{L(T_i,T_i) > K} paid at T_{i+1}."""
-    _check_date(grid, i)
+    x_star = _exercise_level(grid, i, strike)
     if grid.deterministic:
         pays = grid.curve.libor(i) > strike
         return grid.curve.bond(i + 1) if pays else 0.0
-    i0, _ = _upper_integral(grid, i, grid._rate_interp[i].inverse(strike))
+    i0, _ = _upper_integral(grid, i, x_star)
     return grid.curve.bond(grid.tenor.n) * float(i0)
 
 
@@ -457,13 +445,11 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     Valued in the terminal numeraire: delta B(0,T_N) E[ (L(X) - K)^+ J_i(X) ],
     which is delta B(0,T_N) (I_1(x*) - K I_0(x*)) beyond the exercise level x*.
     """
-    _check_date(grid, i)
+    x_star = _exercise_level(grid, i, strike)
     if grid.deterministic:
         intrinsic = max(grid.curve.libor(i) - strike, 0.0)
         return grid.curve.bond(i + 1) * grid.tenor.delta * intrinsic
-    if strike <= 0.0:
-        raise LiborLabError("caplet strike must be positive for the grid valuation")
-    i0, i1 = _upper_integral(grid, i, grid._rate_interp[i].inverse(strike))
+    i0, i1 = _upper_integral(grid, i, x_star)
     return grid.curve.bond(grid.tenor.n) * grid.tenor.delta * float(i1 - strike * i0)
 
 
@@ -472,6 +458,6 @@ def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
     _check_date(grid, i)
     if grid.deterministic:
         return grid.curve.bond(i + 1)
-    _, total = _tail_integrals(grid, i)
+    _, (total, _) = grid._tables[i]
     return grid.curve.bond(grid.tenor.n) * total
 

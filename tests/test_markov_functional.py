@@ -221,22 +221,13 @@ def test_caplet_value_against_black(curve, driver):
 
 
 def _upper_integral_by_quad(grid, i, x_star, rate):
-    """int_{x*}^inf L_i^rate J_i phi dx by adaptive quadrature.
-
-    J_i is the Gauss-Hermite ``j_value`` on the node range and the date's
-    calibrated tail form past the end nodes, 1 beside a rate-free edge node.
-    """
+    """int_{x*}^inf L_i^rate J_i phi dx by adaptive quadrature, J_i by ``j_value`` everywhere."""
     x = grid.x_nodes[i]
     sd = math.sqrt(grid.driver.variance(grid.tenor.dates[i]))
 
     def integrand(p):
-        if x[0] <= p <= x[-1]:
-            j = float(grid.j_value(i, p))
-        else:
-            rate_free = grid.j_values[i][0 if p < x[0] else -1] - 1.0 <= 1e-300
-            j = 1.0 if rate_free else float(grid._j_interp[i](p))
         density = math.exp(-0.5 * (p / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-        return float(grid._rate_interp[i](p)) ** rate * j * density
+        return float(grid._rate_interp[i](p)) ** rate * float(grid.j_value(i, p)) * density
 
     edges = [x_star, *x[x > x_star], max(x_star, x[-1]) + 40.0 * sd]
     return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -244,17 +235,19 @@ def _upper_integral_by_quad(grid, i, x_star, rate):
 
 
 @pytest.mark.parametrize("i", [1, 2, 4])
-@pytest.mark.parametrize("where", ["below", "between", "above"])
+@pytest.mark.parametrize("where", ["far_below", "below", "between", "above", "far_above"])
 def test_quotes_match_adaptive_quadrature(curve, driver, i, where):
     # digital B_N I_0 and caplet delta B_N (I_1 - K I_0) against quad of the
-    # same integrals, for the exercise level below, inside and above the nodes
+    # same integrals, for the exercise level below, inside and above the
+    # nodes, out to 4 times the top node rate
     grid = calibrate_backward(curve, driver)
     lv = grid.libor_values[i]
-    strike = {"below": 0.5 * lv[0], "between": 1.0001 * lv[len(lv) // 3],
-              "above": 2.0 * lv[-1]}[where]
+    strike = {"far_below": 0.1 * lv[0], "below": 0.5 * lv[0],
+              "between": 1.0001 * lv[len(lv) // 3],
+              "above": 2.0 * lv[-1], "far_above": 4.0 * lv[-1]}[where]
     x_star = grid._rate_interp[i].inverse(strike)
     assert (x_star < grid.x_nodes[i][0], x_star > grid.x_nodes[i][-1]) == (
-        where == "below", where == "above")
+        "below" in where, "above" in where)
     i0, i1 = (_upper_integral_by_quad(grid, i, x_star, rate) for rate in (0, 1))
     bond_n = curve.bond(5)
     assert digital_value(grid, i, strike) == pytest.approx(bond_n * i0, rel=5e-9, abs=0.0)
@@ -263,11 +256,10 @@ def test_quotes_match_adaptive_quadrature(curve, driver, i, where):
 
 
 def test_a_later_caplet_reads_the_next_numeraire_on_one_panel(curve, driver):
-    # after a date's first quote its node tables are kept, so one more caplet
-    # evaluates rho_{i+1} only on its partial panel: 24 states x 64 Hermite nodes
+    # calibration keeps each date's node tables, so a caplet evaluates
+    # rho_{i+1} only on its partial panel: 24 states x 64 Hermite nodes
     grid = calibrate_backward(curve, driver)
     i = 2
-    caplet_value(grid, i, curve.libor(i))
     rho, sizes = grid._rho_interp[i + 1], []
     grid._rho_interp[i + 1] = lambda x: sizes.append(np.size(x)) or rho(x)
     caplet_value(grid, i, 1.1 * curve.libor(i))
@@ -286,6 +278,16 @@ def test_quotes_refuse_a_date_outside_the_calibrated_range(tenor, curve, sigma):
         ):
             with pytest.raises(LiborLabError, match=f"date index {i} outside 1..4"):
                 quote()
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.0])
+@pytest.mark.parametrize("strike", [0.0, -0.01])
+def test_quotes_refuse_a_nonpositive_strike(tenor, curve, sigma, strike):
+    # no positive rate functional reaches a strike <= 0, so it has no exercise level
+    grid = calibrate_backward(curve, MfmDriver.flat(tenor, sigma))
+    for quote in (caplet_value, digital_value):
+        with pytest.raises(LiborLabError, match="strike > 0"):
+            quote(grid, 2, strike)
 
 
 def test_calibration_rejects_bad_inputs(tenor, curve):
@@ -314,7 +316,12 @@ def test_strike_at_a_flat_end_node():
     assert 0.0 <= digital <= curve.bond(2)
     # the caplet's strike slope is -delta times the digital
     assert at - above == pytest.approx(DELTA * digital * (bumped - strike), abs=1e-13)
+    # below the flat end every state exercises: x* = -inf leaves no lower tail
     assert grid._rate_interp[1].inverse(0.5 * strike) == -math.inf
+    low_caplet = caplet_value(grid, 1, 0.5 * strike)
+    low_digital = digital_value(grid, 1, 0.5 * strike)
+    assert math.isfinite(low_caplet) and math.isfinite(low_digital)
+    assert low_digital == initial_bond_repricing(grid, 1)
 
 
 def _monotone_nodes(rng, flat_share):
