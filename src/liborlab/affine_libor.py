@@ -252,7 +252,8 @@ def caplet_price_chi2(family: MartingaleFamily, k: int, strike: float) -> float:
     Splits delta (L - K)^+ = (e^{A + B X} - (1 + delta K)) 1_{X > x*} and
     evaluates both pieces with the chi-square distribution function (the
     exponential piece through one more tilt).  Requires positive degrees of
-    freedom (long-run level > 0) and B > 0.
+    freedom (long-run level > 0) and B > 0.  Needs scipy, which the package
+    installs only with its ``[test]`` extra.
     """
     from scipy.stats import ncx2  # here, not at the top: keeps scipy.stats out of CLI start-up
     delta, t_fix, a, b = _caplet_setup(family, k, strike)

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from ._roots import bracketed_root
 from .errors import CalibrationError, LiborLabError
 from .tenor import InitialCurve, TenorStructure

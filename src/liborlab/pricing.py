@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from ._roots import bracketed_root
 from .errors import LiborLabError, PriceBoundsError
 from .lmm import LiborPathSet

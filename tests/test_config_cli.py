@@ -598,37 +598,37 @@ def _run_cli(args, cwd):
     return _run_python(["-m", "liborlab.cli", *args], cwd)
 
 
-# scipy.stats only serves the chi-square cross-check, which no command runs;
-# the package has its own root solver and monotone cubic.  Loading these
-# (with scipy.linalg, sparse and spatial behind them) costs every command
-# about 0.4 s of start-up.
-HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
-
-
-def _heavy_scipy_loaded(tmp_path, statement):
-    proc = _run_python(
-        ["-c", f"import sys\nfrom liborlab import cli\n{statement}\n"
-               f"print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"],
-        cwd=tmp_path,
-    )
+# scipy serves only the tests, as an oracle, and the chi-square cross-check,
+# which no command runs; the package has its own normal distribution function,
+# root solver and monotone cubic.  Importing scipy.special alone (66 scipy
+# modules) would cost every command about 0.3 s of start-up.
+def _scipy_loaded(tmp_path, statement):
+    """Run ``statement`` after ``from liborlab import cli``; each ``CHECK`` in it
+    prints the scipy modules then loaded.  Returns one list per check."""
+    proc = _run_python(["-c", f"import sys\nfrom liborlab import cli\n{statement}"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return [line for line in proc.stdout.splitlines() if line.startswith("scipy modules:")]
 
 
-def test_cli_import_skips_scipy_stats(tmp_path):
-    assert _heavy_scipy_loaded(tmp_path, "") == "[]"
+CHECK = "print('scipy modules:', [m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
 
 
-def test_price_and_calibrate_mfm_skip_heavy_scipy(tmp_path):
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_loaded(tmp_path, CHECK) == ["scipy modules: []"]
+
+
+def test_commands_load_no_scipy(tmp_path):
     cfg_file = tmp_path / "small.cfg"
     cfg_file.write_text(VERIFY_ALL)
+    commands = ("price", "calibrate-mfm", "verify", "compare")
     runs = "".join(
         f"assert cli.main([{command!r}, {str(cfg_file)!r}, '--paths', '2000', "
-        f"'--out-dir', {str(tmp_path / command)!r}]) == 0\n"
-        for command in ("price", "calibrate-mfm")
+        f"'--out-dir', {str(tmp_path / command)!r}]) == 0\n{CHECK}"
+        for command in commands
     )
-    assert _heavy_scipy_loaded(tmp_path, runs) == "[]"
-    assert (tmp_path / "price" / "prices.csv").exists()
+    assert _scipy_loaded(tmp_path, runs) == ["scipy modules: []"] * len(commands)
+    for command, output in zip(commands, ("prices.csv", "mfm_grid.csv", "verify_report.txt", "quotes.csv")):
+        assert (tmp_path / command / output).exists()
 
 
 def test_cli_end_to_end(tmp_path):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from liborlab import _normal
 from liborlab.errors import LiborLabError, PriceBoundsError
 from liborlab.levy import LevyCharacteristics, simulate_driver
 from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
@@ -194,3 +195,34 @@ def test_normal_cdf_matches_scipy_norm_bitwise():
             )
             d2 = (math.log(0.04 / strike) - 0.5 * vol**2) / vol
             assert black_digital_price(0.04, strike, vol, 0.97) == 0.97 * norm.cdf(d2)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_normal_port_matches_scipy_ndtr_bitwise():
+    # the Cephes port returns scipy's bits, NaN included, one element at a time or as an array
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                        np.random.default_rng(23).normal(scale=12.0, size=4000)])
+    # 129 neighbouring doubles on each side of every branch edge of |x| sqrt(1/2):
+    # sqrt(1/2) (erf or erfc), 1 (erfc's own erf branch), 8 (P/Q or R/S) and
+    # sqrt(MAXLOG), where erfc underflows to 0 and ndtr(-x) with it (x = 37.677...)
+    for z in (_normal._SQRT1_2, 1.0, 8.0, math.sqrt(_normal._MAXLOG)):
+        near = (np.float64(z / _normal._SQRT1_2).view(np.int64) + np.arange(-64, 65)).view(float)
+        # the edge itself is among them (sqrt(MAXLOG) is an edge of z^2, not of z)
+        assert np.any(near * _normal._SQRT1_2 == z) or z > 8.0
+        x = np.concatenate([x, near, -near])
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    x = np.concatenate([x, special])
+    expected = _bits(ndtr(x))
+    assert np.array_equal(_bits(_normal.ndtr(x)), expected)
+    assert np.array_equal(_bits([_normal.ndtr(v) for v in x.tolist()]), expected)
+    assert np.array_equal(_bits([_normal.ndtr(v) for v in x[-200:]]), expected[-200:])  # np.float64
+    for v in (0.3, np.float64(-2.0), 7):
+        assert type(_normal.ndtr(v)) is float
+    for shape in ((), (7,), (3, 5)):
+        a = x[-100:-100 + math.prod(shape)].reshape(shape)
+        out = _normal.ndtr(a)
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+        assert np.array_equal(_bits(out), _bits(ndtr(a)))
