@@ -139,8 +139,7 @@ def libor_coefficients(family: MartingaleFamily, k: int, t: float):
     A and B are flow differences at the remaining horizon; B >= 0 because
     the parameters are nonincreasing and psi is increasing in u.
     """
-    if not 0 <= k <= family.tenor.n - 1:
-        raise LiborLabError(f"rate index {k} outside 0..{family.tenor.n - 1}")
+    family.tenor.check("rate", k, 0, family.tenor.n - 1)
     rem = family.horizon - t
     phi_k, psi_k = cir_flow(family.params, rem, family.u_seq[k])
     phi_n, psi_n = cir_flow(family.params, rem, family.u_seq[k + 1])
@@ -175,8 +174,7 @@ def forward_measure_cgf(family: MartingaleFamily, k: int, v, s: float, r: float,
     """
     if not 0.0 <= s <= r <= family.horizon:
         raise LiborLabError("need 0 <= s <= r <= horizon")
-    if not 1 <= k <= family.tenor.n:
-        raise LiborLabError(f"measure index {k} outside 1..{family.tenor.n}")
+    family.tenor.check("measure", k, 1, family.tenor.n)
     q = cir_flow(family.params, family.horizon - r, family.u_seq[k])[1]
     phi_qv, psi_qv = cir_flow(family.params, r - s, q + np.asarray(v))
     phi_q, psi_q = cir_flow(family.params, r - s, q)
@@ -184,8 +182,7 @@ def forward_measure_cgf(family: MartingaleFamily, k: int, v, s: float, r: float,
 
 
 def _caplet_setup(family: MartingaleFamily, k: int, strike: float):
-    if not 1 <= k <= family.tenor.n - 1:
-        raise LiborLabError(f"rate index {k} outside 1..{family.tenor.n - 1}")
+    family.tenor.check("rate", k, 1, family.tenor.n - 1)
     if strike < 0.0:
         raise LiborLabError("caplet strike must be nonnegative")
     delta = family.tenor.delta

@@ -32,8 +32,9 @@ DRIVER_TYPES = ("brownian", "jump-normal", "jump-double-exp")
 class ExperimentConfig:
     """Parsed experiment description; see ``configs/`` for examples.
 
-    Value ranges that a model input's constructor owns are checked when
-    ``experiment.Context`` builds that input, not here.
+    Parsing checks only what needs no model input.  Value ranges that a
+    model input's constructor owns, and the rates and strikes each listed
+    model can run on the built curve, are checked by ``experiment.Context``.
     """
 
     seed: int
@@ -94,24 +95,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model {m!r}; valid: {', '.join(KNOWN_MODELS)}")
         if (self.flat_libor is None) == (self.curve_file is None):
             raise ConfigError("curve section needs exactly one of flat_libor / file")
-        libor, lmm = self.flat_libor, any(m.startswith("lmm-") for m in self.models)
-        if libor is not None and (libor < 0.0 or (libor == 0.0 and lmm)):
-            raise ConfigError("flat_libor must be >= 0, and > 0 with an lmm-* model")
         if self.driver_type not in DRIVER_TYPES:
             raise ConfigError(f"unknown driver type {self.driver_type!r}")
         if self.driver_type == "brownian" and self.jump_intensity != 0.0:
             raise ConfigError("a brownian driver cannot carry jump intensity")
         if self.driver_type != "brownian" and self.jump_intensity <= 0.0:
             raise ConfigError("jump drivers need a positive intensity")
-        # the lowest strike each listed model values: mfm > 0, affine >= 0, fpm > -1/delta;
-        # strike factors scale the flat rate, and with a curve file only their sign is known
-        rate = 1.0 if self.strikes else self.flat_libor
-        for model, low in (("mfm", 0.0), ("affine", 0.0), ("fpm", -1.0 / self.delta)):
-            if model in self.models and (rate is not None or low == 0.0):
-                for s in self.strikes or self.strike_factors or (1.0,):
-                    strike = s if rate is None else s * rate
-                    if strike < low or (strike == low and model != "affine"):
-                        raise ConfigError(f"{model} cannot value strike {strike} (limit {low})")
         if "lmm-picard1" in self.models and self.driver_type != "brownian":
             raise ConfigError("lmm-picard1 requires a brownian driver")
         if self.vol_flat is None and not self.vol_rows:

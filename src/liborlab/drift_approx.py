@@ -183,8 +183,7 @@ def frozen_drift_law(model: LmmModel, k: int, d: int):
     """
     if model.chars.has_jumps:
         raise UnsupportedSchemeError("closed-form law requires a continuous driver")
-    if not 0 <= d < model.tenor.n:
-        raise LiborLabError(f"date index {d} outside 0..{model.tenor.n - 1}")
+    model.tenor.check("date", d, 0, model.tenor.n - 1)
     log_l0 = np.log(model.curve.libor(k))  # refuses k outside 0..N-1
     step, lam = _FrozenStep(model), model.vols.values[:d]
     beta0 = sum(step.interval(j, 0, lam[j])[k, 0] for j in range(d))

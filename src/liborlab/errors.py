@@ -6,7 +6,7 @@ class LiborLabError(Exception):
 
 
 class CurveError(LiborLabError):
-    """Invalid tenor structure or initial curve data."""
+    """Invalid tenor structure or initial curve data, or a tenor index out of range."""
 
 
 class DomainError(LiborLabError):

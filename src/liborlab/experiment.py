@@ -49,9 +49,10 @@ class Context:
     """What one command builds from its config, each member once.
 
     Every input a listed model reads is built here, so a value outside its
-    constructor's range is a ``ConfigError`` before any work; the models are
-    built on first use.  Path sets are not members: a command simulates,
-    quotes and drops one path set before it draws the next.
+    constructor's range is a ``ConfigError`` before any work, and so is an
+    initial rate or a strike of the built curve that a listed model cannot
+    run; the models are built on first use.  Path sets are not members: a
+    command simulates, quotes and drops one path set before it draws the next.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -66,6 +67,20 @@ class Context:
                 self.cir_params
         except LiborLabError as exc:
             raise ConfigError(str(exc)) from exc
+        # rates: the market model's log-state needs L(0, T_k) > 0, and so does the MFM's
+        # digital calibration at sigma > 0 from T_1 on (every built curve has L >= 0)
+        libors = self.curve.libors
+        if any(m in _LMM_SCHEMES for m in cfg.models) and not np.all(libors > 0.0):
+            raise ConfigError(f"an lmm-* model needs every initial rate > 0, got {min(libors)}")
+        mfm_moves = "mfm" in cfg.models and np.any(self.mfm_driver.sigma[: cfg.n - 1])
+        if mfm_moves and not np.all(libors[1:] > 0.0):
+            raise ConfigError("mfm at sigma > 0 needs every initial rate from T_1 on > 0")
+        # the lowest strike each listed model values: mfm > 0, affine >= 0, fpm > -1/delta
+        strikes = [s for k in self.tenor.rate_indices for s in self.strikes(k)]
+        for model, low in (("mfm", 0.0), ("affine", 0.0), ("fpm", -1.0 / cfg.delta)):
+            bad = [s for s in strikes if s < low or (s == low and model != "affine")]
+            if model in cfg.models and bad:
+                raise ConfigError(f"{model} cannot value strike {bad[0]} (limit {low})")
 
     @cached_property
     def tenor(self) -> TenorStructure:

@@ -180,8 +180,7 @@ def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
     nor jumps: a pure-jump law's atom at s0 then decays on the ray too.  The
     ray stays at a small angle, where Brownian and normal-jump factors decay.
     """
-    if not 1 <= k <= model.tenor.n - 1:
-        raise LiborLabError(f"rate index {k} outside 1..{model.tenor.n - 1}")
+    model.tenor.check("rate", k, 1, model.tenor.n - 1)
     delta = model.tenor.delta
     if strike <= -1.0 / delta:
         raise LiborLabError(f"strike must exceed -1/delta = {-1.0 / delta}")

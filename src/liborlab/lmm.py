@@ -199,9 +199,8 @@ def forward_measure_characteristics(
     (paths, N); the shift and the factor at a scalar x then have one value
     per path.
     """
-    n = vols.tenor.n
-    if not (0 <= j < n and 0 <= k < n):
-        raise LiborLabError(f"interval index {j} or rate index {k} outside 0..{n - 1}")
+    vols.tenor.check("interval", j, 0, vols.tenor.n - 1)
+    vols.tenor.check("rate", k, 0, vols.tenor.n - 1)
     state = np.asarray(state, dtype=float)
     lam_row = vols.values[j]
     w = forward_price_weights(state, delta)
@@ -251,10 +250,8 @@ class LiborPathSet:
         if self.date_values is None:
             raise LiborLabError("path set was simulated without tenor-date snapshots")
         d, m, n = date_index, measure_index, self.tenor.n
-        if not 0 <= d < n:
-            raise LiborLabError(f"date index {d} outside 0..{n - 1}")
-        if not 1 <= m <= n:
-            raise LiborLabError(f"measure index {m} outside 1..{n}")
+        self.tenor.check("date", d, 0, n - 1)
+        self.tenor.check("measure", m, 1, n)
         state = self.date_values[:, d, m:n]
         ratios = (1.0 + self.delta * state) / (1.0 + self.delta * self.initial_libors[m:n])
         return np.prod(ratios, axis=1)

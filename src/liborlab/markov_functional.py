@@ -340,8 +340,6 @@ def calibrate_backward(
     """
     tenor = curve.tenor
     n = tenor.n
-    if np.any(np.asarray(curve.libors) < 0.0):
-        raise CalibrationError("calibration needs a curve with nonnegative rates")
 
     used = driver.sigma[: n - 1]
     if np.all(used == 0.0):
@@ -411,19 +409,13 @@ def calibrate_backward(
     return grid
 
 
-def _check_date(grid: FunctionalGrid, i: int) -> None:
-    """Refuse a quote date outside 1..N-1, the dates calibration covers."""
-    if not 1 <= i <= grid.tenor.n - 1:
-        raise LiborLabError(f"date index {i} outside 1..{grid.tenor.n - 1}")
-
-
 def _exercise_level(grid: FunctionalGrid, i: int, strike: float):
     """State x* with L(T_i, T_i; x*) = K, or None on the deterministic grid.
 
     Refuses a date outside 1..N-1 and a strike <= 0, which no positive rate
     functional reaches.
     """
-    _check_date(grid, i)
+    grid.tenor.check("date", i, 1, grid.tenor.n - 1)  # the dates calibration covers
     if strike <= 0.0:
         raise LiborLabError(f"MFM quotes need a strike > 0, got {strike}")
     return None if grid.deterministic else grid._rate_interp[i].inverse(strike)
@@ -455,7 +447,7 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
 
 def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
     """B(0, T_N) E[J_i(X_{T_i})], which must reproduce B(0, T_{i+1})."""
-    _check_date(grid, i)
+    grid.tenor.check("date", i, 1, grid.tenor.n - 1)  # the dates calibration covers
     if grid.deterministic:
         return grid.curve.bond(i + 1)
     _, (total, _) = grid._tables[i]

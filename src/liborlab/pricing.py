@@ -131,9 +131,7 @@ def mc_caplet(
     payment date's forward measure; the standard error accounts for
     antithetic pairing when the paths carry it.
     """
-    n = paths.tenor.n
-    if not 1 <= k <= n - 1:
-        raise LiborLabError(f"caplet index {k} outside 1..{n - 1}")
+    paths.tenor.check("caplet", k, 1, paths.tenor.n - 1)
     if np.isnan(paths.fixings[:, k]).any():
         raise LiborLabError(f"fixing of rate {k} is NaN on some path")
     payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]

@@ -57,6 +57,11 @@ class TenorStructure:
         """Indices k of rates L(., T_k) with nontrivial dynamics (1..N-1)."""
         return range(1, self.n)
 
+    def check(self, name: str, i: int, lo: int, hi: int) -> None:
+        """Refuse a tenor index ``i`` outside ``lo..hi`` with ``CurveError``."""
+        if not lo <= i <= hi:
+            raise CurveError(f"{name} index {i} outside {lo}..{hi}")
+
 
 @dataclass(frozen=True)
 class InitialCurve:
@@ -108,14 +113,12 @@ class InitialCurve:
 
     def bond(self, k: int) -> float:
         """B(0, T_k)."""
-        if not 0 <= k <= self.tenor.n:
-            raise CurveError(f"bond index {k} outside 0..{self.tenor.n}")
+        self.tenor.check("bond", k, 0, self.tenor.n)
         return self.bonds[k]
 
     def libor(self, k: int) -> float:
         """Fixing L(0, T_k) = (B(0,T_k)/B(0,T_{k+1}) - 1) / delta."""
-        if not 0 <= k <= self.tenor.n - 1:
-            raise CurveError(f"LIBOR index {k} outside 0..{self.tenor.n - 1}")
+        self.tenor.check("LIBOR", k, 0, self.tenor.n - 1)
         return (self.bonds[k] / self.bonds[k + 1] - 1.0) / self.tenor.delta
 
     @property

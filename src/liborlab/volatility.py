@@ -70,6 +70,5 @@ class VolatilitySurface:
 
     def total_variance(self, k: int, c: float = 1.0) -> float:
         """Integral of c * lambda(s, T_k)^2 over [0, T_k], k = 1..N-1."""
-        if not 1 <= k < self.tenor.n:
-            raise CurveError(f"rate index {k} outside 1..{self.tenor.n - 1}")
+        self.tenor.check("rate", k, 1, self.tenor.n - 1)
         return float(c * self.tenor.delta * np.sum(self.values[:k, k] ** 2))

@@ -194,6 +194,43 @@ UNRUNNABLE = {
     "vol-row-too-short": (
         "verify", ("flat = 0.15", "rate_1 = 0.15\nrate_2 = 0.1\nrate_3 = 0.15, 0.15, 0.15"), ()
     ),
+    # rates and strikes judged on the built curve, flat or from a file (CURVE_FILES):
+    # fpm strikes at or below -1/delta = -2, market-model rates and mfm rates at sigma > 0
+    # that are zero
+    "fpm-strike-factor-below-floor-flat": (
+        "price", (RUN_AND_PRICING, "run = fpm\n\n[pricing]\nstrike_factors = -400, 1.0"), ()
+    ),
+    "fpm-strike-factor-below-floor-file": (
+        "price", ("flat_libor = 0.04", "file = rising.txt",
+                  RUN_AND_PRICING, "run = fpm\n\n[pricing]\nstrike_factors = -400, 1.0"), ()
+    ),
+    "lmm-zero-forward-file": (
+        "price", ("flat_libor = 0.04", "file = zero_forward.txt",
+                  RUN_AND_PRICING, "run = lmm-exact, lmm-taylor\n\n[pricing]\nstrike_factors = 1.0"), ()
+    ),
+    "lmm-zero-forward-file-verify": (
+        "verify", ("flat_libor = 0.04", "file = zero_forward.txt",
+                   RUN_AND_PRICING, "run = lmm-exact, lmm-taylor"), ()
+    ),
+    "mfm-zero-flat-libor": (
+        "price", ("flat_libor = 0.04", "flat_libor = 0.0",
+                  RUN_AND_PRICING, "run = mfm\n\n[pricing]\nstrikes = 0.04"), ()
+    ),
+    "mfm-zero-forward-file": (
+        "price", ("flat_libor = 0.04", "file = zero_forward.txt",
+                  RUN_AND_PRICING, "run = mfm\n\n[pricing]\nstrikes = 0.04"), ()
+    ),
+    "mfm-zero-forward-file-calibrate": (
+        "calibrate-mfm", ("flat_libor = 0.04", "file = zero_forward.txt",
+                          RUN_AND_PRICING, "run = mfm\n\n[pricing]\nstrikes = 0.04"), ()
+    ),
+}
+# T_k,B(0,T_k) on VERIFY_ALL's tenor (delta = 0.5, n = 4): rates of 2% to 3.5%, and
+# B(0, T_1) = B(0, T_2), so L(0, T_1) = 0
+CURVE_FILES = {
+    "rising.txt": "0,1\n0.5,0.9900990099009901\n1,0.9778755653343112\n"
+                  "1.5,0.9634242022998141\n2,0.9468542528745101\n",
+    "zero_forward.txt": "0,1\n0.5,0.99\n1,0.99\n1.5,0.97\n2,0.95\n",
 }
 
 
@@ -212,7 +249,10 @@ def test_cli_refuses_values_it_cannot_run(tmp_path, capsys, monkeypatch, case):
     command, edits, flags = UNRUNNABLE[case]
     text, edits = VERIFY_ALL, edits or ()
     for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text, old
         text = text.replace(old, new)
+    for name, curve in CURVE_FILES.items():
+        (tmp_path / name).write_text(curve)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(text)
     code = cli.main([command, str(cfg_file), "--out-dir", str(tmp_path / "out"), *flags])
@@ -228,7 +268,6 @@ def test_every_field_is_reached_by_one_table_key():
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-MODERATE = st.floats(min_value=1e-100, max_value=1e100)  # products stay positive
 FLOAT_LISTS = st.lists(FINITE, min_size=1, max_size=4).map(tuple)
 
 
@@ -237,8 +276,6 @@ def configs(draw):
     driver_type = draw(st.sampled_from(config.DRIVER_TYPES))
     models = [m for m in config.KNOWN_MODELS if driver_type == "brownian" or m != "lmm-picard1"]
     models = tuple(draw(st.lists(st.sampled_from(models), min_size=1, unique=True)))
-    # mfm, affine and fpm value only strikes above a floor; positive ones clear all three
-    priced = bool({"mfm", "affine", "fpm"} & set(models))
     # the market model and the FPM step at most delta / 4
     simulated = any(m.startswith("lmm-") or m == "fpm" for m in models)
     antithetic = draw(st.booleans())
@@ -261,12 +298,11 @@ def configs(draw):
         mfm_sigma=draw(st.none() | FINITE),
     )
     if draw(st.booleans()):
-        values["flat_libor"] = draw(MODERATE if priced else POSITIVE)  # every model is lmm-*
+        values["flat_libor"] = draw(FINITE)  # its range is the built curve's, as are the strikes'
     else:
         values["curve_file"] = os.path.abspath(__file__)  # only its existence is checked
     if strikes:
-        positive_lists = st.lists(MODERATE, min_size=1, max_size=4).map(tuple)
-        values[strikes] = draw(positive_lists if priced else FLOAT_LISTS)
+        values[strikes] = draw(FLOAT_LISTS)
     double_exp = driver_type == "jump-double-exp"
     values.update(
         drift_b=draw(FINITE),
@@ -291,9 +327,22 @@ def test_serialized_config_parses_back_equal(cfg):
 
 def test_zero_flat_libor_is_refused_only_with_the_market_model():
     text = VERIFY_ALL.replace("flat_libor = 0.04", "flat_libor = 0.0").replace(RUN_AND_PRICING, "run = fpm")
-    assert parse_config(text).flat_libor == 0.0
-    with pytest.raises(ConfigError, match="flat_libor must be >= 0, and > 0 with an lmm-"):
-        parse_config(text.replace("run = fpm", "run = fpm, lmm-frozen"))
+    assert experiment.Context(parse_config(text)).curve.libor(1) == 0.0
+    with pytest.raises(ConfigError, match=r"an lmm-\* model needs every initial rate > 0"):
+        experiment.Context(parse_config(text.replace("run = fpm", "run = fpm, lmm-frozen")))
+
+
+def test_zero_rates_stay_runnable_for_the_deterministic_mfm(tmp_path):
+    # at sigma = 0 the MFM calibrates no digitals, so a zero forward rate is fine
+    (tmp_path / "zero_forward.txt").write_text(CURVE_FILES["zero_forward.txt"])
+    text = VERIFY_ALL.replace("flat_libor = 0.04", "file = zero_forward.txt").replace(
+        RUN_AND_PRICING, "run = mfm\n\n[pricing]\nstrikes = 0.03").replace("sigma = 0.2", "sigma = 0.0")
+    cfg_file = tmp_path / "zero.cfg"
+    cfg_file.write_text(text)
+    curve = experiment.Context(parse_config(cfg_file)).curve
+    assert curve.libor(1) == 0.0
+    assert [q.price for _, _, q in run_price(parse_config(cfg_file))] == [
+        curve.bond(k + 1) * 0.5 * max(curve.libor(k) - 0.03, 0.0) for k in (1, 2, 3)]
 
 
 def test_every_committed_config_parses():

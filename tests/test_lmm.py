@@ -338,6 +338,22 @@ def test_quadrature_check_rejects_non_finite_rules(law, loading, tenor, curve):
         LmmModel(tenor, curve, vols, chars)
 
 
+def test_jump_order_falls_back_to_the_closest_pair(tenor, curve):
+    # a wide jump law: no two rules agree within 1e-13, so the later rule of the
+    # closest pair within 1e-9 is kept, here 256 against 128
+    chars = LevyCharacteristics(
+        drift_b=0.0, diffusion_c=0.3, jump_intensity=1.0, jump_law=NormalJumps(0.0, 3.0)
+    )
+    vols = VolatilitySurface.flat(tenor, 0.6)
+    w = forward_price_weights(curve.libors[:, None], DELTA)
+    d128, d256 = (
+        np.concatenate([_drift_all(w, lam, chars, chars.jump_quadrature(order)) for lam in vols.values])
+        for order in (128, 256)
+    )
+    assert 1e-13 < np.max(np.abs(d256 - d128)) <= 1e-9
+    assert LmmModel(tenor, curve, vols, chars).quad_order == 256
+
+
 def test_jump_order_is_chosen_at_build_time(tenor, curve, brownian):
     cfg = parse_config(str(ROOT / "configs" / "verify_all.cfg"))
     assert Context(cfg).lmm.quad_order == 8

@@ -156,6 +156,12 @@ def test_zero_vol_deterministic_limit(curve, tenor):
         fwd_bond = curve.bond(5) / curve.bond(i)
         assert grid.numeraire_values[i][0] == pytest.approx(fwd_bond, rel=1e-14)
         assert initial_bond_repricing(grid, i) == pytest.approx(curve.bond(i + 1), rel=1e-14)
+        # every functional is a constant of the state
+        assert digital_value(grid, i, 0.5 * curve.libor(i)) == curve.bond(i + 1)
+        assert digital_value(grid, i, 2.0 * curve.libor(i)) == 0.0
+        assert grid.j_value(i, 0.3) == curve.bond(i + 1) / curve.bond(5)
+        assert grid.reciprocal_numeraire(i, 0.3) == curve.bond(i) / curve.bond(5)
+    assert grid.reciprocal_numeraire(5, 0.3) == 1.0
 
 
 def test_calibrated_functionals_monotone_and_positive(curve, driver):
@@ -293,6 +299,10 @@ def test_quotes_refuse_a_nonpositive_strike(tenor, curve, sigma, strike):
 def test_calibration_rejects_bad_inputs(tenor, curve):
     with pytest.raises(CalibrationError):
         calibrate_backward(curve, MfmDriver(tenor, np.array([0.2, 0.0, 0.2, 0.2, 0.2])))
+    # L(0, T_1) = 0: no digital strike inverts at a zero rate
+    zero_forward = InitialCurve.from_bonds(tenor, [1.0, 0.99, 0.99, 0.97, 0.95, 0.93])
+    with pytest.raises(CalibrationError, match="strictly positive fixings"):
+        calibrate_backward(zero_forward, MfmDriver.flat(tenor, 0.2))
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf])

@@ -1,11 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liborlab import affine_libor, forward_price, markov_functional
+from liborlab.affine import CirParams
+from liborlab.drift_approx import frozen_drift_law
 from liborlab.errors import CurveError, LiborLabError
-from liborlab.lmm import LiborPathSet
+from liborlab.forward_price import FpmModel
+from liborlab.levy import LevyCharacteristics
+from liborlab.lmm import (
+    LiborPathSet, LmmModel, forward_measure_characteristics, simulate_exact, simulation_grid,
+)
+from liborlab.pricing import mc_caplet
 from liborlab.tenor import InitialCurve, TenorStructure, read_curve_file
+from liborlab.volatility import VolatilitySurface
 
 
 @pytest.fixture
@@ -155,3 +166,62 @@ def test_curve_file_round_trip(tmp_path_factory, delta, discounts):
     assert curve.tenor.n == len(discounts)
     assert curve.tenor.delta == delta
     assert curve.bonds == tuple(bonds)
+
+
+@pytest.fixture(scope="module")
+def models():
+    # one of each model on a 4-period tenor, enough to reach every tenor-index check
+    tenor = TenorStructure(delta=0.5, n=4)
+    curve = InitialCurve.from_libors(tenor, [0.03, 0.035, 0.04, 0.045])
+    vols = VolatilitySurface.flat(tenor, 0.2)
+    lmm = LmmModel(tenor, curve, vols, LevyCharacteristics(drift_b=0.0, diffusion_c=1.0))
+    return SimpleNamespace(
+        curve=curve, vols=vols, lmm=lmm,
+        paths=simulate_exact(lmm, simulation_grid(tenor, 4), 8, seed=1, store_dates=True),
+        fpm=FpmModel(tenor, curve, vols, lmm.chars),
+        family=affine_libor.fit_initial_curve(curve, CirParams(1.2, 0.06, 0.5, 0.06)),
+        mfm=markov_functional.calibrate_backward(curve, markov_functional.MfmDriver.flat(tenor, 0.2)),
+    )
+
+
+# public entry point -> (index name, lo, hi, call at index i); N = 4
+INDEX_RANGES = {
+    "InitialCurve.bond": ("bond", 0, 4, lambda m, i: m.curve.bond(i)),
+    "InitialCurve.libor": ("LIBOR", 0, 3, lambda m, i: m.curve.libor(i)),
+    "VolatilitySurface.total_variance": ("rate", 1, 3, lambda m, i: m.vols.total_variance(i)),
+    "forward_measure_characteristics-j": ("interval", 0, 3, lambda m, i: forward_measure_characteristics(
+        m.curve.libors, i, 1, m.lmm.chars, m.vols, 0.5)),
+    "forward_measure_characteristics-k": ("rate", 0, 3, lambda m, i: forward_measure_characteristics(
+        m.curve.libors, 0, i, m.lmm.chars, m.vols, 0.5)),
+    "LiborPathSet.density_weight-date": ("date", 0, 3, lambda m, i: m.paths.density_weight(i, 1)),
+    "LiborPathSet.density_weight-measure": ("measure", 1, 4, lambda m, i: m.paths.density_weight(0, i)),
+    "frozen_drift_law": ("date", 0, 3, lambda m, i: frozen_drift_law(m.lmm, 1, i)),
+    "forward_price.caplet_price_fourier": (
+        "rate", 1, 3, lambda m, i: forward_price.caplet_price_fourier(m.fpm, i, 0.04)),
+    "affine_libor.libor_coefficients": (
+        "rate", 0, 3, lambda m, i: affine_libor.libor_coefficients(m.family, i, 0.0)),
+    "affine_libor.forward_measure_cgf": (
+        "measure", 1, 4, lambda m, i: affine_libor.forward_measure_cgf(m.family, i, 0.1, 0.0, 0.5, 0.06)),
+    "affine_libor.caplet_price_fourier": (
+        "rate", 1, 3, lambda m, i: affine_libor.caplet_price_fourier(m.family, i, 0.04)),
+    "affine_libor.caplet_price_chi2": (
+        "rate", 1, 3, lambda m, i: affine_libor.caplet_price_chi2(m.family, i, 0.04)),
+    "pricing.mc_caplet": ("caplet", 1, 3, lambda m, i: mc_caplet(m.paths, i, 0.04, m.curve)),
+    "markov_functional.caplet_value": (
+        "date", 1, 3, lambda m, i: markov_functional.caplet_value(m.mfm, i, 0.04)),
+    "markov_functional.digital_value": (
+        "date", 1, 3, lambda m, i: markov_functional.digital_value(m.mfm, i, 0.04)),
+    "markov_functional.initial_bond_repricing": (
+        "date", 1, 3, lambda m, i: markov_functional.initial_bond_repricing(m.mfm, i)),
+}
+
+
+@pytest.mark.parametrize("entry", list(INDEX_RANGES))
+def test_tenor_indices_are_checked_at_both_ends(models, entry):
+    # lo and hi are read; lo - 1 and hi + 1 are refused by TenorStructure.check
+    name, lo, hi, call = INDEX_RANGES[entry]
+    call(models, lo)
+    call(models, hi)
+    for i in (lo - 1, hi + 1):
+        with pytest.raises(CurveError, match=rf"^{name} index {i} outside {lo}\.\.{hi}$"):
+            call(models, i)
