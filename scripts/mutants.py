@@ -1,6 +1,6 @@
 """Run a fixed table of source mutants against the Tier-1 tests.
 
-    python scripts/mutants.py [NAME ...]
+    python scripts/mutants.py
 
 Each entry of ``MUTANTS`` is one exact text substitution in one file of
 ``src/liborlab`` together with what it breaks.  The script copies the tree
@@ -10,14 +10,13 @@ runs ``python -m pytest -x`` and restores the file.  It prints ``killed`` with
 the first failing test, or ``survived``, and ends with ``killed n of m``; the
 exit code is 1 when a mutant survives.  Old text that is not found exactly
 once stops the script before any test runs, so the table has to follow the
-code.  With names given, only those entries run.  The whole table takes about
-6 minutes on 2 CPUs, most of it in the baseline run and in the mutants that
-the acceptance tests kill.  It is not part of the Tier-1 suite.
+code.  The whole table takes about 6 minutes on 2 CPUs, most of it in the
+baseline run and in the mutants that the acceptance tests kill.  It is not part
+of the Tier-1 suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -106,15 +105,8 @@ def _pytest(tree: Path):
     return proc.returncode == 0, first.group(1) if first else f"exit {proc.returncode}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="mutant table against the Tier-1 tests")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="entries of MUTANTS to run")
-    names = parser.parse_args(argv).names or list(MUTANTS)
-    unknown = sorted(set(names) - set(MUTANTS))
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}")
-    for name in names:
-        file, old = MUTANTS[name][:2]
+def main() -> int:
+    for name, (file, old, _, _) in MUTANTS.items():
         count = (ROOT / "src" / "liborlab" / file).read_text().count(old)
         if count != 1:
             raise SystemExit(f"{name}: the old text occurs {count} times in {file}")
@@ -127,8 +119,7 @@ def main(argv=None) -> int:
             print(f"the unmutated suite fails ({first}); no mutant can be judged")
             return 2
         killed = 0
-        for name in names:
-            file, old, new, what = MUTANTS[name]
+        for name, (file, old, new, what) in MUTANTS.items():
             path = tree / "src" / "liborlab" / file
             text = path.read_text()
             path.write_text(text.replace(old, new))
@@ -139,8 +130,8 @@ def main(argv=None) -> int:
             killed += not passed
             print(f"{name:<28} {'survived' if passed else 'killed by ' + first}  ({what})",
                   flush=True)
-    print(f"killed {killed} of {len(names)}")
-    return 0 if killed == len(names) else 1
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

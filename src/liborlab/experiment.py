@@ -61,20 +61,16 @@ class Context:
             self.curve, self.vols, self.chars
             if any(m in _LMM_SCHEMES or m == "fpm" for m in cfg.models):
                 self.grid
-            if "mfm" in cfg.models:
-                self.mfm_driver
             if "affine" in cfg.models:
                 self.cir_params
         except LiborLabError as exc:
             raise ConfigError(str(exc)) from exc
-        # rates: the market model's log-state needs L(0, T_k) > 0, and so does the MFM's
-        # digital calibration at sigma > 0 from T_1 on (every built curve has L >= 0)
+        # rates: the market model's log-state needs L(0, T_k) > 0 (every built curve has L >= 0)
         libors = self.curve.libors
         if any(m in _LMM_SCHEMES for m in cfg.models) and not np.all(libors > 0.0):
             raise ConfigError(f"an lmm-* model needs every initial rate > 0, got {min(libors)}")
-        mfm_moves = "mfm" in cfg.models and np.any(self.mfm_driver.sigma[: cfg.n - 1])
-        if mfm_moves and not np.all(libors[1:] > 0.0):
-            raise ConfigError("mfm at sigma > 0 needs every initial rate from T_1 on > 0")
+        if "mfm" in cfg.models:
+            self.check_mfm()
         # the lowest strike each listed model values: mfm > 0, affine >= 0, fpm > -1/delta
         strikes = [s for k in self.tenor.rate_indices for s in self.strikes(k)]
         for model, low in (("mfm", 0.0), ("affine", 0.0), ("fpm", -1.0 / cfg.delta)):
@@ -142,6 +138,15 @@ class Context:
         if sigma is None:
             raise ConfigError("mfm needs [mfm] sigma or a flat vols value")
         return markov_functional.MfmDriver.flat(self.tenor, sigma)
+
+    def check_mfm(self) -> None:
+        """Build the MFM driver; at sigma > 0 its calibration needs every L(0, T_k) > 0, k >= 1."""
+        try:
+            moves = np.any(self.mfm_driver.sigma[: self.cfg.n - 1])
+        except LiborLabError as exc:
+            raise ConfigError(str(exc)) from exc
+        if moves and not np.all(self.curve.libors[1:] > 0.0):
+            raise ConfigError("mfm at sigma > 0 needs every initial rate from T_1 on > 0")
 
     @cached_property
     def mfm_grid(self) -> markov_functional.FunctionalGrid:
@@ -490,7 +495,9 @@ def run_price(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list:
 
 def run_calibrate_mfm(cfg: ExperimentConfig, out_dir: Optional[str] = None):
     """Backward-induction calibration; exports the functional grid CSV."""
-    grid = Context(cfg).mfm_grid
+    context = Context(cfg)
+    context.check_mfm()  # also when no listed model is the MFM
+    grid = context.mfm_grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         rows = [(i, *node) for i in range(1, grid.tenor.n)

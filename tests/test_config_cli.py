@@ -224,6 +224,19 @@ UNRUNNABLE = {
         "calibrate-mfm", ("flat_libor = 0.04", "file = zero_forward.txt",
                           RUN_AND_PRICING, "run = mfm\n\n[pricing]\nstrikes = 0.04"), ()
     ),
+    # calibrate-mfm calibrates the MFM also when the listed models do not include it
+    "mfm-zero-forward-file-calibrate-unlisted": (
+        "calibrate-mfm", ("flat_libor = 0.04", "file = zero_forward.txt",
+                          RUN_AND_PRICING, "run = fpm\n\n[pricing]\nstrike_factors = 1.0"), ()
+    ),
+    "mfm-zero-flat-libor-calibrate-unlisted": (
+        "calibrate-mfm", ("flat_libor = 0.04", "flat_libor = 0.0",
+                          RUN_AND_PRICING, "run = fpm\n\n[pricing]\nstrike_factors = 1.0"), ()
+    ),
+    "mfm-sigma-negative-calibrate-unlisted": (
+        "calibrate-mfm", ("sigma = 0.2", "sigma = -0.2",
+                          RUN_AND_PRICING, "run = fpm\n\n[pricing]\nstrike_factors = 1.0"), ()
+    ),
 }
 # T_k,B(0,T_k) on VERIFY_ALL's tenor (delta = 0.5, n = 4): rates of 2% to 3.5%, and
 # B(0, T_1) = B(0, T_2), so L(0, T_1) = 0
