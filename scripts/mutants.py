@@ -30,15 +30,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> (file under src/liborlab, exact old text, new text, what it breaks)
 MUTANTS = {
     "drift-tail-sign": (
-        "lmm.py", "- 0.5 * c * lam**2 - c * lam * tail", "- 0.5 * c * lam**2 + c * lam * tail",
+        "lmm.py", "drift = np.subtract(self.const, np.multiply(self.c_lam, tail",
+        "drift = np.add(self.const, np.multiply(self.c_lam, tail",
         "the sign of c lambda tail in the exact drift",
     ),
     "weights-without-denominator": (
-        "lmm.py", "    return dl / (1.0 + dl)\n", "    return dl\n",
+        "lmm.py", "    return np.divide(dl, np.add(dl, 1.0, out=None if out is None else libors), out=out)\n",
+        "    return dl\n",
         "w = delta L in place of delta L / (1 + delta L)",
     ),
     "jump-tilt-not-updated": (
-        "lmm.py", "                    prod *= tmp\n", "                    prod *= 1.0\n",
+        "lmm.py", "                prod *= tmp\n", "                prod *= 1.0\n",
         "the jump-tilt product of the later rates left at its first factor",
     ),
     "picard-without-own-term": (
@@ -46,7 +48,7 @@ MUTANTS = {
         "the Picard weight drift without its own w_k lambda_k term",
     ),
     "taylor-y-without-beta0": (
-        "drift_approx.py", "y += table[0] * dt + lam_row[:, None] * dh", "y += lam_row[:, None] * dh",
+        "drift_approx.py", "y += np.add(table[0] * dt, ldh, out=work.scratch)", "y += ldh",
         "the Taylor first-variation process Y without the frozen drift beta0",
     ),
     "fpm-drift-table-sign": (
@@ -56,8 +58,7 @@ MUTANTS = {
         "the sign of the FPM drift table",
     ),
     "compensator-sign": (
-        "levy.py", "dh = dh + self.jump_sums - chars.jump_mean_rate * dts",
-        "dh = dh + self.jump_sums + chars.jump_mean_rate * dts",
+        "levy.py", "dh -= chars.jump_mean_rate * dts", "dh += chars.jump_mean_rate * dts",
         "the sign of the driver's jump compensator",
     ),
     "mfm-numeraire-without-delta": (
@@ -74,7 +75,10 @@ MUTANTS = {
         "the affine fixing weight under the T_k in place of the T_{k+1} forward measure",
     ),
     "stderr-unpaired": (
-        "pricing.py", "        samples = 0.5 * (samples[:half] + samples[half:])\n", "        pass\n",
+        "pricing.py",
+        "        samples = np.add(samples[:half], samples[half:], out=samples[:half])\n"
+        "        samples *= 0.5\n",
+        "        pass\n",
         "the Monte Carlo standard error with the antithetic pairing switched off",
     ),
     "index-hi-off-by-one": (

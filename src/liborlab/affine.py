@@ -162,9 +162,6 @@ def simulate_cir(params: CirParams, grid, n_paths: int, seed: int) -> np.ndarray
         nc = out[i - 1] * decay / scale
         mix = rng.poisson(0.5 * nc)
         shape = 0.5 * df + mix
-        draw = np.zeros(n_paths)
-        pos = shape > 0.0
-        if np.any(pos):
-            draw[pos] = rng.standard_gamma(shape[pos]) * 2.0
-        out[i] = scale * draw
+        # a zero shape (theta = 0, no Poisson mix) gives 0.0 without drawing
+        out[i] = scale * (rng.standard_gamma(shape) * 2.0)
     return out

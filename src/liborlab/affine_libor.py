@@ -293,9 +293,10 @@ def simulate_affine_paths(family: MartingaleFamily, n_paths: int, seed: int) -> 
     states = simulate_cir(family.params, grid, n_paths, seed)
 
     l0 = np.asarray(family.curve.libors)
-    fixings = np.empty((n_paths, n))
+    # column-major like the kernel's, so each rate's fixings and weights are one contiguous column
+    fixings = np.empty((n_paths, n), order="F")
     fixings[:, 0] = l0[0]
-    fixing_weights = np.ones((n_paths, n))
+    fixing_weights = np.ones((n_paths, n), order="F")
     for d in range(1, n):
         fixings[:, d] = libor_value(family, d, tenor.dates[d], states[d])
         m_now = martingale_value(family, family.u_seq[d + 1], tenor.dates[d], states[d])

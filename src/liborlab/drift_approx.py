@@ -33,7 +33,7 @@ from .levy import DriverPathSet
 from .lmm import (
     LiborPathSet,
     LmmModel,
-    _drift_all,
+    _Drift,
     _simulate_core,
     _Step,
     _tail_sums,
@@ -45,9 +45,9 @@ class _FrozenStep(_Step):
     """Deterministic drift beta0, the exact drift at the time-zero weights."""
 
     def interval(self, j: int, c0: int, lam_row):
-        return _drift_all(self.w0[c0:], lam_row, self.chars, self.rule)
+        return _Drift(lam_row, self.chars, self.rule)(self.w0[c0:])
 
-    def drift(self, log_state, aux, lam_row, table):
+    def drift(self, log_state, aux, table, work):
         return table
 
 
@@ -61,18 +61,18 @@ class _TaylorStep(_Step):
     """
 
     def interval(self, j: int, c0: int, lam_row):
-        beta0 = _drift_all(self.w0[c0:], lam_row, self.chars, self.rule)
-        return beta0, self.log_x0[c0:]
+        drift = _Drift(lam_row, self.chars, self.rule)
+        return drift(self.w0[c0:]), self.log_x0[c0:], drift  # beta0, log L(0), the drift
 
     def start(self, n_paths: int):
         return np.tile(self.log_x0, (1, n_paths)), np.zeros((len(self.log_x0), n_paths))
 
-    def drift(self, log_state, y, lam_row, table):
-        w = forward_price_weights(np.exp(table[1] + y), self.delta)  # table[1]: log L(0)
-        return _drift_all(w, lam_row, self.chars, self.rule)
+    def drift(self, log_state, y, table, work):
+        libors = np.exp(np.add(table[1], y, out=work.drift), out=work.drift)
+        return table[2](forward_price_weights(libors, self.delta, out=work.w), work.drift, work)
 
-    def advance(self, y, lam_row, table, dt, dw, dh):
-        y += table[0] * dt + lam_row[:, None] * dh
+    def advance(self, y, table, dt, dw, ldh, work):
+        y += np.add(table[0] * dt, ldh, out=work.scratch)
 
 
 class _PicardStep(_Step):
@@ -83,17 +83,17 @@ class _PicardStep(_Step):
 
     def interval(self, j: int, c0: int, lam_row):
         drift, vol = picard_tables_row(self.w0[c0:, 0], lam_row, self.chars.diffusion_c)
-        return drift[:, None], vol[:, None]
+        return drift[:, None], vol[:, None], _Drift(lam_row, self.chars, None)
 
     def start(self, n_paths: int):
         return np.tile(self.log_x0, (1, n_paths)), np.tile(self.w0, (1, n_paths))
 
-    def drift(self, log_state, z, lam_row, table):
-        return _drift_all(z, lam_row, self.chars, None)
+    def drift(self, log_state, z, table, work):
+        return table[2](z, work.drift, work)
 
-    def advance(self, z, lam_row, table, dt, dw, dh):
-        drift, vol = table
-        z += drift * dt + vol * dw
+    def advance(self, z, table, dt, dw, ldh, work):
+        drift, vol = table[:2]
+        z += np.add(drift * dt, np.multiply(vol, dw, out=work.scratch), out=work.scratch)
 
 
 def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):

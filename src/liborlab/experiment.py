@@ -376,52 +376,66 @@ def run_verify(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> VerifyRe
     return report
 
 
-def _priced(curve: InitialCurve, k: int, strike: float, price: float) -> CapletQuote:
-    """Quote of a transform or grid price, with its implied vol where Black has one."""
-    return CapletQuote(k=k, strike=strike, price=price,
-                       implied_vol=implied_vol_or_none(price, curve, k, strike))
+def _priced(curve: InitialCurve, price):
+    """``quote(k, strikes)`` of a transform or grid ``price(k, strike)``.
+
+    Each quote carries its implied vol where Black has one.
+    """
+    def quote(k: int, strikes) -> list:
+        quotes = []
+        for strike in strikes:
+            value = price(k, strike)
+            quotes.append(CapletQuote(k=k, strike=strike, price=value,
+                                      implied_vol=implied_vol_or_none(value, curve, k, strike)))
+        return quotes
+    return quote
 
 
 def _producers(ctx: Context, name: str, positive: bool = False) -> list:
-    """``(model, scheme, quote(k, strike))`` producers of one configured model.
+    """``(model, scheme, quote(k, strikes))`` producers of one configured model.
 
-    A simulated model draws its path set here, which lives as long as the
-    producers.  With ``positive``, a market-model path set with a rate that
-    is not positive raises instead.
+    ``quote`` returns one ``CapletQuote`` per strike of rate k.  A simulated
+    model draws its path set here, which lives as long as the producers.
+    With ``positive``, a market-model path set with a rate that is not
+    positive raises instead.
     """
     curve = ctx.curve
     if name == "mfm":
         grid = ctx.mfm_grid
         return [("mfm", "grid",
-                 lambda k, s: _priced(curve, k, s, markov_functional.caplet_value(grid, k, s)))]
+                 _priced(curve, lambda k, s: markov_functional.caplet_value(grid, k, s)))]
     if name == "affine":
         family = ctx.affine_family
         paths = affine_libor.simulate_affine_paths(family, ctx.cfg.n_paths, ctx.cfg.seed + 1)
         return [
             ("affine", "fourier",
-             lambda k, s: _priced(curve, k, s, affine_libor.caplet_price_fourier(family, k, s))),
-            ("affine", "mc", lambda k, s: mc_caplet(paths, k, s, curve)),
+             _priced(curve, lambda k, s: affine_libor.caplet_price_fourier(family, k, s))),
+            ("affine", "mc", lambda k, ss: mc_caplet(paths, k, ss, curve)),
         ]
     paths = ctx.simulate(name)
     if name == "fpm":
         fpm = ctx.fpm
         return [
-            ("fpm", "mc", lambda k, s: mc_caplet(paths, k, s, curve)),
-            ("fpm", "fourier", lambda k, s: _priced(curve, k, s, caplet_price_fourier(fpm, k, s))),
+            ("fpm", "mc", lambda k, ss: mc_caplet(paths, k, ss, curve)),
+            ("fpm", "fourier", _priced(curve, lambda k, s: caplet_price_fourier(fpm, k, s))),
         ]
     if positive and not paths.min_rate() > 0.0:
         raise LiborLabError(f"positivity violated by scheme {name}")
-    return [("lmm", name.replace("lmm-", ""), lambda k, s: mc_caplet(paths, k, s, curve))]
+    return [("lmm", name.replace("lmm-", ""), lambda k, ss: mc_caplet(paths, k, ss, curve))]
 
 
 def _quote_loop(ctx: Context, producers: list) -> list:
-    """``(model, scheme, CapletQuote)`` rows by rate, then strike, then producer."""
-    return [
-        (model, scheme, quote(k, strike))
-        for k in ctx.tenor.rate_indices
-        for strike in ctx.strikes(k)
-        for model, scheme, quote in producers
-    ]
+    """``(model, scheme, CapletQuote)`` rows by rate, then strike, then producer.
+
+    Each producer quotes all strikes of a rate in one call.
+    """
+    rows = []
+    for k in ctx.tenor.rate_indices:
+        strikes = ctx.strikes(k)
+        by_producer = [[(model, scheme, q) for q in quote(k, strikes)]
+                       for model, scheme, quote in producers]
+        rows += [row for per_strike in zip(*by_producer) for row in per_strike]
+    return rows
 
 
 @dataclass

@@ -118,13 +118,15 @@ class _FpmStep(_Step):
     def interval(self, j: int, c0: int, lam_row):
         return self.drift_table[j, c0:, None]
 
-    def rate(self, log_f):
-        return np.expm1(log_f) / self.delta
+    def rate(self, log_f, out):
+        np.expm1(log_f, out=out)
+        out /= self.delta
+        return out
 
-    def forward_price(self, log_f, libors):
-        return np.exp(log_f)
+    def forward_price(self, log_f, libors, out):
+        return np.exp(log_f, out=out)
 
-    def drift(self, log_f, aux, lam_row, table):
+    def drift(self, log_f, aux, table, work):
         return table
 
 

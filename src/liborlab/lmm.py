@@ -31,6 +31,7 @@ fixing date.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -48,25 +49,120 @@ _BLOCK_PATHS = 8192  # paths per block of the simulation kernel
 _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256)  # jump-drift quadrature orders tried
 
 
-def forward_price_weights(libors, delta: float):
-    """w = delta L / (1 + delta L), the stochastic-exponential weights."""
-    dl = delta * np.asarray(libors, dtype=float)
-    return dl / (1.0 + dl)
+def forward_price_weights(libors, delta: float, out=None):
+    """w = delta L / (1 + delta L), the stochastic-exponential weights.
+
+    With ``out`` the weights are written there and ``libors``, which must
+    then be a float array, is left holding 1 + delta L: nothing is allocated.
+    """
+    dl = np.multiply(delta, libors, out=out)
+    return np.divide(dl, np.add(dl, 1.0, out=None if out is None else libors), out=out)
 
 
-def _tail_sums(wl: np.ndarray) -> np.ndarray:
+def _tail_sums(wl: np.ndarray, out=None) -> np.ndarray:
     """tail[k] = sum_{l>k} wl[l] along axis 0, for shape (M,) or (M, paths).
 
     One contiguous row add per rate, from the last row down: the add order,
     and so the bits, of ``np.cumsum(wl[:0:-1], axis=0)[::-1]``.  Row M-2 is
     a copy of row M-1, as in the cumsum, so a negative zero keeps its sign.
+    ``out``, if given, must not be ``wl``.
     """
-    tail = np.zeros_like(wl)
+    tail = np.empty_like(wl) if out is None else out
+    tail[-1:] = 0.0
     if len(wl) > 1:
         tail[-2] = wl[-1]
         for k in range(len(wl) - 3, -1, -1):
             np.add(tail[k + 1 : k + 2], wl[k + 1 : k + 2], out=tail[k : k + 1])
     return tail
+
+
+class _Work:
+    """Buffers of one path block, allocated once and reused at every step.
+
+    Rate-major (rates, paths) arrays: ``drift`` (a step's drift, then its
+    increment), ``ldh`` (lambda dH), ``w`` (forward-price weights) and
+    ``scratch``; and the (paths, nodes) jump-tilt arrays ``prod`` and
+    ``tmp``, with no nodes for a continuous driver.  ``live(c0)`` views the
+    same buffers for the rates ``[c0:]``.
+    """
+
+    def __init__(self, rows: np.ndarray, prod: np.ndarray, tmp: np.ndarray):
+        self.rows = rows
+        self.drift, self.ldh, self.w, self.scratch = rows
+        self.prod, self.tmp = prod, tmp
+
+    @classmethod
+    def empty(cls, rates: int, n_paths: int, n_nodes: int = 0) -> "_Work":
+        return cls(np.empty((4, rates, n_paths)), *np.empty((2, n_paths, n_nodes)))
+
+    def live(self, c0: int) -> "_Work":
+        return _Work(self.rows[:, c0:], self.prod, self.tmp)
+
+
+class _Drift:
+    """Log-rate drift on one tenor interval, its loading constants built once.
+
+    ``lam_row`` are the M loadings on the interval (zero for already-fixed
+    rates, which removes them from the sums and products automatically), and
+    ``rule`` is the (nodes, weights) quadrature of the jump-size law, or None
+    for a continuous driver.  Calling it with left-endpoint weights ``w`` of
+    shape (M, paths) or (M, 1) returns the drift of every rate in that shape,
+    written into ``out`` with the scratch of ``work`` (a ``_Work``), or into
+    fresh arrays without them.  ``w`` is rate-major, so each per-rate
+    operation runs on a contiguous row.  Row k reads only rows l >= k of its
+    own column, so no other path and no leading row changes its bits:
+    ``[c0:]`` alone gives the same.  The jump integrand stays (paths, nodes),
+    so its sum runs along the contiguous node axis, whose pairwise summation
+    fixes the bits; a sum along the path axis would change them.
+    """
+
+    def __init__(self, lam_row: np.ndarray, chars: LevyCharacteristics, rule: Optional[tuple]):
+        c = chars.diffusion_c
+        self.lam_row = lam_row
+        self.lam = lam_row[:, None]
+        self.const = -self.lam * chars.drift_b - 0.5 * c * self.lam**2
+        self.c_lam = c * self.lam
+        self.jump_rows = []  # rates with a nonzero loading, last first; none without jumps
+        self.n_nodes = 0
+        if rule is not None:
+            nodes, self.weights = rule
+            self.n_nodes = len(nodes)
+            self.intensity, self.mean_rate = chars.jump_intensity, chars.jump_mean_rate
+            self.em1 = np.exp(np.outer(lam_row, nodes)) - 1.0  # exp(lambda_k x_q) - 1
+            self.jump_rows = [k for k in range(len(lam_row) - 1, -1, -1) if lam_row[k] != 0.0]
+        if self.jump_rows:
+            # the tilt product is still 1 on the last live rate, so its integrand is path-free
+            k = self.jump_rows[0]
+            integral = (self.em1[k] * self.weights).sum()
+            self.first_jump = self.intensity * integral - lam_row[k] * self.mean_rate
+
+    def __call__(self, w: np.ndarray, out=None, work: Optional[_Work] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(w)
+        if work is None:
+            work = _Work.empty(*w.shape, self.n_nodes)
+        tail = _tail_sums(np.multiply(w, self.lam, out=work.scratch), out=out)  # sum_{l>k} w_l lambda_l
+        drift = np.subtract(self.const, np.multiply(self.c_lam, tail, out=out), out=out)
+        if not self.jump_rows:
+            return drift
+        # minus the jump integral int [(e^{lambda_k x} - 1) prod_{l>k} gamma_l(x) - lambda_k x] F(dx)
+        prod, tmp = work.prod, work.tmp  # prod_{l > k} gamma_l at the nodes, updated in place
+        k = self.jump_rows[0]
+        drift[k] -= self.first_jump
+        np.multiply(w[k, :, None], self.em1[k], out=prod)
+        prod += 1.0
+        for k in self.jump_rows[1:]:
+            np.multiply(self.em1[k], prod, out=tmp)
+            tmp *= self.weights
+            jump = np.add.reduce(tmp, axis=1, out=work.scratch[k])  # the tail sums are spent
+            jump *= self.intensity
+            jump -= self.lam_row[k] * self.mean_rate
+            drift[k] -= jump
+            if k > 0:  # no column left of 0 reads the product
+                np.multiply(w[k, :, None], self.em1[k], out=tmp)
+                tmp += 1.0
+                prod *= tmp
+        return drift
 
 
 def _drift_all(
@@ -75,51 +171,13 @@ def _drift_all(
     chars: LevyCharacteristics,
     rule: Optional[tuple],
 ) -> np.ndarray:
-    """Log-rate drift of every rate given left-endpoint weights.
+    """Log-rate drift of every rate given left-endpoint weights, into new arrays.
 
-    ``w`` has shape (M, paths) or (M, 1): rate-major, so each per-rate
-    operation runs on a contiguous row.  ``lam_row`` are the M loadings at
-    the current time (zero for already-fixed rates, which removes them from
-    the sums and products automatically).  ``rule`` is the (nodes, weights)
-    quadrature of the jump-size law, or None for a continuous driver.
-    Returns the shape of ``w``.  Row k reads only rows l >= k of its own
-    column, so no other path and no leading row changes its bits: ``[c0:]``
-    alone gives the same.  The jump integrand stays (paths, nodes), so its
-    sum runs along the contiguous node axis, whose pairwise summation fixes
-    the bits; a sum along the path axis would change them.
+    ``w`` has shape (M, paths) or (M, 1) and ``lam_row`` the M loadings at
+    the current time.  The library calls ``_Drift`` itself; this one-shot
+    form is the reference the tests compare drifts with.
     """
-    c = chars.diffusion_c
-    b = chars.drift_b
-    lam = lam_row[:, None]
-    tail = _tail_sums(w * lam)  # sum_{l > k} w_l lambda_l
-    drift = -lam * b - 0.5 * c * lam**2 - c * lam * tail
-
-    if rule is not None:
-        nodes, weights = rule
-        intensity, mean_rate = chars.jump_intensity, chars.jump_mean_rate
-        em1 = np.exp(np.outer(lam_row, nodes)) - 1.0  # exp(lambda_k x_q) - 1
-        prod = None  # prod_{l > k} gamma_l at the nodes, updated in place
-        jump = np.zeros_like(drift)
-        for k in range(len(lam_row) - 1, -1, -1):
-            if lam_row[k] == 0.0:
-                continue
-            if prod is None:
-                # the product is still 1, so the integrand is the same on every path
-                integral = (em1[k] * weights).sum()
-                prod = w[k, :, None] * em1[k]
-                prod += 1.0
-                tmp = np.empty_like(prod)
-            else:
-                np.multiply(em1[k], prod, out=tmp)
-                tmp *= weights
-                integral = tmp.sum(axis=1)
-                if k > 0:  # no column left of 0 reads the product
-                    np.multiply(w[k, :, None], em1[k], out=tmp)
-                    tmp += 1.0
-                    prod *= tmp
-            jump[k] = intensity * integral - lam_row[k] * mean_rate
-        drift = drift - jump
-    return drift
+    return _Drift(lam_row, chars, rule)(w)
 
 
 @dataclass(frozen=True)
@@ -161,7 +219,7 @@ class LmmModel:
                 rule = self.chars.jump_quadrature(order)
             if not np.all(np.isfinite(np.concatenate(rule))):
                 break
-            cur = np.concatenate([_drift_all(w, lam, self.chars, rule) for lam in self.vols.values])
+            cur = np.concatenate([_Drift(lam, self.chars, rule)(w) for lam in self.vols.values])
             err = float(np.max(np.abs(cur - prev)))
             if err <= 1e-13:
                 return order
@@ -284,8 +342,11 @@ class _Step:
     base class is the exact scheme, which reads them off the current state.
     The object holds read-only data only; the state of a path block is what
     ``start`` returns, rate-major (rates, paths) like ``log_x0`` and ``w0``,
-    which are columns.
+    which are columns.  Every method that takes a block's ``work`` (a
+    ``_Work``) writes into its buffers instead of allocating.
     """
+
+    rule = None  # the (nodes, weights) jump-size quadrature of the drift, if any
 
     def __init__(self, model: LmmModel):
         self.delta = model.tenor.delta
@@ -294,37 +355,58 @@ class _Step:
         with np.errstate(divide="ignore"):  # log 0 = -inf, which exp maps back to 0
             self.log_x0 = np.log(libors)[:, None]
         self.w0 = forward_price_weights(libors, self.delta)[:, None]
-        self.rule = self.chars.jump_quadrature(model.quad_order) if self.chars.has_jumps else None
+        if self.chars.has_jumps:
+            self.rule = self.chars.jump_quadrature(model.quad_order)
 
     def interval(self, j: int, c0: int, lam_row):
         """Read-only tables of tenor interval j for the rates ``[c0:]``."""
-        return None
+        return _Drift(lam_row, self.chars, self.rule)
 
     def start(self, n_paths: int):
         """Log-state and auxiliary state of a block of ``n_paths`` paths."""
         return np.tile(self.log_x0, (1, n_paths)), None
 
-    def rate(self, log_state):
-        return np.exp(log_state)
+    def rate(self, log_state, out):
+        return np.exp(log_state, out=out)
 
-    def forward_price(self, log_state, libors):
-        return 1.0 + self.delta * libors
+    def forward_price(self, log_state, libors, out):
+        np.multiply(libors, self.delta, out=out)
+        out += 1.0
+        return out
 
-    def drift(self, log_state, aux, lam_row, table):
-        """Drift of the log-state with the scheme's left-endpoint weights."""
-        w = forward_price_weights(np.exp(log_state), self.delta)
-        return _drift_all(w, lam_row, self.chars, self.rule)
+    def drift(self, log_state, aux, table, work: _Work):
+        """Drift with the scheme's left-endpoint weights: ``work.drift``, or a (rates, 1) column."""
+        libors = np.exp(log_state, out=work.drift)
+        return table(forward_price_weights(libors, self.delta, out=work.w), work.drift, work)
 
-    def advance(self, aux, lam_row, table, dt, dw, dh):
-        """Update the auxiliary state after the main update of a step."""
+    def advance(self, aux, table, dt, dw, ldh, work: _Work):
+        """Update the auxiliary state after the main update of a step; ``ldh`` is lambda dH."""
 
 
 def _n_workers() -> int:
-    """Threads for the path blocks: one per CPU this process may run on."""
+    """Threads for the worker pool: one per CPU this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def _parallel_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on the process's one worker pool, in item order.
+
+    The pool has ``_n_workers()`` threads; it starts on first use and lives
+    as long as the process.  The kernel's path blocks run on it; numpy
+    releases the GIL in their array operations.  Call it from the main thread
+    only, and never from inside ``fn``, whose wait on the pool could then
+    deadlock it.  ``fn`` must call no function that ``perfbench/tracing.py``
+    wraps: its span recorder is not thread-safe.
+    """
+    return list(_pool(_n_workers()).map(fn, items))
 
 
 def _simulate_core(
@@ -340,32 +422,40 @@ def _simulate_core(
 
     ``model`` supplies the tenor, curve, loadings and driver law.  ``step``
     owns the log-state s of the rates: ``interval(j, c0, lam_row)`` builds
-    the read-only tables of tenor interval j, ``start(n)`` gives the initial
-    state and auxiliary state of a block of n paths, ``drift`` the
-    left-endpoint drift, ``advance`` updates the auxiliary state after each
-    step, and ``rate(s)`` / ``forward_price(s, L)`` map the state to the
-    rates L and the forward prices 1 + delta L.  Every step applies
+    the read-only tables of tenor interval j (the drift's loading constants
+    among them), ``start(n)`` gives the initial state and auxiliary state of
+    a block of n paths, ``drift`` the left-endpoint drift, ``advance``
+    updates the auxiliary state after each step, and ``rate`` /
+    ``forward_price`` map the state to the rates L and the forward prices
+    1 + delta L.  Every step applies
 
         s += drift * dt + lam_row[:, None] * dH,
 
     and the kernel records fixings, terminal-measure density weights and
-    optional snapshots at the tenor dates.
+    optional snapshots at the tenor dates.  lambda dH is formed once per step
+    and shared by the update and ``advance``; a deterministic drift column
+    (frozen, FPM) is added to it without being broadcast first.
 
     A block's state is rate-major, shape (rates, paths): each per-rate
     operation then runs on one contiguous row of the block's paths instead
     of a strided column.  On interval j the rates before the first nonzero
     loading c0 have zero loading and drift, so ``interval``, ``drift``, the
-    update and ``advance`` see only the live rows ``[c0:]`` of the loadings
-    and the states.
+    update and ``advance`` see only the live rows ``[c0:]`` of the loadings,
+    the states and the buffers.
 
     The paths run in blocks of ``_BLOCK_PATHS`` (8,192) through the whole
-    grid, so a block's state stays in cache, and the blocks run on a thread
-    pool (numpy releases the GIL).  Each thread holds its block's state,
-    driver increments and drift temporaries at once, so the block size
-    trades time against peak memory: on the 200,000-path compare benchmark
-    8,192 ran faster than 4,096, and 16,384 ran no faster than 8,192 but
-    raised the peak RSS by 13% over 4,096.  Every operation is local to a path, so the
-    results do not depend on the block size or the number of threads.
+    grid, so a block's state stays in cache, and the blocks run on the
+    process's one worker pool (``_parallel_map``);
+    ``step`` calls nothing that the benchmark's tracing wraps, since only
+    the main thread may.  Each block allocates its buffers (``_Work``) once,
+    and every step writes into them instead of into numpy temporaries of a
+    block's size.  Each thread holds its block's state, driver increments
+    and buffers at once, so the block size trades time against peak memory:
+    on the 200,000-path compare benchmark (two runs each, 2 CPUs) blocks of
+    4,096 took 2.13-2.17 s at 137 MB, 8,192 took 1.53-1.75 s at 145 MB,
+    and 16,384 took 1.51-1.56 s at 160-163 MB, 11% above 8,192.  Every
+    operation is local to a path, so the results do not depend on the
+    block size or the number of threads.
     """
     tenor, n = model.tenor, model.tenor.n
     grid = np.asarray(grid, dtype=float)
@@ -380,10 +470,12 @@ def _simulate_core(
 
     delta = tenor.delta
     l0 = np.asarray(model.curve.libors)
+    forward0 = 1.0 + delta * l0[:, None]
     dts = driver.dts
     lam = model.vols.values[: n - 1]  # the grid ends at T_{N-1}
     live = [int(np.argmax(row != 0.0)) for row in lam]  # c0 of each interval; 0 if none
     tables = [step.interval(j, c0, lam[j, c0:]) for j, c0 in enumerate(live)]
+    n_nodes = 0 if step.rule is None else len(step.rule[0])
 
     # column-major, so each rate's fixings and weights are one contiguous column
     fixings = np.full((n_paths, n), np.nan, order="F")  # nan until the fixing date
@@ -391,17 +483,20 @@ def _simulate_core(
     fixing_weights = np.ones((n_paths, n), order="F")
     date_values = np.empty((n_paths, n, n)) if store_dates else None  # at T_0 .. T_{N-1}
 
-    def record(rows: slice, state, i_grid: int):
+    def record(rows: slice, state, work: _Work, i_grid: int):
         d, r = divmod(i_grid, m)
-        if r:
+        if r or not (d or store_dates):  # at T_0 only a snapshot has anything to record
             return
-        libors = step.rate(state)
+        lo = 0 if store_dates else d  # the rates before T_d are fixed: only snapshots read them
+        libors = work.scratch
+        step.rate(state[lo:], out=libors[lo:])
         if store_dates:
             date_values[rows, d, :] = libors.T
         if d >= 1:
             fixings[rows, d] = libors[d]
-            forward = step.forward_price(state[d + 1 : n], libors[d + 1 : n])
-            fixing_weights[rows, d] = np.prod(forward / (1.0 + delta * l0[d + 1 : n, None]), axis=0)
+            forward = step.forward_price(state[d + 1 : n], libors[d + 1 : n], out=work.w[d + 1 : n])
+            forward /= forward0[d + 1 : n]
+            np.prod(forward, axis=0, out=fixing_weights[rows, d])
 
     def run_block(lo: int):
         rows = slice(lo, min(lo + _BLOCK_PATHS, n_paths))
@@ -409,18 +504,23 @@ def _simulate_core(
         block = replace(driver, dw=driver.dw[:, rows], jump_sums=jumps)
         dh = block.increments(model.chars)
         state, aux = step.start(block.n_paths)
-        record(rows, state, 0)
-        for i in range(len(dts)):
+        work = _Work.empty(n, block.n_paths, n_nodes)
+        record(rows, state, work, 0)
+        for i, dt in enumerate(dts):
             j = i // m
             c0 = live[j]
-            lam_row, s = lam[j, c0:], state[c0:]
-            a = None if aux is None else aux[c0:]
-            s += step.drift(s, a, lam_row, tables[j]) * dts[i] + lam_row[:, None] * dh[i]
-            step.advance(a, lam_row, tables[j], dts[i], block.dw[i], dh[i])
-            record(rows, state, i + 1)
+            s, a, wk = state[c0:], None if aux is None else aux[c0:], work.live(c0)
+            ldh = np.multiply(lam[j, c0:, None], dh[i], out=wk.ldh)
+            drift = step.drift(s, a, tables[j], wk)
+            if drift is wk.drift:
+                drift *= dt
+            else:  # a deterministic (rates, 1) column
+                drift = drift * dt
+            s += np.add(drift, ldh, out=wk.drift)
+            step.advance(a, tables[j], dt, block.dw[i], ldh, wk)
+            record(rows, state, work, i + 1)
 
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        list(pool.map(run_block, range(0, n_paths, _BLOCK_PATHS)))
+    _parallel_map(run_block, range(0, n_paths, _BLOCK_PATHS))
 
     return LiborPathSet(
         tenor=tenor,

@@ -111,32 +111,52 @@ def implied_vol_or_none(price: float, curve: InitialCurve, k: int, strike: float
 
 
 def _mc_mean_stderr(samples: np.ndarray, antithetic: bool):
-    """Mean and standard error; antithetic pairs are averaged first."""
+    """Mean and standard error; antithetic pairs are averaged first.
+
+    Works in place and overwrites ``samples``.  The arithmetic is that of
+    ``np.mean`` and ``np.std(ddof=1)``, so the bits are theirs: one pairwise
+    sum for the mean, then the deviations, squared in place, and one more
+    sum.  All-equal samples (``np.ptp`` 0) have SE 0 even where their mean
+    rounds off their value; such a mean lies within a relative 2^-40 of the
+    first sample, so only a mean that close needs the exact ``np.ptp`` test.
+    """
     if antithetic:
         half = len(samples) // 2
-        samples = 0.5 * (samples[:half] + samples[half:])
-    mean = float(np.mean(samples))
-    if len(samples) < 2 or np.ptp(samples) == 0.0:
-        return mean, 0.0
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-    return mean, stderr
+        samples = np.add(samples[:half], samples[half:], out=samples[:half])
+        samples *= 0.5
+    n = len(samples)
+    mean = samples.sum() / n
+    if n < 2 or (abs(mean - samples[0]) <= 2.0**-40 * abs(mean) and np.ptp(samples) == 0.0):
+        return float(mean), 0.0
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    return float(mean), float(np.sqrt(samples.sum() / (n - 1)) / math.sqrt(n))
 
 
-def mc_caplet(
-    paths: LiborPathSet, k: int, strike: float, curve: InitialCurve
-) -> CapletQuote:
-    """Monte Carlo caplet price from a simulated path set.
+def mc_caplet(paths: LiborPathSet, k: int, strikes, curve: InitialCurve) -> list:
+    """Monte Carlo caplets on rate k, one ``CapletQuote`` per strike, in order.
 
     Uses the recorded fixing L(T_k, T_k) and the density weight of the
     payment date's forward measure; the standard error accounts for
-    antithetic pairing when the paths carry it.
+    antithetic pairing when the paths carry it.  One pass per rate: the
+    fixings are checked for NaN once, and every strike's payoff is built in
+    the same buffer, which the estimator then overwrites.
     """
     paths.tenor.check("caplet", k, 1, paths.tenor.n - 1)
-    if np.isnan(paths.fixings[:, k]).any():
+    fixing, weight = paths.fixings[:, k], paths.fixing_weights[:, k]
+    if np.isnan(fixing).any():
         raise LiborLabError(f"fixing of rate {k} is NaN on some path")
-    payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]
-    mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
+
+    payoff = np.empty_like(fixing)
     scale = curve.bond(k + 1) * paths.delta
-    price = scale * mean
-    iv = implied_vol_or_none(price, curve, k, strike)
-    return CapletQuote(k=k, strike=strike, price=price, stderr=scale * stderr, implied_vol=iv)
+    quotes = []
+    for strike in strikes:
+        np.subtract(fixing, strike, out=payoff)
+        np.maximum(payoff, 0.0, out=payoff)
+        payoff *= weight
+        mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
+        price = scale * mean
+        iv = implied_vol_or_none(price, curve, k, strike)
+        quotes.append(CapletQuote(k=k, strike=strike, price=price, stderr=scale * stderr,
+                                  implied_vol=iv))
+    return quotes

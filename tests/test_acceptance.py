@@ -366,7 +366,7 @@ def test_criterion_8_affine_suite():
     paths = affine_libor.simulate_affine_paths(family, 1_000_000, seed=808)
     mc_gap = 0.0
     for k, strike in ((2, 0.04), (4, 0.05)):
-        quote = mc_caplet(paths, k, strike, curve)
+        (quote,) = mc_caplet(paths, k, [strike], curve)
         fourier = affine_libor.caplet_price_fourier(family, k, strike)
         mc_gap = max(mc_gap, abs(quote.price - fourier) / quote.stderr)
 

@@ -12,6 +12,7 @@ from liborlab.affine import (
     cir_flow,
     explosion_threshold,
     simulate_cir,
+    transition_constants,
 )
 from liborlab.errors import DomainError, LiborLabError
 
@@ -163,6 +164,35 @@ def test_exact_simulation_nonnegative_and_deterministic(params):
     assert np.min(a) >= 0.0
     with pytest.raises(LiborLabError):
         simulate_cir(params, [], 10, seed=1)
+
+
+def _masked_cir(params, grid, n_paths, seed):
+    # the transition draw with the shape > 0 mask at every step
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = np.empty((len(grid), n_paths))
+    out[0] = params.x0
+    for i in range(1, len(grid)):
+        scale, df, decay = transition_constants(params, grid[i] - grid[i - 1])
+        shape = 0.5 * df + rng.poisson(0.5 * out[i - 1] * decay / scale)
+        draw = np.zeros(n_paths)
+        pos = shape > 0.0
+        if np.any(pos):
+            draw[pos] = rng.standard_gamma(shape[pos]) * 2.0
+        out[i] = scale * draw
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    CirParams(mean_reversion=1.2, long_run_level=0.06, vol_of_vol=0.5, x0=0.06),  # df > 0
+    CirParams(mean_reversion=0.8, long_run_level=0.0, vol_of_vol=0.4, x0=0.03),  # df = 0
+])
+def test_cir_draws_match_the_masked_formula_bitwise(params):
+    # the unmasked draw is the masked one: with df > 0 every shape is positive,
+    # and with df = 0 (theta = 0) a zero shape draws nothing and gives state 0
+    grid = np.linspace(0.0, 2.0, 9)
+    paths = simulate_cir(params, grid, 2_001, seed=13)
+    assert paths.tobytes() == _masked_cir(params, grid, 2_001, 13).tobytes()
+    assert (transition_constants(params, 0.25)[1] > 0.0) == (np.min(paths) > 0.0)
 
 
 def test_degenerate_diffusion_follows_ode():

@@ -238,7 +238,7 @@ def test_caplet_fourier_matches_chi2_property(
 def test_caplet_fourier_matches_mc(family, curve):
     paths = simulate_affine_paths(family, 400_000, seed=17)
     for k, strike in [(2, 0.04), (4, 0.06)]:
-        quote = mc_caplet(paths, k, strike, curve)
+        (quote,) = mc_caplet(paths, k, [strike], curve)
         fourier = caplet_price_fourier(family, k, strike)
         assert abs(quote.price - fourier) <= 3.0 * quote.stderr
 

@@ -17,6 +17,7 @@ from liborlab.errors import LiborLabError, UnsupportedSchemeError
 from liborlab.levy import LevyCharacteristics, NormalJumps, simulate_driver
 from liborlab.lmm import (
     LmmModel,
+    _Work,
     forward_price_weights,
     simulate_exact,
     simulation_grid,
@@ -159,11 +160,12 @@ def test_picard_first_iterate_starts_at_zeroth(model):
     frozen, picard = _FrozenStep(model), _PicardStep(model)
     table = picard.interval(0, 0, lam)
     s, z = picard.start(64)
-    beta0 = np.broadcast_to(frozen.drift(s, None, lam, frozen.interval(0, 0, lam)), s.shape)
-    assert np.array_equal(picard.drift(s, z, lam, table), beta0)
+    work = _Work.empty(len(s), 64)
+    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam), work), s.shape)
+    assert np.array_equal(picard.drift(s, z, table, work), beta0)
     dw = np.random.default_rng(2).normal(0.0, math.sqrt(0.125), 64)
-    picard.advance(z, lam, table, 0.125, dw, dw)
-    assert not np.array_equal(picard.drift(s, z, lam, table), beta0)
+    picard.advance(z, table, 0.125, dw, lam[:, None] * dw, work)
+    assert not np.array_equal(picard.drift(s, z, table, work), beta0)
 
 
 def test_picard_rejects_jump_driver(jump_model, tenor):
@@ -195,12 +197,13 @@ def test_taylor_first_variation_starts_at_zero(model):
     frozen, taylor = _FrozenStep(model), _TaylorStep(model)
     table = taylor.interval(0, 0, lam)
     s, y = taylor.start(16)
+    work = _Work.empty(len(s), 16)
     assert y.T.shape == (16, 5) and np.all(y == 0.0)
-    beta0 = np.broadcast_to(frozen.drift(s, None, lam, frozen.interval(0, 0, lam)), s.shape)
-    assert np.allclose(taylor.drift(s, y, lam, table), beta0, rtol=1e-14, atol=0.0)
+    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam), work), s.shape)
+    assert np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-14, atol=0.0)
     dh = np.random.default_rng(9).normal(0.0, math.sqrt(0.125), 16)
-    taylor.advance(y, lam, table, 0.125, dh, dh)
-    assert not np.allclose(taylor.drift(s, y, lam, table), beta0, rtol=1e-12, atol=0.0)
+    taylor.advance(y, table, 0.125, dh, lam[:, None] * dh, work)
+    assert not np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-12, atol=0.0)
 
 
 def test_scheme_error_ordering_pathwise(model, tenor):

@@ -202,7 +202,7 @@ def test_fourier_matches_mc_with_jumps(tenor, curve):
     driver = simulate_driver(model.chars, grid, 400_000, seed=31, antithetic=True)
     paths = simulate_fpm(model, grid, 400_000, seed=31, driver=driver)
     for k, strike in [(2, 0.04), (4, 0.05)]:
-        quote = mc_caplet(paths, k, strike, curve)
+        (quote,) = mc_caplet(paths, k, [strike], curve)
         fourier = caplet_price_fourier(model, k, strike)
         assert abs(quote.price - fourier) <= 3.0 * quote.stderr
 

@@ -285,6 +285,24 @@ def test_driver_stream_matches_rng_normal_bitwise(jump_normal, jumps, antithetic
         assert paths.jump_sums is None
 
 
+@pytest.mark.parametrize("intensity", [0.8, 150.0])
+@pytest.mark.parametrize("law", [NormalJumps(-0.05, 0.2), DoubleExponentialJumps(0.4, 8.0, 6.0)])
+def test_driver_counts_per_step_match_the_broadcast_call(law, intensity):
+    # the driver draws each step's counts with a scalar intensity; that is
+    # the stream of one broadcast call, so the counts and the jump sums drawn
+    # after them keep every bit.  At intensity 150 the steps' means straddle
+    # 10, where numpy switches Poisson samplers
+    chars = LevyCharacteristics(diffusion_c=0.3, jump_intensity=intensity, jump_law=law)
+    grid = np.array([0.0, 0.05, 0.25, 0.5, 1.0])
+    rng, dw, counts = _plain_counts(chars, grid, 3_001, seed=61)
+    jump_sums = np.zeros(dw.shape)
+    jump_sums[counts > 0] = law.sum_sample(rng, counts[counts > 0])
+    paths = simulate_driver(chars, grid, 3_001, seed=61)
+    assert np.array_equal(paths.jump_sums != 0.0, counts > 0)
+    assert paths.jump_sums.tobytes() == jump_sums.tobytes()
+    assert paths.dw.tobytes() == dw.tobytes()
+
+
 @pytest.mark.parametrize("law", [NormalJumps(-0.05, 0.2), DoubleExponentialJumps(0.4, 8.0, 6.0)])
 def test_driver_jump_sums_follow_exact_law(law):
     # intensity 16 on steps of 1/8 puts about two jumps in a cell, so every

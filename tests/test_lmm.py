@@ -290,6 +290,12 @@ def test_weights_formula():
     w = forward_price_weights(np.array([0.0, 0.04]), DELTA)
     assert w[0] == 0.0
     assert w[1] == pytest.approx(0.02 / 1.02, rel=1e-15)
+    # with out= the weights keep their bits and the rates' buffer is left holding 1 + delta L
+    libors = np.array([[0.0, 0.04], [0.02, 1.5]])
+    scratch, out = libors.copy(), np.full_like(libors, np.nan)
+    assert forward_price_weights(scratch, DELTA, out=out) is out
+    assert out.tobytes() == forward_price_weights(libors, DELTA).tobytes()
+    assert scratch.tobytes() == (1.0 + DELTA * libors).tobytes()
 
 
 def test_mc_caplet_refuses_a_nan_fixing(tenor, curve, vols, brownian):
@@ -298,11 +304,11 @@ def test_mc_caplet_refuses_a_nan_fixing(tenor, curve, vols, brownian):
     model = LmmModel(tenor, curve, vols, brownian)
     paths = simulate_exact(model, simulation_grid(tenor, 4), 32, seed=6)
     assert not np.isnan(paths.fixings).any()  # the grid reaches every fixing date
-    assert mc_caplet(paths, 3, 0.04, curve).price > 0.0
+    assert mc_caplet(paths, 3, [0.04], curve)[0].price > 0.0
     paths.fixings[5, 3] = np.nan
     with pytest.raises(LiborLabError, match="NaN"):
-        mc_caplet(paths, 3, 0.04, curve)
-    assert np.isfinite(mc_caplet(paths, 2, 0.04, curve).price)  # other rates still quote
+        mc_caplet(paths, 3, [0.04], curve)
+    assert np.isfinite(mc_caplet(paths, 2, [0.04], curve)[0].price)  # other rates still quote
 
 
 @pytest.mark.parametrize("scheme", [*_LMM_SCHEMES, "lmm-picard0", "fpm"])
@@ -549,3 +555,51 @@ def test_live_columns_match_full_columns(law, loadings, c0, seed):
     live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
     for whole, live in zip(full_tables, live_tables):
         assert whole[c0:].tobytes() == live.tobytes()
+
+
+def _allocating_drift(w, lam_row, chars, rule):
+    # the drift written out on fresh arrays, the tail sums as a cumsum: the
+    # reference for the kernel's drift, which reuses its block's buffers
+    c, lam = chars.diffusion_c, lam_row[:, None]
+    wl = w * lam
+    tail = np.zeros_like(wl)
+    tail[:-1] = np.cumsum(wl[:0:-1], axis=0)[::-1]
+    drift = -lam * chars.drift_b - 0.5 * c * lam**2 - c * lam * tail
+    if rule is None:
+        return drift
+    nodes, weights = rule
+    em1 = np.exp(np.outer(lam_row, nodes)) - 1.0
+    prod = np.ones((w.shape[1], len(nodes)))
+    jump = np.zeros_like(drift)
+    for k in range(len(lam_row) - 1, -1, -1):
+        if lam_row[k] != 0.0:
+            integral = (em1[k] * prod * weights).sum(axis=1)
+            jump[k] = chars.jump_intensity * integral - lam_row[k] * chars.jump_mean_rate
+            prod = prod * (1.0 + w[k, :, None] * em1[k])
+    return drift - jump
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    law=st.sampled_from([None, NormalJumps(-0.08, 0.25), DoubleExponentialJumps(0.45, 9.0, 7.0)]),
+    loadings=st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drift_in_reused_buffers_matches_fresh_arrays(law, loadings, seed):
+    # the kernel keeps one _Work per block and writes every step's drift into
+    # it; whatever an earlier step left there, the bits are the reference's
+    chars = LevyCharacteristics(
+        drift_b=0.01, diffusion_c=0.4, jump_intensity=0.0 if law is None else 0.6, jump_law=law
+    )
+    rule = chars.jump_quadrature(8) if chars.has_jumps else None
+    lam_row = np.array(loadings)
+    drift = lmm._Drift(lam_row, chars, rule)
+    work = lmm._Work.empty(len(lam_row), 7, 0 if rule is None else len(rule[0]))
+    for buf in (work.rows, work.prod, work.tmp):
+        buf.fill(np.nan)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(len(lam_row), 7))), DELTA)
+        expected = _allocating_drift(w, lam_row, chars, rule)
+        assert drift(w, work.drift, work).tobytes() == expected.tobytes()
+        assert _drift_all(w, lam_row, chars, rule).tobytes() == expected.tobytes()

@@ -10,8 +10,11 @@ from scipy.stats import norm
 
 from liborlab import _normal
 from liborlab.errors import LiborLabError, PriceBoundsError
-from liborlab.levy import LevyCharacteristics, simulate_driver
-from liborlab.lmm import LmmModel, simulate_exact, simulation_grid
+from liborlab.affine import CirParams
+from liborlab.affine_libor import fit_initial_curve, simulate_affine_paths
+from liborlab.forward_price import FpmModel, simulate_fpm
+from liborlab.levy import DoubleExponentialJumps, LevyCharacteristics, simulate_driver
+from liborlab.lmm import LiborPathSet, LmmModel, simulate_exact, simulation_grid
 from liborlab.markov_functional import black_digital_price
 from liborlab.pricing import (
     _mc_mean_stderr,
@@ -145,7 +148,7 @@ def test_mc_caplet_zero_vol_intrinsic(tenor, curve):
         tenor, curve, VolatilitySurface.flat(tenor, 0.0), LevyCharacteristics(0.0, 1.0)
     )
     paths = simulate_exact(model, simulation_grid(tenor, 4), 128, seed=1)
-    q = mc_caplet(paths, 2, 0.03, curve)
+    (q,) = mc_caplet(paths, 2, [0.03], curve)
     assert q.price == pytest.approx(curve.bond(3) * DELTA * 0.01, rel=1e-12)
     assert q.stderr == 0.0
 
@@ -153,15 +156,14 @@ def test_mc_caplet_zero_vol_intrinsic(tenor, curve):
 def test_mc_caplet_terminal_rate_matches_black(tenor, curve, lmm_paths):
     # the last rate is exactly log-normal under the terminal measure
     total_vol = math.sqrt(0.2**2 * tenor.dates[4])
-    for strike in (0.03, 0.04, 0.06):
-        q = mc_caplet(lmm_paths, 4, strike, curve)
-        oracle = black_caplet(0.04, strike, total_vol, DELTA, curve.bond(5))
+    for q in mc_caplet(lmm_paths, 4, [0.03, 0.04, 0.06], curve):
+        oracle = black_caplet(0.04, q.strike, total_vol, DELTA, curve.bond(5))
         assert abs(q.price - oracle) <= 3.0 * q.stderr
 
 
 def test_mc_caplet_price_monotone_convex_in_strike(curve, lmm_paths):
     strikes = [0.02, 0.03, 0.04, 0.05, 0.06]
-    prices = [mc_caplet(lmm_paths, 3, k, curve).price for k in strikes]
+    prices = [q.price for q in mc_caplet(lmm_paths, 3, strikes, curve)]
     assert all(a > b for a, b in zip(prices, prices[1:]))
     # convexity on the equally spaced strike grid, within MC noise
     for i in range(1, len(prices) - 1):
@@ -175,10 +177,121 @@ def test_mc_stderr_averages_antithetic_pairs_first():
     x = rng.normal(size=500)
     samples = np.concatenate([1.0 + x, 1.0 - x + 0.1 * rng.normal(size=500)])
     pairs = 0.5 * (samples[:500] + samples[500:])
-    mean, stderr = _mc_mean_stderr(samples, antithetic=True)
+    mean, stderr = _mc_mean_stderr(samples.copy(), antithetic=True)  # it overwrites its input
     assert mean == pytest.approx(np.mean(pairs), rel=1e-14)
     assert stderr == pytest.approx(np.std(pairs, ddof=1) / math.sqrt(500), rel=1e-14)
     assert _mc_mean_stderr(samples, antithetic=False)[1] > 10.0 * stderr
+
+
+def _np_mean_stderr(samples, antithetic):
+    # the estimator with np.mean, np.ptp and np.std on fresh arrays
+    if antithetic:
+        half = len(samples) // 2
+        samples = 0.5 * (samples[:half] + samples[half:])
+    mean = float(np.mean(samples))
+    if len(samples) < 2 or np.ptp(samples) == 0.0:
+        return mean, 0.0
+    return mean, float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+
+
+def _per_strike_quote(paths, k, strike, curve):
+    # one pass per (rate, strike): the oracle for mc_caplet's bits
+    if np.isnan(paths.fixings[:, k]).any():
+        raise LiborLabError(f"fixing of rate {k} is NaN on some path")
+    payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]
+    mean, stderr = _np_mean_stderr(payoff, paths.antithetic)
+    scale = curve.bond(k + 1) * paths.delta
+    price = scale * mean
+    return [price, scale * stderr, implied_vol_or_none(price, curve, k, strike)]
+
+
+def _hex(values):
+    # float.hex tells -0.0 from 0.0 and keeps every bit
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@pytest.fixture(scope="module")
+def quote_path_sets():
+    tenor = TenorStructure(delta=DELTA, n=5)
+    curve = InitialCurve.flat(tenor, 0.04)
+    vols = VolatilitySurface.flat(tenor, 0.2)
+    jumps = LevyCharacteristics(0.0, 0.4, 0.6, DoubleExponentialJumps(0.45, 9.0, 7.0))
+    grid = simulation_grid(tenor, 4)
+    brownian = LmmModel(tenor, curve, vols, LevyCharacteristics(0.0, 1.0))
+    antithetic = simulate_driver(brownian.chars, grid, 4_000, seed=3, antithetic=True)
+    family = fit_initial_curve(curve, CirParams(1.2, 0.06, 0.5, 0.06))
+    return curve, {
+        "lmm-jumps": simulate_exact(LmmModel(tenor, curve, vols, jumps), grid, 3_001, seed=2),
+        "lmm-antithetic": simulate_exact(brownian, grid, 4_000, seed=3, driver=antithetic),
+        "fpm-jumps": simulate_fpm(FpmModel(tenor, curve, vols, jumps), grid, 3_001, seed=4),
+        "affine": simulate_affine_paths(family, 3_001, seed=5),
+    }
+
+
+@pytest.mark.parametrize("name", ["lmm-jumps", "lmm-antithetic", "fpm-jumps", "affine"])
+def test_mc_caplet_matches_the_per_strike_formula_bitwise(quote_path_sets, name):
+    # strike 1e3 leaves every payoff 0 (np.ptp 0, SE 0); -0.01 keeps every path in the money
+    curve, path_sets = quote_path_sets
+    paths = path_sets[name]
+    strikes = [-0.01, 0.0, 0.03, 0.04, 0.05, 1e3]
+    for k in paths.tenor.rate_indices:
+        quotes = mc_caplet(paths, k, strikes, curve)
+        assert [q.strike for q in quotes] == strikes and all(q.k == k for q in quotes)
+        for q, strike in zip(quotes, strikes):
+            oracle = _per_strike_quote(paths, k, strike, curve)
+            assert _hex([q.price, q.stderr, q.implied_vol]) == _hex(oracle)
+        assert quotes[-1].stderr == 0.0
+
+
+def test_mc_caplet_all_equal_payoffs_whose_mean_rounds(tenor, curve):
+    # three payoffs of 0.1 sum to 0.30000000000000004, so their mean rounds
+    # off 0.1 and the deviations from it are not 0; np.ptp is 0, and so is
+    # the SE; the antithetic pairs of six such payoffs give the same
+    for n, antithetic in ((3, False), (6, True)):
+        fixings = np.full((n, tenor.n), 0.1, order="F")
+        paths = LiborPathSet(tenor, curve.libors, fixings, np.ones((n, tenor.n), order="F"),
+                             antithetic=antithetic)
+        (q,) = mc_caplet(paths, 2, [0.0], curve)
+        assert q.stderr == 0.0
+        assert np.mean(np.full(3, 0.1)) != 0.1 and np.std(np.full(3, 0.1), ddof=1) > 0.0
+        assert _hex([q.price, q.stderr, q.implied_vol]) == _hex(_per_strike_quote(paths, 2, 0.0, curve))
+
+
+def test_mc_caplet_refuses_a_nan_fixing_like_the_per_strike_formula(quote_path_sets):
+    curve, path_sets = quote_path_sets
+    paths = path_sets["affine"]
+    fixings = paths.fixings.copy(order="F")
+    fixings[7, 2] = np.nan
+    broken = LiborPathSet(paths.tenor, paths.initial_libors, fixings, paths.fixing_weights)
+    for quote in (lambda: mc_caplet(broken, 2, [0.03, 0.04], curve),
+                  lambda: _per_strike_quote(broken, 2, 0.04, curve)):
+        with pytest.raises(LiborLabError, match="fixing of rate 2 is NaN"):
+            quote()
+    assert _hex([mc_caplet(broken, 3, [0.04], curve)[0].price]) == _hex(
+        _per_strike_quote(broken, 3, 0.04, curve)[:1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.1, 1e-300]),
+                    min_size=1, max_size=600),
+    antithetic=st.booleans(),
+    constant=st.booleans(),
+)
+@example(values=[0.1, 0.1, 0.1], antithetic=False, constant=False)
+@example(values=[5.0, 4.0, 6.0], antithetic=False, constant=False)
+@example(values=[0.0, 1.0, -1.0, 0.0], antithetic=True, constant=False)
+def test_mc_stderr_matches_numpy_bitwise(values, antithetic, constant):
+    # the in-place estimator returns the bits of np.mean and np.std(ddof=1),
+    # and SE 0 exactly where np.ptp is 0; the examples put the mean on the
+    # first sample, all equal or not
+    if constant:
+        values = [values[0]] * len(values)
+    if antithetic:
+        values = values[: len(values) // 2 * 2] or [values[0]] * 2
+    samples = np.array(values)
+    assert _hex(_mc_mean_stderr(samples.copy(), antithetic)) == _hex(
+        _np_mean_stderr(samples, antithetic))
 
 
 def test_normal_cdf_matches_scipy_norm_bitwise():

@@ -206,7 +206,7 @@ INDEX_RANGES = {
         "rate", 1, 3, lambda m, i: affine_libor.caplet_price_fourier(m.family, i, 0.04)),
     "affine_libor.caplet_price_chi2": (
         "rate", 1, 3, lambda m, i: affine_libor.caplet_price_chi2(m.family, i, 0.04)),
-    "pricing.mc_caplet": ("caplet", 1, 3, lambda m, i: mc_caplet(m.paths, i, 0.04, m.curve)),
+    "pricing.mc_caplet": ("caplet", 1, 3, lambda m, i: mc_caplet(m.paths, i, [0.04], m.curve)),
     "markov_functional.caplet_value": (
         "date", 1, 3, lambda m, i: markov_functional.caplet_value(m.mfm, i, 0.04)),
     "markov_functional.digital_value": (
