@@ -253,10 +253,11 @@ def _worst(values) -> float:
 
 
 def _martingale_line(report: VerifyReport, model: str, paths: LiborPathSet) -> None:
-    """Worst martingale gap across rates, in standard-error units, held to 3 SE."""
+    """Worst martingale gap across rates in SE units, held to 3 SE; with no SE, to round-off."""
     ratios = []
     for k in paths.tenor.rate_indices:
         gap, se = weighted_martingale_gap(paths, k)
+        se = 0.0 if np.ptp(paths.fixings[:, k]) == 0.0 else se  # one fixing on every path: no SE
         tol = _ROUNDOFF_ULPS * np.spacing(paths.initial_libors[k])
         ratios.append(gap / se if se > 0.0 else (0.0 if gap <= tol else math.inf))
     ratios.append(0.0)  # a tenor without rates reports 0 SE at rate 1

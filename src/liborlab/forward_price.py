@@ -123,7 +123,7 @@ class _FpmStep(_Step):
         out /= self.delta
         return out
 
-    def forward_price(self, log_f, libors, out):
+    def forward_price(self, log_f, out):
         return np.exp(log_f, out=out)
 
     def drift(self, log_f, aux, table, work):

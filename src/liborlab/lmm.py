@@ -31,7 +31,6 @@ fixing date.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -163,21 +162,6 @@ class _Drift:
                 tmp += 1.0
                 prod *= tmp
         return drift
-
-
-def _drift_all(
-    w: np.ndarray,
-    lam_row: np.ndarray,
-    chars: LevyCharacteristics,
-    rule: Optional[tuple],
-) -> np.ndarray:
-    """Log-rate drift of every rate given left-endpoint weights, into new arrays.
-
-    ``w`` has shape (M, paths) or (M, 1) and ``lam_row`` the M loadings at
-    the current time.  The library calls ``_Drift`` itself; this one-shot
-    form is the reference the tests compare drifts with.
-    """
-    return _Drift(lam_row, chars, rule)(w)
 
 
 @dataclass(frozen=True)
@@ -343,7 +327,9 @@ class _Step:
     The object holds read-only data only; the state of a path block is what
     ``start`` returns, rate-major (rates, paths) like ``log_x0`` and ``w0``,
     which are columns.  Every method that takes a block's ``work`` (a
-    ``_Work``) writes into its buffers instead of allocating.
+    ``_Work``) writes into its buffers instead of allocating; ``rate`` and
+    ``forward_price`` map a state to L and to 1 + delta L in ``out`` and
+    read nothing else.
     """
 
     rule = None  # the (nodes, weights) jump-size quadrature of the drift, if any
@@ -369,8 +355,9 @@ class _Step:
     def rate(self, log_state, out):
         return np.exp(log_state, out=out)
 
-    def forward_price(self, log_state, libors, out):
-        np.multiply(libors, self.delta, out=out)
+    def forward_price(self, log_state, out):
+        np.exp(log_state, out=out)
+        out *= self.delta
         out += 1.0
         return out
 
@@ -391,24 +378,6 @@ def _n_workers() -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-def _parallel_map(fn, items) -> list:
-    """``[fn(x) for x in items]`` on the process's one worker pool, in item order.
-
-    The pool has ``_n_workers()`` threads; it starts on first use and lives
-    as long as the process.  The kernel's path blocks run on it; numpy
-    releases the GIL in their array operations.  Call it from the main thread
-    only, and never from inside ``fn``, whose wait on the pool could then
-    deadlock it.  ``fn`` must call no function that ``perfbench/tracing.py``
-    wraps: its span recorder is not thread-safe.
-    """
-    return list(_pool(_n_workers()).map(fn, items))
-
-
 def _simulate_core(
     model,
     grid,
@@ -425,16 +394,19 @@ def _simulate_core(
     the read-only tables of tenor interval j (the drift's loading constants
     among them), ``start(n)`` gives the initial state and auxiliary state of
     a block of n paths, ``drift`` the left-endpoint drift, ``advance``
-    updates the auxiliary state after each step, and ``rate`` /
-    ``forward_price`` map the state to the rates L and the forward prices
-    1 + delta L.  Every step applies
+    updates the auxiliary state after each step, and ``rate(s, out)`` /
+    ``forward_price(s, out)`` map states to the rates L and the forward
+    prices 1 + delta L.  Every step applies
 
         s += drift * dt + lam_row[:, None] * dH,
 
     and the kernel records fixings, terminal-measure density weights and
-    optional snapshots at the tenor dates.  lambda dH is formed once per step
-    and shared by the update and ``advance``; a deterministic drift column
-    (frozen, FPM) is added to it without being broadcast first.
+    optional snapshots at the tenor dates.  At T_d it maps to rates only
+    the rows it stores, row d or every row with snapshots, and the weights
+    take the forward prices of rows d+1 .. N-1 straight from the state.
+    lambda dH is formed once per step and shared by the update and
+    ``advance``; a deterministic drift column (frozen, FPM) is added to it
+    without being broadcast first.
 
     A block's state is rate-major, shape (rates, paths): each per-rate
     operation then runs on one contiguous row of the block's paths instead
@@ -444,12 +416,12 @@ def _simulate_core(
     the states and the buffers.
 
     The paths run in blocks of ``_BLOCK_PATHS`` (8,192) through the whole
-    grid, so a block's state stays in cache, and the blocks run on the
-    process's one worker pool (``_parallel_map``);
-    ``step`` calls nothing that the benchmark's tracing wraps, since only
-    the main thread may.  Each block allocates its buffers (``_Work``) once,
-    and every step writes into them instead of into numpy temporaries of a
-    block's size.  Each thread holds its block's state, driver increments
+    grid, so a block's state stays in cache, and the blocks run on a pool
+    of ``_n_workers()`` threads that lives for the call (numpy releases the
+    GIL); ``step`` calls nothing that the benchmark's tracing wraps, since
+    only the main thread may.  Each block allocates its buffers (``_Work``)
+    once, and every step writes into them instead of into numpy temporaries
+    of a block's size.  Each thread holds its block's state, driver increments
     and buffers at once, so the block size trades time against peak memory:
     on the 200,000-path compare benchmark (two runs each, 2 CPUs) blocks of
     4,096 took 2.13-2.17 s at 137 MB, 8,192 took 1.53-1.75 s at 145 MB,
@@ -487,14 +459,14 @@ def _simulate_core(
         d, r = divmod(i_grid, m)
         if r or not (d or store_dates):  # at T_0 only a snapshot has anything to record
             return
-        lo = 0 if store_dates else d  # the rates before T_d are fixed: only snapshots read them
+        lo, hi = (0, n) if store_dates else (d, d + 1)  # only snapshots read the other rates
         libors = work.scratch
-        step.rate(state[lo:], out=libors[lo:])
+        step.rate(state[lo:hi], out=libors[lo:hi])
         if store_dates:
             date_values[rows, d, :] = libors.T
         if d >= 1:
             fixings[rows, d] = libors[d]
-            forward = step.forward_price(state[d + 1 : n], libors[d + 1 : n], out=work.w[d + 1 : n])
+            forward = step.forward_price(state[d + 1 : n], out=work.w[d + 1 : n])
             forward /= forward0[d + 1 : n]
             np.prod(forward, axis=0, out=fixing_weights[rows, d])
 
@@ -520,7 +492,8 @@ def _simulate_core(
             step.advance(a, tables[j], dt, block.dw[i], ldh, wk)
             record(rows, state, work, i + 1)
 
-    _parallel_map(run_block, range(0, n_paths, _BLOCK_PATHS))
+    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
+        list(pool.map(run_block, range(0, n_paths, _BLOCK_PATHS)))
 
     return LiborPathSet(
         tenor=tenor,

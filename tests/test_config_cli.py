@@ -523,9 +523,11 @@ def test_run_verify_fails_on_nan(monkeypatch, case):
 
 
 def test_zero_loadings_hold_a_deterministic_gap_to_round_off(monkeypatch):
-    # with zero loadings every fixing is L(0, T_k) up to round-off and its SE is
-    # 0: the martingale and structure lines pass, but a deterministic 1e-10 gap
-    # and a NaN fixing still fail
+    # a rate with zero loadings fixes at L(0, T_k) up to round-off on every
+    # path, so its gap has no sampling error, even where the other rates move
+    # the weights: the martingale line passes, but a deterministic 1e-10 gap
+    # and a NaN fixing on that rate still fail.  All rates still: the
+    # structure line passes; rate 2 alone still: the later rates witness it.
     exact = experiment._LMM_SCHEMES["lmm-exact"]
 
     def patched(poison):
@@ -535,24 +537,26 @@ def test_zero_loadings_hold_a_deterministic_gap_to_round_off(monkeypatch):
             return paths
         return run
 
-    def shift(fixings):
-        fixings[:, 1] += 1e-10
-
     def poison(fixings):
         fixings[0, 2] = np.nan
 
-    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", patched(shift))
-    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-taylor", patched(poison))
-    cfg = parse_config(VERIFY_ALL.replace("flat = 0.15", "flat = 0.0").replace(
-        "run = lmm-exact, fpm, mfm, affine", "run = lmm-exact, lmm-frozen, lmm-taylor"))
-    report = run_verify(override(cfg, n_paths=500))
-    by_key = {(c.model, c.check): c for c in report.checks}
-    assert by_key[("lmm-exact", "martingale")].status == "PASS"
-    assert by_key[("lmm-exact", "structure")].status == "PASS"
-    for scheme in ("lmm-frozen", "lmm-taylor"):
-        line = by_key[(scheme, "martingale")]
-        assert line.status == "FAIL" and "inf SE" in line.detail
-    assert report.failed
+    only_rate_2 = "rate_1 = 0.15\nrate_2 = 0.0, 0.0\nrate_3 = 0.15, 0.15, 0.15"
+    for vols, still, structure in (("flat = 0.0", 1, "PASS"), (only_rate_2, 2, "WITNESS")):
+        def shift(fixings, k=still):
+            fixings[:, k] += 1e-10
+
+        monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", patched(shift))
+        monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-taylor", patched(poison))
+        cfg = parse_config(VERIFY_ALL.replace("flat = 0.15", vols).replace(
+            "run = lmm-exact, fpm, mfm, affine", "run = lmm-exact, lmm-frozen, lmm-taylor"))
+        report = run_verify(override(cfg, n_paths=500))
+        by_key = {(c.model, c.check): c for c in report.checks}
+        assert by_key[("lmm-exact", "martingale")].status == "PASS", vols
+        assert by_key[("lmm-exact", "structure")].status == structure
+        for scheme in ("lmm-frozen", "lmm-taylor"):
+            line = by_key[(scheme, "martingale")]
+            assert line.status == "FAIL" and "inf SE" in line.detail, (vols, line.detail)
+        assert report.failed
 
 
 EDGE_VARIANTS = {

@@ -174,7 +174,7 @@ def test_picard_rejects_jump_driver(jump_model, tenor):
 
 
 def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
-    from liborlab.lmm import _drift_all
+    from liborlab.lmm import _Drift
 
     grid = simulation_grid(tenor, 4)
     for mdl in (model, jump_model):
@@ -186,7 +186,7 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
             beta0 = _FrozenStep(mdl).interval(i // 4, 0, lam)[k, 0]
             rule = mdl.chars.jump_quadrature(48) if mdl.chars.has_jumps else None
             w = forward_price_weights(state[:, None], DELTA)
-            direct = _drift_all(w, lam, mdl.chars, rule)[k, 0]
+            direct = _Drift(lam, mdl.chars, rule)(w)[k, 0]
             assert beta0 == pytest.approx(direct, rel=1e-12)
 
 

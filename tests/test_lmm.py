@@ -1,4 +1,5 @@
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from liborlab.levy import (
 )
 from liborlab.lmm import (
     LmmModel,
-    _drift_all,
+    _Drift,
     forward_measure_characteristics,
     forward_price_weights,
     simulate_exact,
@@ -69,7 +70,7 @@ def drift_of(state, j, k, chars, vols, quad_order=48):
     """Terminal-measure drift of log L(., T_k) on tenor interval j, as the kernel computes it."""
     rule = chars.jump_quadrature(quad_order) if chars.has_jumps else None
     w = forward_price_weights(np.atleast_2d(state).T, DELTA)
-    return _drift_all(w, vols.values[j], chars, rule)[k, 0]
+    return _Drift(vols.values[j], chars, rule)(w)[k, 0]
 
 
 def test_jump_tilt_factor_reductions(tenor, jumpy):
@@ -353,7 +354,7 @@ def test_jump_order_falls_back_to_the_closest_pair(tenor, curve):
     vols = VolatilitySurface.flat(tenor, 0.6)
     w = forward_price_weights(curve.libors[:, None], DELTA)
     d128, d256 = (
-        np.concatenate([_drift_all(w, lam, chars, chars.jump_quadrature(order)) for lam in vols.values])
+        np.concatenate([_Drift(lam, chars, chars.jump_quadrature(order))(w) for lam in vols.values])
         for order in (128, 256)
     )
     assert 1e-13 < np.max(np.abs(d256 - d128)) <= 1e-9
@@ -386,7 +387,7 @@ def test_chosen_jump_order_matches_order_48(law, loading, tenor, curve):
     rng = np.random.default_rng(48)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(500, tenor.n))), DELTA)
     for lam_row in vols.values:
-        err = np.abs(_drift_all(w.T, lam_row, chars, chosen) - _drift_all(w.T, lam_row, chars, ref))
+        err = np.abs(_Drift(lam_row, chars, chosen)(w.T) - _Drift(lam_row, chars, ref)(w.T))
         assert np.max(err) <= 1e-13
 
 
@@ -436,8 +437,8 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
     rng = np.random.default_rng(n_paths)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(n_paths, 5))), DELTA)
     rule = jumpy.jump_quadrature(48)
-    whole = _drift_all(w.T, vols.values[0], jumpy, rule).T
-    blocks = [_drift_all(w[lo : lo + size].T, vols.values[0], jumpy, rule).T for lo in range(0, n_paths, size)]
+    whole = _Drift(vols.values[0], jumpy, rule)(w.T).T
+    blocks = [_Drift(vols.values[0], jumpy, rule)(w[lo : lo + size].T).T for lo in range(0, n_paths, size)]
     assert np.array_equal(whole, np.concatenate(blocks))
 
     grid = simulation_grid(tenor, 4)
@@ -462,9 +463,51 @@ def test_results_do_not_depend_on_the_split(monkeypatch, tenor, curve, vols, jum
         assert ref.fixing_weights.tobytes() == split.fixing_weights.tobytes()
 
 
+SNAPSHOT_CASES = [
+    ("brownian", simulate_exact),
+    ("brownian", frozen_drift_simulate),
+    ("brownian", picard_simulate),  # order 1
+    ("brownian", taylor_simulate),
+    ("jumpy", simulate_exact),
+    ("jumpy", taylor_simulate),
+    ("jumpy", simulate_fpm),
+]
+
+
+@pytest.mark.parametrize(
+    "law, scheme", SNAPSHOT_CASES, ids=[f"{law}-{s.__name__}" for law, s in SNAPSHOT_CASES]
+)
+def test_snapshots_do_not_change_a_path_set(request, tenor, curve, vols, law, scheme):
+    # with snapshots the kernel maps every rate to L at each tenor date,
+    # without them only the one fixing there: the fixings and weights must
+    # be the same bits, and each snapshot at its rate's fixing date T_k,
+    # k >= 1, must be that fixing (L(0, T_0) is stored as given)
+    chars = request.getfixturevalue(law)
+    model = (FpmModel if scheme is simulate_fpm else LmmModel)(tenor, curve, vols, chars)
+    grid = simulation_grid(tenor, 4)
+    driver = simulate_driver(chars, grid, 301, seed=9)
+    bare = scheme(model, grid, 301, 9, driver=driver)
+    snap = scheme(model, grid, 301, 9, driver=driver, store_dates=True)
+    assert bare.date_values is None
+    assert snap.fixings.tobytes() == bare.fixings.tobytes()
+    assert snap.fixing_weights.tobytes() == bare.fixing_weights.tobytes()
+    for k in range(1, tenor.n):
+        assert snap.date_values[:, k, k].tobytes() == snap.fixings[:, k].tobytes()
+
+
+def test_the_kernel_leaves_no_thread_behind(monkeypatch, tenor, curve, vols, brownian):
+    # the kernel's worker pool lives for one call; 3 workers is a count no
+    # other test asks for, so no pool an earlier test left could hide a leak
+    monkeypatch.setattr(lmm, "_n_workers", lambda: 3)
+    monkeypatch.setattr(lmm, "_BLOCK_PATHS", 64)  # eight blocks: every worker starts
+    before = set(threading.enumerate())
+    simulate_exact(LmmModel(tenor, curve, vols, brownian), simulation_grid(tenor, 4), 500, 1)
+    assert set(threading.enumerate()) <= before
+
+
 @pytest.mark.parametrize("m", [1, 2, 10])
 def test_tail_sums_match_the_cumsum_bitwise(m):
-    # the row loop adds in the order of the reversed cumsum that _drift_all
+    # the row loop adds in the order of the reversed cumsum that _Drift
     # (on (M, paths) blocks) and picard_tables_row (on (M,) rows) used, and
     # keeps the -0.0 that w = 0 times a negative loading puts in the last row
     rng = np.random.default_rng(m)
@@ -549,8 +592,8 @@ def test_live_columns_match_full_columns(law, loadings, c0, seed):
     rule = chars.jump_quadrature(8) if chars.has_jumps else None
     rng = np.random.default_rng(seed)
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(7, n))), DELTA)
-    full = _drift_all(w.T, lam_row, chars, rule).T
-    assert full[:, c0:].tobytes() == _drift_all(w[:, c0:].T, lam_row[c0:], chars, rule).T.tobytes()
+    full = _Drift(lam_row, chars, rule)(w.T).T
+    assert full[:, c0:].tobytes() == _Drift(lam_row[c0:], chars, rule)(w[:, c0:].T).T.tobytes()
     full_tables = picard_tables_row(w[0], lam_row, chars.diffusion_c)
     live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
     for whole, live in zip(full_tables, live_tables):
@@ -602,4 +645,4 @@ def test_drift_in_reused_buffers_matches_fresh_arrays(law, loadings, seed):
         w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(len(lam_row), 7))), DELTA)
         expected = _allocating_drift(w, lam_row, chars, rule)
         assert drift(w, work.drift, work).tobytes() == expected.tobytes()
-        assert _drift_all(w, lam_row, chars, rule).tobytes() == expected.tobytes()
+        assert drift(w).tobytes() == expected.tobytes()
