@@ -86,6 +86,17 @@ MUTANTS = {
         "rho = (1.0 + strikes) * j_nodes",
         "the MFM numeraire functional without the accrual delta",
     ),
+    "mfm-j-variance": (
+        "markov_functional.py",
+        "var = self.driver.variance(dates[i + 1]) - self.driver.variance(dates[i])",
+        "var = self.driver.variance(dates[i + 1]) - self.driver.variance(dates[i - 1])",
+        "J_i's conditional variance taken from T_{i-1} in place of T_i",
+    ),
+    "mfm-zero-vol-scale": (
+        "markov_functional.py", "return grid.curve.bond(i + 1), beyond",
+        "return grid.curve.bond(i), beyond",
+        "the sigma = 0 quotes scaled by B(0, T_i) in place of B(0, T_{i+1})",
+    ),
     "affine-weight-wrong-measure": (
         "affine_libor.py",
         "m_now = martingale_value(family, family.u_seq[d + 1], tenor.dates[d], states[d])\n"

@@ -34,7 +34,7 @@ def main(argv=None) -> None:
             failing.append(seed)
             print(f"seed {seed}:", flush=True)
             for c in report.checks:
-                if c.genuine_failure:
+                if c.status == "FAIL":
                     print(f"  {c.model:<10} {c.check:<11} FAIL     {c.detail}", flush=True)
     print(f"{len(failing)} of {args.last - args.first + 1} seeds fail: {failing}")
 

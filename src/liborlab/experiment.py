@@ -222,7 +222,6 @@ class CheckResult:
     check: str
     status: str  # PASS | FAIL | WITNESS
     detail: str
-    genuine_failure: bool = False
 
 
 @dataclass
@@ -232,11 +231,11 @@ class VerifyReport:
     def add(self, model: str, check: str, ok: bool, detail: str, witness: bool = False):
         """One line: WITNESS if ``witness``, else PASS or FAIL by ``ok``; FAIL fails the run."""
         status = "WITNESS" if witness else ("PASS" if ok else "FAIL")
-        self.checks.append(CheckResult(model, check, status, detail, not (ok or witness)))
+        self.checks.append(CheckResult(model, check, status, detail))
 
     @property
     def failed(self) -> bool:
-        return any(c.genuine_failure for c in self.checks)
+        return any(c.status == "FAIL" for c in self.checks)
 
     def render(self) -> str:
         lines = ["model      check       status   detail", "-" * 72]
@@ -294,10 +293,10 @@ def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
 def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
     paths = ctx.simulate("fpm")
     fpm, m = ctx.fpm, ctx.cfg.steps_per_period
-    frac = negative_rate_fraction(paths)
-    note = " (reported, not a failure)" if frac else ""
-    report.add("fpm", "positivity", True, f"negative fixing fraction {frac:.4f}{note}",
-               witness=frac > 0.0)
+    frac = negative_rate_fraction(paths)  # NaN on a NaN fixing: the line fails
+    note = " (reported, not a failure)" if frac > 0.0 else ""
+    report.add("fpm", "positivity", not math.isnan(frac),
+               f"negative fixing fraction {frac:.4f}{note}", witness=frac > 0.0)
     _martingale_line(report, "fpm", paths)
     # structure: the log density against the terminal measure minus the loaded
     # driver integral must be the same constant on every path; the k * m

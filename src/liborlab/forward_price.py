@@ -131,9 +131,9 @@ class _FpmStep(_Step):
 
 
 def negative_rate_fraction(paths: LiborPathSet) -> float:
-    """Empirical probability of a negative fixing, over every rate."""
+    """Empirical probability of a negative fixing, over every rate; NaN if a fixing is NaN."""
     fix = paths.fixings[:, 1:]
-    return float(np.mean(fix[~np.isnan(fix)] < 0.0))
+    return math.nan if np.isnan(fix).any() else float(np.mean(fix < 0.0))
 
 
 def log_forward_cumulant(model: FpmModel, k: int, w) -> complex:

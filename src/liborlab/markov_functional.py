@@ -35,6 +35,11 @@ point, on Gauss-Legendre panels: one between each pair of state nodes and a
 fixed rule of ``_TAIL_PANELS`` panels on each Gaussian tail.  Past the end
 nodes L_i is the linear extension of its log.
 
+The sigma = 0 limit is the same model with X = 0, and its quotes take the
+same path: one node per date carrying the initial curve, x* = -inf when
+L(0, T_i) > K and inf otherwise, and J_i phi a point mass at 0, so the
+scale is B(0, T_{i+1}) and I_r is L(0, T_i)^r beyond an x* below 0, else 0.
+
 State grids are Gauss-Hermite nodes scaled by sqrt(Sigma_{T_i}), clipped
 to ``_NODE_CLIP`` = 6 standard deviations: beyond the clip the
 digital targets collide at double precision and the recovered strikes
@@ -211,19 +216,21 @@ class FunctionalGrid:
     """Calibrated rate and numeraire functionals at the tenor dates.
 
     Lists are indexed by tenor date i (entries 0 and N unused); the
-    boundary of the functional region is T_* = T_{N-1}.
+    boundary of the functional region is T_* = T_{N-1}.  The grid is
+    ``deterministic`` when the driver has no volatility before T_{N-1}:
+    then X = 0 at every calibrated date, which is its one node.
     """
 
     curve: InitialCurve
     driver: MfmDriver
     quad_order: int
-    x_nodes: list
-    libor_values: list
-    numeraire_values: list
-    deterministic: bool = False
-    _rate_interp: list = field(default_factory=list, repr=False)
-    _rho_interp: list = field(default_factory=list, repr=False)
-    _tables: list = field(default_factory=list, repr=False)  # date -> [I_0, I_1] per node, total
+
+    def __post_init__(self):
+        n = self.tenor.n
+        self.deterministic = not np.any(self.driver.sigma[: n - 1])
+        self.x_nodes, self.libor_values, self.numeraire_values = [None] * n, [None] * n, [None] * n
+        self._rate_interp, self._rho_interp = [None] * n, [None] * n
+        self._tables = [None] * n  # date -> [I_0, I_1] per node, total
 
     @property
     def tenor(self) -> TenorStructure:
@@ -241,19 +248,12 @@ class FunctionalGrid:
 
     def j_value(self, i: int, x):
         """E[rho_{i+1}(X_{T_{i+1}}) | X_{T_i} = x] = B(T_i,T_{i+1};x)/B(T_i,T_N;x)."""
-        if self.deterministic:
-            return np.full_like(
-                np.asarray(x, dtype=float),
-                self.curve.bond(i + 1) / self.curve.bond(self.tenor.n),
-            )[()]
-        x = np.asarray(x, dtype=float)
-        if i + 1 == self.tenor.n:
-            return np.ones_like(x)[()]
-        var = self.driver.variance(self.tenor.dates[i + 1]) - self.driver.variance(
-            self.tenor.dates[i]
-        )
+        if self.deterministic or i + 1 == self.tenor.n:  # rho_{i+1} is a constant of the state
+            return self.reciprocal_numeraire(i + 1, x)
+        dates = self.tenor.dates
+        var = self.driver.variance(dates[i + 1]) - self.driver.variance(dates[i])
         h, w = _hermite(self.quad_order)
-        pts = x[..., None] + math.sqrt(2.0 * var) * h
+        pts = np.asarray(x, dtype=float)[..., None] + math.sqrt(2.0 * var) * h
         vals = self._rho_interp[i + 1](pts)
         return (vals @ w / math.sqrt(math.pi))[()]
 
@@ -341,40 +341,20 @@ def calibrate_backward(
     tenor = curve.tenor
     n = tenor.n
 
-    used = driver.sigma[: n - 1]
-    if np.all(used == 0.0):
-        grid = FunctionalGrid(
-            curve=curve,
-            driver=driver,
-            quad_order=quad_order,
-            x_nodes=[np.zeros(1) for _ in range(n)],
-            libor_values=[None] * n,
-            numeraire_values=[None] * n,
-            deterministic=True,
-        )
+    grid = FunctionalGrid(curve, driver, quad_order)
+    if grid.deterministic:  # X = 0: the one node carries the initial curve
         for i in range(1, n):
+            grid.x_nodes[i] = np.zeros(1)
             grid.libor_values[i] = np.array([curve.libor(i)])
             grid.numeraire_values[i] = np.array([curve.bond(n) / curve.bond(i)])
         return grid
-    if np.any(used == 0.0):
+    if not np.all(driver.sigma[: n - 1]):
         raise CalibrationError(
             "driver volatility must be positive on every interval up to T_{N-1} "
             "(or identically zero for the deterministic limit)"
         )
     if np.any(np.asarray(curve.libors)[1:] <= 0.0):
         raise CalibrationError("digital calibration needs strictly positive fixings")
-
-    grid = FunctionalGrid(
-        curve=curve,
-        driver=driver,
-        quad_order=quad_order,
-        x_nodes=[None] * n,
-        libor_values=[None] * n,
-        numeraire_values=[None] * n,
-        _rate_interp=[None] * n,
-        _rho_interp=[None] * n,
-        _tables=[None] * n,
-    )
 
     h, _ = _hermite(quad_order)
     for i in range(n - 1, 0, -1):
@@ -409,26 +389,39 @@ def calibrate_backward(
     return grid
 
 
-def _exercise_level(grid: FunctionalGrid, i: int, strike: float):
-    """State x* with L(T_i, T_i; x*) = K, or None on the deterministic grid.
+def _exercise_level(grid: FunctionalGrid, i: int, strike: float) -> float:
+    """State x* with L(T_i, T_i; x*) = K.
 
-    Refuses a date outside 1..N-1 and a strike <= 0, which no positive rate
+    On the deterministic grid x* is -inf when L(0, T_i) > K and inf
+    otherwise, so X = 0 lies above it exactly when the caplet pays.  Refuses
+    a date outside 1..N-1 and a strike <= 0, which no positive rate
     functional reaches.
     """
     grid.tenor.check("date", i, 1, grid.tenor.n - 1)  # the dates calibration covers
     if strike <= 0.0:
         raise LiborLabError(f"MFM quotes need a strike > 0, got {strike}")
-    return None if grid.deterministic else grid._rate_interp[i].inverse(strike)
+    if grid.deterministic:
+        return -math.inf if grid.curve.libor(i) > strike else math.inf
+    return grid._rate_interp[i].inverse(strike)
+
+
+def _quote_integrals(grid: FunctionalGrid, i: int, x_star: float):
+    """Scale and [I_0, I_1] beyond x* of the quotes at T_i.
+
+    Calibrated grid: B(0, T_N) and ``_upper_integral``.  Deterministic grid:
+    J_i phi is the unit mass B(0, T_{i+1}) / B(0, T_N) at X = 0, so the scale
+    is B(0, T_{i+1}) and I_r = L(0, T_i)^r when x* < 0, else 0.
+    """
+    if grid.deterministic:
+        beyond = np.array([1.0, grid.curve.libor(i)]) if x_star < 0.0 else np.zeros(2)
+        return grid.curve.bond(i + 1), beyond
+    return grid.curve.bond(grid.tenor.n), _upper_integral(grid, i, x_star)
 
 
 def digital_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     """Model value B(0, T_N) I_0(x*) of the digital 1_{L(T_i,T_i) > K} paid at T_{i+1}."""
-    x_star = _exercise_level(grid, i, strike)
-    if grid.deterministic:
-        pays = grid.curve.libor(i) > strike
-        return grid.curve.bond(i + 1) if pays else 0.0
-    i0, _ = _upper_integral(grid, i, x_star)
-    return grid.curve.bond(grid.tenor.n) * float(i0)
+    scale, (i0, _) = _quote_integrals(grid, i, _exercise_level(grid, i, strike))
+    return scale * float(i0)
 
 
 def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
@@ -437,19 +430,12 @@ def caplet_value(grid: FunctionalGrid, i: int, strike: float) -> float:
     Valued in the terminal numeraire: delta B(0,T_N) E[ (L(X) - K)^+ J_i(X) ],
     which is delta B(0,T_N) (I_1(x*) - K I_0(x*)) beyond the exercise level x*.
     """
-    x_star = _exercise_level(grid, i, strike)
-    if grid.deterministic:
-        intrinsic = max(grid.curve.libor(i) - strike, 0.0)
-        return grid.curve.bond(i + 1) * grid.tenor.delta * intrinsic
-    i0, i1 = _upper_integral(grid, i, x_star)
-    return grid.curve.bond(grid.tenor.n) * grid.tenor.delta * float(i1 - strike * i0)
+    scale, (i0, i1) = _quote_integrals(grid, i, _exercise_level(grid, i, strike))
+    return scale * grid.tenor.delta * float(i1 - strike * i0)
 
 
 def initial_bond_repricing(grid: FunctionalGrid, i: int) -> float:
-    """B(0, T_N) E[J_i(X_{T_i})], which must reproduce B(0, T_{i+1})."""
+    """B(0, T_N) I_0(-inf) = B(0, T_N) E[J_i(X_{T_i})], which must reproduce B(0, T_{i+1})."""
     grid.tenor.check("date", i, 1, grid.tenor.n - 1)  # the dates calibration covers
-    if grid.deterministic:
-        return grid.curve.bond(i + 1)
-    _, (total, _) = grid._tables[i]
-    return grid.curve.bond(grid.tenor.n) * total
-
+    scale, (i0, _) = _quote_integrals(grid, i, -math.inf)
+    return scale * float(i0)

@@ -155,10 +155,13 @@ def test_zero_vol_deterministic_limit(curve, tenor):
         assert grid.libor_values[i][0] == pytest.approx(curve.libor(i), rel=1e-14)
         fwd_bond = curve.bond(5) / curve.bond(i)
         assert grid.numeraire_values[i][0] == pytest.approx(fwd_bond, rel=1e-14)
-        assert initial_bond_repricing(grid, i) == pytest.approx(curve.bond(i + 1), rel=1e-14)
-        # every functional is a constant of the state
+        # every functional is a constant of the state, and the quotes keep the curve's bits
+        assert initial_bond_repricing(grid, i) == curve.bond(i + 1)
         assert digital_value(grid, i, 0.5 * curve.libor(i)) == curve.bond(i + 1)
         assert digital_value(grid, i, 2.0 * curve.libor(i)) == 0.0
+        for strike in (0.5 * curve.libor(i), curve.libor(i), 2.0 * curve.libor(i)):
+            intrinsic = max(curve.libor(i) - strike, 0.0)
+            assert caplet_value(grid, i, strike) == curve.bond(i + 1) * DELTA * intrinsic
         assert grid.j_value(i, 0.3) == curve.bond(i + 1) / curve.bond(5)
         assert grid.reciprocal_numeraire(i, 0.3) == curve.bond(i) / curve.bond(5)
     assert grid.reciprocal_numeraire(5, 0.3) == 1.0
