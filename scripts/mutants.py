@@ -35,9 +35,13 @@ MUTANTS = {
         "the sign of c lambda tail in the exact drift",
     ),
     "weights-without-denominator": (
-        "lmm.py", "    return np.divide(dl, np.add(dl, 1.0, out=None if out is None else libors), out=out)\n",
-        "    return dl\n",
-        "w = delta L in place of delta L / (1 + delta L)",
+        "lmm.py", "np.divide(x, np.add(x, 1.0, out=work.w), out=work.w)",
+        "np.divide(x, 1.0, out=work.w)",
+        "the kernel's w = delta L in place of delta L / (1 + delta L)",
+    ),
+    "jump-table-without-weights": (
+        "lmm.py", "self.w_em1 = self.em1 * weights", "self.w_em1 = self.em1",
+        "the jump integral's table without the quadrature weights",
     ),
     "jump-tilt-not-updated": (
         "lmm.py", "                prod *= tmp\n", "                prod *= 1.0\n",
@@ -56,7 +60,7 @@ MUTANTS = {
         "the Picard weight drift without its own w_k lambda_k term",
     ),
     "taylor-y-without-beta0": (
-        "drift_approx.py", "y += np.add(table[0] * dt, ldh, out=work.scratch)", "y += ldh",
+        "drift_approx.py", "y += np.add(table[0], ldh, out=work.scratch)", "y += ldh",
         "the Taylor first-variation process Y without the frozen drift beta0",
     ),
     "fpm-drift-table-sign": (

@@ -37,15 +37,14 @@ from .lmm import (
     _simulate_core,
     _Step,
     _tail_sums,
-    forward_price_weights,
 )
 
 
 class _FrozenStep(_Step):
     """Deterministic drift beta0, the exact drift at the time-zero weights."""
 
-    def interval(self, j: int, c0: int, lam_row):
-        return _Drift(lam_row, self.chars, self.rule)(self.w0[c0:])
+    def interval(self, j: int, c0: int, lam_row, dt: float):
+        return _Drift(lam_row, self.chars, self.rule, dt)(self.w0[c0:])
 
     def drift(self, log_state, aux, table, work):
         return table
@@ -57,22 +56,22 @@ class _TaylorStep(_Step):
     The first-variation process Y of each log-rate (the auxiliary state)
     accumulates the frozen (deterministic) drift plus the loaded driver
     increments; the drift of the main state is then evaluated at rates
-    L(0) * exp(Y) instead of the frozen initial values.
+    L(0) * exp(Y) instead of the frozen initial values, i.e. at the
+    log-state log(delta L(0)) + Y.
     """
 
-    def interval(self, j: int, c0: int, lam_row):
-        drift = _Drift(lam_row, self.chars, self.rule)
-        return drift(self.w0[c0:]), self.log_x0[c0:], drift  # beta0, log L(0), the drift
+    def interval(self, j: int, c0: int, lam_row, dt: float):
+        drift = _Drift(lam_row, self.chars, self.rule, dt)
+        return drift(self.w0[c0:]), self.log_x0[c0:], drift  # beta0 dt, log delta L(0), the drift
 
     def start(self, n_paths: int):
         return np.tile(self.log_x0, (1, n_paths)), np.zeros((len(self.log_x0), n_paths))
 
     def drift(self, log_state, y, table, work):
-        libors = np.exp(np.add(table[1], y, out=work.drift), out=work.drift)
-        return table[2](forward_price_weights(libors, self.delta, out=work.w), work.drift, work)
+        return super().drift(np.add(table[1], y, out=work.drift), None, table[2], work)
 
-    def advance(self, y, table, dt, dw, ldh, work):
-        y += np.add(table[0] * dt, ldh, out=work.scratch)
+    def advance(self, y, table, dw, ldh, work):
+        y += np.add(table[0], ldh, out=work.scratch)
 
 
 class _PicardStep(_Step):
@@ -81,9 +80,9 @@ class _PicardStep(_Step):
     Only continuous drivers reach this step, so the drift has no jump part.
     """
 
-    def interval(self, j: int, c0: int, lam_row):
+    def interval(self, j: int, c0: int, lam_row, dt: float):
         drift, vol = picard_tables_row(self.w0[c0:, 0], lam_row, self.chars.diffusion_c)
-        return drift[:, None], vol[:, None], _Drift(lam_row, self.chars, None)
+        return drift[:, None] * dt, vol[:, None], _Drift(lam_row, self.chars, None, dt)
 
     def start(self, n_paths: int):
         return np.tile(self.log_x0, (1, n_paths)), np.tile(self.w0, (1, n_paths))
@@ -91,9 +90,9 @@ class _PicardStep(_Step):
     def drift(self, log_state, z, table, work):
         return table[2](z, work.drift, work)
 
-    def advance(self, z, table, dt, dw, ldh, work):
+    def advance(self, z, table, dw, ldh, work):
         drift, vol = table[:2]
-        z += np.add(drift * dt, np.multiply(vol, dw, out=work.scratch), out=work.scratch)
+        z += np.add(drift, np.multiply(vol, dw, out=work.scratch), out=work.scratch)
 
 
 def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
@@ -186,7 +185,7 @@ def frozen_drift_law(model: LmmModel, k: int, d: int):
     model.tenor.check("date", d, 0, model.tenor.n - 1)
     log_l0 = np.log(model.curve.libor(k))  # refuses k outside 0..N-1
     step, lam = _FrozenStep(model), model.vols.values[:d]
-    beta0 = sum(step.interval(j, 0, lam[j])[k, 0] for j in range(d))
+    beta0 = sum(step.interval(j, 0, lam[j], 1.0)[k, 0] for j in range(d))
     mean = float(log_l0 + beta0 * model.delta)
     var = float(model.chars.diffusion_c * np.sum(lam[:, k] ** 2) * model.delta)
     return mean, var

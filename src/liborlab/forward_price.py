@@ -115,8 +115,8 @@ class _FpmStep(_Step):
         self.log_x0 = np.log1p(self.delta * np.asarray(model.curve.libors))[:, None]
         self.drift_table = model.drift_table
 
-    def interval(self, j: int, c0: int, lam_row):
-        return self.drift_table[j, c0:, None]
+    def interval(self, j: int, c0: int, lam_row, dt: float):
+        return self.drift_table[j, c0:, None] * dt
 
     def rate(self, log_f, out):
         np.expm1(log_f, out=out)

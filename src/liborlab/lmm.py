@@ -48,14 +48,10 @@ _BLOCK_PATHS = 8192  # paths per block of the simulation kernel
 _QUAD_ORDERS = (4, 8, 16, 32, 64, 128, 256)  # jump-drift quadrature orders tried
 
 
-def forward_price_weights(libors, delta: float, out=None):
-    """w = delta L / (1 + delta L), the stochastic-exponential weights.
-
-    With ``out`` the weights are written there and ``libors``, which must
-    then be a float array, is left holding 1 + delta L: nothing is allocated.
-    """
-    dl = np.multiply(delta, libors, out=out)
-    return np.divide(dl, np.add(dl, 1.0, out=None if out is None else libors), out=out)
+def forward_price_weights(libors, delta: float):
+    """w = delta L / (1 + delta L), the stochastic-exponential weights."""
+    dl = np.multiply(delta, libors)
+    return dl / (dl + 1.0)
 
 
 def _tail_sums(wl: np.ndarray, out=None) -> np.ndarray:
@@ -78,10 +74,10 @@ def _tail_sums(wl: np.ndarray, out=None) -> np.ndarray:
 class _Work:
     """Buffers of one path block, allocated once and reused at every step.
 
-    Rate-major (rates, paths) arrays: ``drift`` (a step's drift, then its
-    increment), ``ldh`` (lambda dH), ``w`` (forward-price weights) and
-    ``scratch``; and the (paths, nodes) jump-tilt arrays ``prod`` and
-    ``tmp``, with no nodes for a continuous driver.  ``live(c0)`` views the
+    Rate-major (rates, paths) arrays: ``drift`` (a step's drift times dt,
+    then its state increment), ``ldh`` (lambda dH), ``w`` (forward-price
+    weights) and ``scratch``; and the (paths, nodes) jump-tilt arrays
+    ``prod`` and ``tmp``, with no nodes for a continuous driver.  ``live(c0)`` views the
     same buffers for the rates ``[c0:]``.
     """
 
@@ -99,8 +95,10 @@ class _Work:
 
 
 class _Drift:
-    """Log-rate drift on one tenor interval, its loading constants built once.
+    """Log-rate drift on one tenor interval times the step width ``dt``.
 
+    The loading constants are built once, already scaled by ``dt``, so a
+    step adds the returned increment without another pass over the block.
     ``lam_row`` are the M loadings on the interval (zero for already-fixed
     rates, which removes them from the sums and products automatically), and
     ``rule`` is the (nodes, weights) quadrature of the jump-size law, or None
@@ -110,30 +108,34 @@ class _Drift:
     fresh arrays without them.  ``w`` is rate-major, so each per-rate
     operation runs on a contiguous row.  Row k reads only rows l >= k of its
     own column, so no other path and no leading row changes its bits:
-    ``[c0:]`` alone gives the same.  The jump integrand stays (paths, nodes),
-    so its sum runs along the contiguous node axis, whose pairwise summation
-    fixes the bits; a sum along the path axis would change them.
+    ``[c0:]`` alone gives the same.  The jump integrand stays (paths, nodes)
+    and the quadrature weights are folded into the table once (``w_em1``),
+    so each rate's integral is one einsum contraction along the contiguous
+    node axis, summed within each path's row in an order fixed by the node
+    count alone.  A BLAS product (matmul) would be faster, but its bits
+    depend on a row's position in the block, and a sum along the path axis
+    would change them too.
     """
 
-    def __init__(self, lam_row: np.ndarray, chars: LevyCharacteristics, rule: Optional[tuple]):
+    def __init__(self, lam_row: np.ndarray, chars: LevyCharacteristics, rule: Optional[tuple], dt=1.0):
         c = chars.diffusion_c
-        self.lam_row = lam_row
         self.lam = lam_row[:, None]
-        self.const = -self.lam * chars.drift_b - 0.5 * c * self.lam**2
-        self.c_lam = c * self.lam
+        self.const = (-self.lam * chars.drift_b - 0.5 * c * self.lam**2) * dt
+        self.c_lam = c * self.lam * dt
         self.jump_rows = []  # rates with a nonzero loading, last first; none without jumps
         self.n_nodes = 0
         if rule is not None:
-            nodes, self.weights = rule
+            nodes, weights = rule
             self.n_nodes = len(nodes)
-            self.intensity, self.mean_rate = chars.jump_intensity, chars.jump_mean_rate
+            self.intensity = chars.jump_intensity * dt
+            self.compensator = lam_row * chars.jump_mean_rate * dt  # lambda_k int x F(dx) dt
             self.em1 = np.exp(np.outer(lam_row, nodes)) - 1.0  # exp(lambda_k x_q) - 1
+            self.w_em1 = self.em1 * weights
             self.jump_rows = [k for k in range(len(lam_row) - 1, -1, -1) if lam_row[k] != 0.0]
         if self.jump_rows:
             # the tilt product is still 1 on the last live rate, so its integrand is path-free
             k = self.jump_rows[0]
-            integral = (self.em1[k] * self.weights).sum()
-            self.first_jump = self.intensity * integral - lam_row[k] * self.mean_rate
+            self.first_jump = self.intensity * self.w_em1[k].sum() - self.compensator[k]
 
     def __call__(self, w: np.ndarray, out=None, work: Optional[_Work] = None) -> np.ndarray:
         if out is None:
@@ -148,17 +150,15 @@ class _Drift:
         prod, tmp = work.prod, work.tmp  # prod_{l > k} gamma_l at the nodes, updated in place
         k = self.jump_rows[0]
         drift[k] -= self.first_jump
-        np.multiply(w[k, :, None], self.em1[k], out=prod)
+        np.einsum("p,q->pq", w[k], self.em1[k], out=prod)
         prod += 1.0
         for k in self.jump_rows[1:]:
-            np.multiply(self.em1[k], prod, out=tmp)
-            tmp *= self.weights
-            jump = np.add.reduce(tmp, axis=1, out=work.scratch[k])  # the tail sums are spent
+            jump = np.einsum("pq,q->p", prod, self.w_em1[k], out=work.scratch[k])  # tails spent
             jump *= self.intensity
-            jump -= self.lam_row[k] * self.mean_rate
+            jump -= self.compensator[k]
             drift[k] -= jump
             if k > 0:  # no column left of 0 reads the product
-                np.multiply(w[k, :, None], self.em1[k], out=tmp)
+                np.einsum("p,q->pq", w[k], self.em1[k], out=tmp)
                 tmp += 1.0
                 prod *= tmp
         return drift
@@ -320,13 +320,15 @@ def simulation_grid(tenor: TenorStructure, steps_per_period: int = 4) -> np.ndar
 class _Step:
     """Log-state of one scheme; see ``_simulate_core``.
 
-    The state is log x, with x = L for the market model and x = 1 + delta L
-    for the forward price model, started at ``log_x0``.  The market-model
-    schemes differ only in the forward-price weights fed to the drift; this
-    base class is the exact scheme, which reads them off the current state.
-    The object holds read-only data only; the state of a path block is what
-    ``start`` returns, rate-major (rates, paths) like ``log_x0`` and ``w0``,
-    which are columns.  Every method that takes a block's ``work`` (a
+    The state is log x, with x = delta L for the market model and x = 1 +
+    delta L for the forward price model, started at ``log_x0``.  The
+    market-model schemes differ only in the forward-price weights fed to the
+    drift; this base class is the exact scheme, which reads them off the
+    current state as w = x / (1 + x).  The object holds read-only data only;
+    the state of a path block is what ``start`` returns, rate-major (rates,
+    paths) like ``log_x0`` and ``w0``, which are columns.  ``interval``
+    builds tables already scaled by the step width, so ``drift`` returns a
+    step's drift increment.  Every method that takes a block's ``work`` (a
     ``_Work``) writes into its buffers instead of allocating; ``rate`` and
     ``forward_price`` map a state to L and to 1 + delta L in ``out`` and
     read nothing else.
@@ -339,34 +341,35 @@ class _Step:
         self.chars = model.chars
         libors = np.asarray(model.curve.libors)
         with np.errstate(divide="ignore"):  # log 0 = -inf, which exp maps back to 0
-            self.log_x0 = np.log(libors)[:, None]
+            self.log_x0 = np.log(self.delta * libors)[:, None]
         self.w0 = forward_price_weights(libors, self.delta)[:, None]
         if self.chars.has_jumps:
             self.rule = self.chars.jump_quadrature(model.quad_order)
 
-    def interval(self, j: int, c0: int, lam_row):
-        """Read-only tables of tenor interval j for the rates ``[c0:]``."""
-        return _Drift(lam_row, self.chars, self.rule)
+    def interval(self, j: int, c0: int, lam_row, dt: float):
+        """Read-only tables of tenor interval j for the rates ``[c0:]``, scaled by ``dt``."""
+        return _Drift(lam_row, self.chars, self.rule, dt)
 
     def start(self, n_paths: int):
         """Log-state and auxiliary state of a block of ``n_paths`` paths."""
         return np.tile(self.log_x0, (1, n_paths)), None
 
     def rate(self, log_state, out):
-        return np.exp(log_state, out=out)
+        np.exp(log_state, out=out)
+        out /= self.delta
+        return out
 
     def forward_price(self, log_state, out):
         np.exp(log_state, out=out)
-        out *= self.delta
         out += 1.0
         return out
 
     def drift(self, log_state, aux, table, work: _Work):
-        """Drift with the scheme's left-endpoint weights: ``work.drift``, or a (rates, 1) column."""
-        libors = np.exp(log_state, out=work.drift)
-        return table(forward_price_weights(libors, self.delta, out=work.w), work.drift, work)
+        """Drift times dt at the left-endpoint weights: ``work.drift``, or a (rates, 1) column."""
+        x = np.exp(log_state, out=work.drift)  # delta L; w = x / (1 + x) in three passes
+        return table(np.divide(x, np.add(x, 1.0, out=work.w), out=work.w), work.drift, work)
 
-    def advance(self, aux, table, dt, dw, ldh, work: _Work):
+    def advance(self, aux, table, dw, ldh, work: _Work):
         """Update the auxiliary state after the main update of a step; ``ldh`` is lambda dH."""
 
 
@@ -390,23 +393,22 @@ def _simulate_core(
     """Log-Euler recursion shared by the market-model schemes and the FPM.
 
     ``model`` supplies the tenor, curve, loadings and driver law.  ``step``
-    owns the log-state s of the rates: ``interval(j, c0, lam_row)`` builds
-    the read-only tables of tenor interval j (the drift's loading constants
-    among them), ``start(n)`` gives the initial state and auxiliary state of
-    a block of n paths, ``drift`` the left-endpoint drift, ``advance``
-    updates the auxiliary state after each step, and ``rate(s, out)`` /
-    ``forward_price(s, out)`` map states to the rates L and the forward
-    prices 1 + delta L.  Every step applies
-
-        s += drift * dt + lam_row[:, None] * dH,
-
-    and the kernel records fixings, terminal-measure density weights and
-    optional snapshots at the tenor dates.  At T_d it maps to rates only
-    the rows it stores, row d or every row with snapshots, and the weights
-    take the forward prices of rows d+1 .. N-1 straight from the state.
-    lambda dH is formed once per step and shared by the update and
-    ``advance``; a deterministic drift column (frozen, FPM) is added to it
-    without being broadcast first.
+    owns the log-state s of the rates (log delta L for the market model,
+    log(1 + delta L) for the FPM): ``interval(j, c0, lam_row, dt)`` builds
+    the read-only tables of tenor interval j, times the step width dt (the
+    drift's loading constants among them), ``start(n)`` gives the initial
+    state and auxiliary state of a block of n paths, ``drift`` the
+    left-endpoint drift times dt, ``advance`` updates the auxiliary state
+    after each step, and ``rate(s, out)`` / ``forward_price(s, out)`` map
+    states to the rates L and the forward prices 1 + delta L.  Every step
+    applies s += drift * dt + lam_row[:, None] * dH, and the kernel records
+    fixings, terminal-measure density weights and optional snapshots at the
+    tenor dates.  At T_d it maps to rates only the rows it stores, row d or
+    every row with snapshots, so the market model divides by delta only
+    there, and the weights take the forward prices of rows d+1 .. N-1
+    straight from the state.  lambda dH is formed once per step and shared
+    by the update and ``advance``; a deterministic drift column (frozen,
+    FPM) is added to it without being broadcast first.
 
     A block's state is rate-major, shape (rates, paths): each per-rate
     operation then runs on one contiguous row of the block's paths instead
@@ -443,10 +445,10 @@ def _simulate_core(
     delta = tenor.delta
     l0 = np.asarray(model.curve.libors)
     forward0 = 1.0 + delta * l0[:, None]
-    dts = driver.dts
+    dt = grid[1] - grid[0]  # the equal step width; later dts differ from it by round-off only
     lam = model.vols.values[: n - 1]  # the grid ends at T_{N-1}
     live = [int(np.argmax(row != 0.0)) for row in lam]  # c0 of each interval; 0 if none
-    tables = [step.interval(j, c0, lam[j, c0:]) for j, c0 in enumerate(live)]
+    tables = [step.interval(j, c0, lam[j, c0:], dt) for j, c0 in enumerate(live)]
     n_nodes = 0 if step.rule is None else len(step.rule[0])
 
     # column-major, so each rate's fixings and weights are one contiguous column
@@ -478,18 +480,13 @@ def _simulate_core(
         state, aux = step.start(block.n_paths)
         work = _Work.empty(n, block.n_paths, n_nodes)
         record(rows, state, work, 0)
-        for i, dt in enumerate(dts):
+        for i, dw in enumerate(block.dw):
             j = i // m
             c0 = live[j]
             s, a, wk = state[c0:], None if aux is None else aux[c0:], work.live(c0)
             ldh = np.multiply(lam[j, c0:, None], dh[i], out=wk.ldh)
-            drift = step.drift(s, a, tables[j], wk)
-            if drift is wk.drift:
-                drift *= dt
-            else:  # a deterministic (rates, 1) column
-                drift = drift * dt
-            s += np.add(drift, ldh, out=wk.drift)
-            step.advance(a, tables[j], dt, block.dw[i], ldh, wk)
+            s += np.add(step.drift(s, a, tables[j], wk), ldh, out=wk.drift)
+            step.advance(a, tables[j], dw, ldh, wk)
             record(rows, state, work, i + 1)
 
     with ThreadPoolExecutor(max_workers=_n_workers()) as pool:

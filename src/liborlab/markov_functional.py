@@ -309,6 +309,8 @@ def _upper_integral(grid: FunctionalGrid, i: int, x_star: float) -> np.ndarray:
     x = grid.x_nodes[i]
     if x_star >= x[-1]:
         base, sign, edges = 0.0, 1.0, _tail_edges(grid, i, x_star, True)
+    elif x_star == -math.inf:  # the whole line: no lower tail to take away
+        return grid._tables[i][1]
     elif x_star <= x[0]:
         base, sign, edges = grid._tables[i][1], -1.0, _tail_edges(grid, i, x_star, False)
     else:

@@ -158,13 +158,13 @@ def test_picard_first_iterate_starts_at_zeroth(model):
     # order-1 scheme is the frozen drift; a driver step moves the iterate
     lam = model.vols.values[0]
     frozen, picard = _FrozenStep(model), _PicardStep(model)
-    table = picard.interval(0, 0, lam)
+    table = picard.interval(0, 0, lam, 0.125)
     s, z = picard.start(64)
     work = _Work.empty(len(s), 64)
-    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam), work), s.shape)
+    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam, 0.125), work), s.shape)
     assert np.array_equal(picard.drift(s, z, table, work), beta0)
     dw = np.random.default_rng(2).normal(0.0, math.sqrt(0.125), 64)
-    picard.advance(z, table, 0.125, dw, lam[:, None] * dw, work)
+    picard.advance(z, table, dw, lam[:, None] * dw, work)
     assert not np.array_equal(picard.drift(s, z, table, work), beta0)
 
 
@@ -183,7 +183,7 @@ def test_taylor_beta0_equals_drift_at_initial_state(model, jump_model, tenor):
             if grid[i] >= tenor.dates[k]:
                 continue
             lam = mdl.vols.values[i // 4]
-            beta0 = _FrozenStep(mdl).interval(i // 4, 0, lam)[k, 0]
+            beta0 = _FrozenStep(mdl).interval(i // 4, 0, lam, 1.0)[k, 0]
             rule = mdl.chars.jump_quadrature(48) if mdl.chars.has_jumps else None
             w = forward_price_weights(state[:, None], DELTA)
             direct = _Drift(lam, mdl.chars, rule)(w)[k, 0]
@@ -195,14 +195,14 @@ def test_taylor_first_variation_starts_at_zero(model):
     # initial rates, like the frozen scheme; after a step it tracks Y
     lam = model.vols.values[0]
     frozen, taylor = _FrozenStep(model), _TaylorStep(model)
-    table = taylor.interval(0, 0, lam)
+    table = taylor.interval(0, 0, lam, 0.125)
     s, y = taylor.start(16)
     work = _Work.empty(len(s), 16)
     assert y.T.shape == (16, 5) and np.all(y == 0.0)
-    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam), work), s.shape)
+    beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam, 0.125), work), s.shape)
     assert np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-14, atol=0.0)
     dh = np.random.default_rng(9).normal(0.0, math.sqrt(0.125), 16)
-    taylor.advance(y, table, 0.125, dh, lam[:, None] * dh, work)
+    taylor.advance(y, table, dh, lam[:, None] * dh, work)
     assert not np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-12, atol=0.0)
 
 
