@@ -116,6 +116,10 @@ MUTANTS = {
         "        pass\n",
         "the Monte Carlo standard error with the antithetic pairing switched off",
     ),
+    "iv-expiry-next-date": (
+        "pricing.py", "expiry=curve.tenor.dates[k]", "expiry=curve.tenor.dates[k + 1]",
+        "the implied vol annualized over T_{k+1} in place of the fixing date T_k",
+    ),
     "index-hi-off-by-one": (
         "pricing.py", 'paths.tenor.check("caplet", k, 1, paths.tenor.n - 1)',
         'paths.tenor.check("caplet", k, 1, paths.tenor.n)',

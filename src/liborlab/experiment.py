@@ -376,40 +376,29 @@ def run_verify(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> VerifyRe
     return report
 
 
-def _priced(curve: InitialCurve, price):
-    """``quote(k, strikes)`` of a transform or grid ``price(k, strike)``.
-
-    Each quote carries its implied vol where Black has one.
-    """
-    def quote(k: int, strikes) -> list:
-        quotes = []
-        for strike in strikes:
-            value = price(k, strike)
-            quotes.append(CapletQuote(k=k, strike=strike, price=value,
-                                      implied_vol=implied_vol_or_none(value, curve, k, strike)))
-        return quotes
-    return quote
-
-
-def _producers(ctx: Context, name: str, positive: bool = False) -> list:
+def _producers(ctx: Context, name: str) -> list:
     """``(model, scheme, quote(k, strikes))`` producers of one configured model.
 
-    ``quote`` returns one ``CapletQuote`` per strike of rate k.  A simulated
-    model draws its path set here, which lives as long as the producers.
-    With ``positive``, a market-model path set with a rate that is not
-    positive raises instead.
+    ``quote`` returns one ``CapletQuote`` per strike of rate k, with its price
+    (and Monte Carlo standard error) but no implied vol.  A simulated model
+    draws its path set here, which lives as long as the producers.  A
+    market-model path set with a rate that is not positive raises: the
+    paper's positivity claim, checked before any quote.
     """
     curve = ctx.curve
+
+    def priced(price):  # the quotes of a transform or grid price(k, strike)
+        return lambda k, ss: [CapletQuote(k=k, strike=s, price=price(k, s)) for s in ss]
+
     if name == "mfm":
         grid = ctx.mfm_grid
-        return [("mfm", "grid",
-                 _priced(curve, lambda k, s: markov_functional.caplet_value(grid, k, s)))]
+        return [("mfm", "grid", priced(lambda k, s: markov_functional.caplet_value(grid, k, s)))]
     if name == "affine":
         family = ctx.affine_family
         paths = affine_libor.simulate_affine_paths(family, ctx.cfg.n_paths, ctx.cfg.seed + 1)
         return [
             ("affine", "fourier",
-             _priced(curve, lambda k, s: affine_libor.caplet_price_fourier(family, k, s))),
+             priced(lambda k, s: affine_libor.caplet_price_fourier(family, k, s))),
             ("affine", "mc", lambda k, ss: mc_caplet(paths, k, ss, curve)),
         ]
     paths = ctx.simulate(name)
@@ -417,9 +406,9 @@ def _producers(ctx: Context, name: str, positive: bool = False) -> list:
         fpm = ctx.fpm
         return [
             ("fpm", "mc", lambda k, ss: mc_caplet(paths, k, ss, curve)),
-            ("fpm", "fourier", _priced(curve, lambda k, s: caplet_price_fourier(fpm, k, s))),
+            ("fpm", "fourier", priced(lambda k, s: caplet_price_fourier(fpm, k, s))),
         ]
-    if positive and not paths.min_rate() > 0.0:
+    if not paths.min_rate() > 0.0:
         raise LiborLabError(f"positivity violated by scheme {name}")
     return [("lmm", name.replace("lmm-", ""), lambda k, ss: mc_caplet(paths, k, ss, curve))]
 
@@ -427,7 +416,9 @@ def _producers(ctx: Context, name: str, positive: bool = False) -> list:
 def _quote_loop(ctx: Context, producers: list) -> list:
     """``(model, scheme, CapletQuote)`` rows by rate, then strike, then producer.
 
-    Each producer quotes all strikes of a rate in one call.
+    Each producer quotes all strikes of a rate in one call.  Once the prices
+    are known, every quote gets its implied vol here, the one place that
+    inverts them; None where Black has no vol.
     """
     rows = []
     for k in ctx.tenor.rate_indices:
@@ -435,7 +426,9 @@ def _quote_loop(ctx: Context, producers: list) -> list:
         by_producer = [[(model, scheme, q) for q in quote(k, strikes)]
                        for model, scheme, quote in producers]
         rows += [row for per_strike in zip(*by_producer) for row in per_strike]
-    return rows
+    curve = ctx.curve
+    return [(model, scheme, replace(q, implied_vol=implied_vol_or_none(q.price, curve, q.k, q.strike)))
+            for model, scheme, q in rows]
 
 
 @dataclass
@@ -459,7 +452,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Compare
     if "lmm-exact" not in schemes:
         raise ConfigError("compare needs lmm-exact in the model list as baseline")
     ctx = Context(cfg)
-    quotes = {name: _quote_loop(ctx, _producers(ctx, name, positive=True)[:1]) for name in schemes}
+    quotes = {name: _quote_loop(ctx, _producers(ctx, name)[:1]) for name in schemes}
 
     base = {(q.k, q.strike): q for _, _, q in quotes["lmm-exact"]}
     diffs, summary = {}, {}

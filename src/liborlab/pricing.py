@@ -5,6 +5,9 @@ date is weighted by the path's terminal-measure density for the payment
 date's forward measure, so every model prices through the same estimator
 
     price = B(0, T_{k+1}) * E_N[ (L(T_k, T_k) - K)^+ * weight ].
+
+Quotes carry a price and, for Monte Carlo, its standard error; a caller
+that wants Black vols inverts the known prices with ``implied_vol_or_none``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ _IV_PRICE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CapletQuote:
-    """One priced caplet: price, error bar, implied vol."""
+    """One priced caplet: price, error bar, implied vol (None until a caller inverts it)."""
 
     k: int
     strike: float
@@ -138,14 +141,17 @@ def mc_caplet(paths: LiborPathSet, k: int, strikes, curve: InitialCurve) -> list
 
     Uses the recorded fixing L(T_k, T_k) and the density weight of the
     payment date's forward measure; the standard error accounts for
-    antithetic pairing when the paths carry it.  One pass per rate: the
-    fixings are checked for NaN once, and every strike's payoff is built in
-    the same buffer, which the estimator then overwrites.
+    antithetic pairing when the paths carry it.  The quotes carry no implied
+    vol.  One pass per rate: the fixings are checked for NaN and the weights
+    for non-finite values once, and every strike's payoff is built in the
+    same buffer, which the estimator then overwrites.
     """
     paths.tenor.check("caplet", k, 1, paths.tenor.n - 1)
     fixing, weight = paths.fixings[:, k], paths.fixing_weights[:, k]
     if np.isnan(fixing).any():
         raise LiborLabError(f"fixing of rate {k} is NaN on some path")
+    if not np.isfinite(weight).all():
+        raise LiborLabError(f"density weight of rate {k} is not finite on some path")
 
     payoff = np.empty_like(fixing)
     scale = curve.bond(k + 1) * paths.delta
@@ -155,8 +161,5 @@ def mc_caplet(paths: LiborPathSet, k: int, strikes, curve: InitialCurve) -> list
         np.maximum(payoff, 0.0, out=payoff)
         payoff *= weight
         mean, stderr = _mc_mean_stderr(payoff, paths.antithetic)
-        price = scale * mean
-        iv = implied_vol_or_none(price, curve, k, strike)
-        quotes.append(CapletQuote(k=k, strike=strike, price=price, stderr=scale * stderr,
-                                  implied_vol=iv))
+        quotes.append(CapletQuote(k=k, strike=strike, price=scale * mean, stderr=scale * stderr))
     return quotes

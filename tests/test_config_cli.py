@@ -380,20 +380,22 @@ def test_run_compare_zero_vols_all_differences_zero(tmp_path):
 
 
 def test_run_compare_positivity_fails_on_nan(monkeypatch):
-    # a NaN fixing must not pass the positivity test that guards the quotes
+    # a NaN or zero fixing must not pass the positivity test that guards the
+    # market-model quotes, in compare and in price alike
     from liborlab.errors import LiborLabError
 
     frozen = experiment._LMM_SCHEMES["lmm-frozen"]
-
-    def frozen_with_nan(*args, **kwargs):
-        paths = frozen(*args, **kwargs)
-        paths.fixings[0, 1] = np.nan
-        return paths
-
-    monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", frozen_with_nan)
     cfg = override(parse_config(SMALL_COMPARE), n_paths=64)
-    with pytest.raises(LiborLabError, match="positivity violated by scheme lmm-frozen"):
-        run_compare(cfg)
+    for poison in (np.nan, 0.0):
+        def frozen_with_poison(*args, **kwargs):
+            paths = frozen(*args, **kwargs)
+            paths.fixings[0, 1] = poison
+            return paths
+
+        monkeypatch.setitem(experiment._LMM_SCHEMES, "lmm-frozen", frozen_with_poison)
+        for run in (run_compare, run_price):
+            with pytest.raises(LiborLabError, match="positivity violated by scheme lmm-frozen"):
+                run(cfg)
 
 
 def test_run_compare_scheme_ordering_and_determinism(tmp_path):
@@ -621,6 +623,20 @@ def test_cli_price_leaves_the_implied_vol_empty_at_a_negative_strike(tmp_path):
     assert all(row[6] == "" for row in negative)
 
 
+@pytest.mark.parametrize("strikes", ["-0.01", "-0.01, 0.04"])
+def test_cli_price_refuses_a_nan_density_weight(tmp_path, capsys, monkeypatch, strikes):
+    # a NaN weight stops the run (exit 1) before any row is written; at a
+    # negative strike no implied-vol root meets it on the way
+    monkeypatch.setattr(experiment, "simulate_fpm",
+                        _poisoned(experiment.simulate_fpm, _nan_fixing_weight))
+    cfg_file = tmp_path / "fpm.cfg"
+    cfg_file.write_text(VERIFY_ALL.replace(RUN_AND_PRICING, f"run = fpm\n\n[pricing]\nstrikes = {strikes}"))
+    out = tmp_path / "out"
+    assert cli.main(["price", str(cfg_file), "--paths", "500", "--out-dir", str(out)]) == cli.EXIT_INVARIANT
+    assert "density weight of rate 1 is not finite" in capsys.readouterr().err
+    assert not any("nan" in path.read_text() for path in out.glob("*"))
+
+
 def test_run_price_writes_table(tmp_path):
     cfg = parse_config(VERIFY_ALL.replace("strike_factors = 1.0", "strikes = 0.05, 0.03"))
     rows = run_price(override(cfg, n_paths=2000), out_dir=str(tmp_path))
@@ -821,22 +837,25 @@ def test_cli_refuses_a_malformed_curve_file(tmp_path, capsys, case):
 
 def test_fpm_caplet_table(tmp_path):
     # the closed-form FPM caplets are the fourier rows of the price table; the
-    # implied vol is blank where the price leaves Black's no-arbitrage band
+    # rows of every producer carry the implied vol of their written price,
+    # blank where the price leaves Black's no-arbitrage band
     from liborlab.experiment import Context
     from liborlab.forward_price import caplet_price_fourier
     from liborlab.pricing import implied_vol_or_none
 
-    cfg = parse_config(
-        VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = fpm")
-        .replace("strike_factors = 1.0", "strikes = 0.02, 0.04")
-    )
+    cfg = parse_config(VERIFY_ALL.replace("strike_factors = 1.0", "strikes = 0.02, 0.04"))
     run_price(override(cfg, n_paths=500), out_dir=str(tmp_path))
-    lines = (tmp_path / "prices.csv").read_text().strip().splitlines()
-    fourier = [line.split(",") for line in lines[1:] if line.startswith("fpm,fourier,")]
-    assert len(fourier) == 3 * 2
-    fpm = Context(cfg).fpm
-    for _, _, k, strike, price, stderr, iv in fourier:
+    rows = [line.split(",") for line in (tmp_path / "prices.csv").read_text().splitlines()[1:]]
+    assert {(model, scheme) for model, scheme, *_ in rows} == {
+        ("lmm", "exact"), ("fpm", "mc"), ("fpm", "fourier"), ("mfm", "grid"),
+        ("affine", "fourier"), ("affine", "mc"),
+    }
+    assert len([row for row in rows if row[:2] == ["fpm", "fourier"]]) == 3 * 2
+    ctx = Context(cfg)
+    for model, scheme, k, strike, price, stderr, iv in rows:
         k, strike, price = int(k), float(strike), float(price)
-        assert price == caplet_price_fourier(fpm, k, strike)
-        want = implied_vol_or_none(price, fpm.curve, k, strike)
-        assert stderr == "" and iv == ("" if want is None else f"{want:.17g}")
+        if (model, scheme) == ("fpm", "fourier"):
+            assert price == caplet_price_fourier(ctx.fpm, k, strike) and stderr == ""
+        want = implied_vol_or_none(price, ctx.curve, k, strike)
+        assert iv == ("" if want is None else f"{want:.17g}")
+    assert any(row[6] for row in rows)

@@ -136,6 +136,14 @@ def test_implied_vol_or_none_where_black_has_no_vol(tenor, curve):
     assert implied_vol_or_none(0.001, InitialCurve.flat(tenor, 0.0), 2, 0.04) is None
 
 
+def test_implied_vol_or_none_annualizes_over_the_fixing_date(tenor, curve):
+    # the caplet on rate k fixes at T_k = k * delta: a Black price at total
+    # vol 0.2 sqrt(T_k) is an annualized vol of 0.2
+    for k in tenor.rate_indices:
+        price = black_caplet(0.04, 0.045, 0.2 * math.sqrt(k * DELTA), DELTA, curve.bond(k + 1))
+        assert implied_vol_or_none(price, curve, k, 0.045) == pytest.approx(0.2, rel=1e-12)
+
+
 def test_implied_vol_annualized(tenor):
     price = black_caplet(0.04, 0.04, 0.2, DELTA, 0.97)
     total = implied_vol(price, 0.04, 0.04, DELTA, 0.97)
@@ -195,14 +203,15 @@ def _np_mean_stderr(samples, antithetic):
 
 
 def _per_strike_quote(paths, k, strike, curve):
-    # one pass per (rate, strike): the oracle for mc_caplet's bits
+    # one pass per (rate, strike): the oracle for the bits of mc_caplet's price and SE
     if np.isnan(paths.fixings[:, k]).any():
         raise LiborLabError(f"fixing of rate {k} is NaN on some path")
+    if not np.isfinite(paths.fixing_weights[:, k]).all():
+        raise LiborLabError(f"density weight of rate {k} is not finite on some path")
     payoff = np.maximum(paths.fixings[:, k] - strike, 0.0) * paths.fixing_weights[:, k]
     mean, stderr = _np_mean_stderr(payoff, paths.antithetic)
     scale = curve.bond(k + 1) * paths.delta
-    price = scale * mean
-    return [price, scale * stderr, implied_vol_or_none(price, curve, k, strike)]
+    return [scale * mean, scale * stderr]
 
 
 def _hex(values):
@@ -238,8 +247,8 @@ def test_mc_caplet_matches_the_per_strike_formula_bitwise(quote_path_sets, name)
         quotes = mc_caplet(paths, k, strikes, curve)
         assert [q.strike for q in quotes] == strikes and all(q.k == k for q in quotes)
         for q, strike in zip(quotes, strikes):
-            oracle = _per_strike_quote(paths, k, strike, curve)
-            assert _hex([q.price, q.stderr, q.implied_vol]) == _hex(oracle)
+            assert _hex([q.price, q.stderr]) == _hex(_per_strike_quote(paths, k, strike, curve))
+            assert q.implied_vol is None  # the caller inverts the known prices
         assert quotes[-1].stderr == 0.0
 
 
@@ -254,21 +263,27 @@ def test_mc_caplet_all_equal_payoffs_whose_mean_rounds(tenor, curve):
         (q,) = mc_caplet(paths, 2, [0.0], curve)
         assert q.stderr == 0.0
         assert np.mean(np.full(3, 0.1)) != 0.1 and np.std(np.full(3, 0.1), ddof=1) > 0.0
-        assert _hex([q.price, q.stderr, q.implied_vol]) == _hex(_per_strike_quote(paths, 2, 0.0, curve))
+        assert _hex([q.price, q.stderr]) == _hex(_per_strike_quote(paths, 2, 0.0, curve))
 
 
 def test_mc_caplet_refuses_a_nan_fixing_like_the_per_strike_formula(quote_path_sets):
+    # a NaN fixing or a non-finite density weight stops its own rate at every
+    # strike, -0.01 too, where no implied-vol root would meet it
     curve, path_sets = quote_path_sets
     paths = path_sets["affine"]
-    fixings = paths.fixings.copy(order="F")
-    fixings[7, 2] = np.nan
-    broken = LiborPathSet(paths.tenor, paths.initial_libors, fixings, paths.fixing_weights)
-    for quote in (lambda: mc_caplet(broken, 2, [0.03, 0.04], curve),
-                  lambda: _per_strike_quote(broken, 2, 0.04, curve)):
-        with pytest.raises(LiborLabError, match="fixing of rate 2 is NaN"):
-            quote()
-    assert _hex([mc_caplet(broken, 3, [0.04], curve)[0].price]) == _hex(
-        _per_strike_quote(broken, 3, 0.04, curve)[:1])
+    for column, value, message in (("fixings", np.nan, "fixing of rate 2 is NaN"),
+                                   ("weights", np.nan, "density weight of rate 2 is not finite"),
+                                   ("weights", np.inf, "density weight of rate 2 is not finite")):
+        arrays = {"fixings": paths.fixings.copy(order="F"),
+                  "weights": paths.fixing_weights.copy(order="F")}
+        arrays[column][7, 2] = value
+        broken = LiborPathSet(paths.tenor, paths.initial_libors, arrays["fixings"], arrays["weights"])
+        for quote in (lambda: mc_caplet(broken, 2, [-0.01, 0.04], curve),
+                      lambda: _per_strike_quote(broken, 2, -0.01, curve)):
+            with pytest.raises(LiborLabError, match=message):
+                quote()
+        assert _hex([mc_caplet(broken, 3, [0.04], curve)[0].price]) == _hex(
+            _per_strike_quote(broken, 3, 0.04, curve)[:1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
