@@ -56,8 +56,13 @@ MUTANTS = {
         "the FPM rate map with exp in place of expm1: L off by 1 / delta",
     ),
     "picard-without-own-term": (
-        "drift_approx.py", "drift = -c * lam_row * g * (tail + wl)", "drift = -c * lam_row * g * tail",
+        "drift_approx.py", "drift = -chars.diffusion_c * lam_row * g * (tail + wl)",
+        "drift = -chars.diffusion_c * lam_row * g * tail",
         "the Picard weight drift without its own w_k lambda_k term",
+    ),
+    "picard-without-drift-b": (
+        "drift_approx.py", "drift -= g * lam_row * chars.drift_b", "drift -= 0.0",
+        "the Picard weight drift without the b dt part of lambda dH taken back",
     ),
     "taylor-y-without-beta0": (
         "drift_approx.py", "y += np.add(table[0], ldh, out=work.scratch)", "y += ldh",

@@ -23,13 +23,12 @@ All three exponentiate, so approximate rates stay strictly positive.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import LiborLabError, UnsupportedSchemeError
-from .levy import DriverPathSet
+from .levy import DriverPathSet, LevyCharacteristics
 from .lmm import (
     LiborPathSet,
     LmmModel,
@@ -70,19 +69,20 @@ class _TaylorStep(_Step):
     def drift(self, log_state, y, table, work):
         return super().drift(np.add(table[1], y, out=work.drift), None, table[2], work)
 
-    def advance(self, y, table, dw, ldh, work):
+    def advance(self, y, table, ldh, work):
         y += np.add(table[0], ldh, out=work.scratch)
 
 
 class _PicardStep(_Step):
     """Gaussian first Picard iterate z of the forward-price weights.
 
-    Only continuous drivers reach this step, so the drift has no jump part.
+    Only continuous drivers reach this step, so the drift has no jump part,
+    and z moves on the lambda dH that the main update already formed.
     """
 
     def interval(self, j: int, c0: int, lam_row, dt: float):
-        drift, vol = picard_tables_row(self.w0[c0:, 0], lam_row, self.chars.diffusion_c)
-        return drift[:, None] * dt, vol[:, None], _Drift(lam_row, self.chars, None, dt)
+        drift, g = picard_tables_row(self.w0[c0:, 0], lam_row, self.chars)
+        return drift[:, None] * dt, g[:, None], _Drift(lam_row, self.chars, None, dt)
 
     def start(self, n_paths: int):
         return np.tile(self.log_x0, (1, n_paths)), np.tile(self.w0, (1, n_paths))
@@ -90,27 +90,30 @@ class _PicardStep(_Step):
     def drift(self, log_state, z, table, work):
         return table[2](z, work.drift, work)
 
-    def advance(self, z, table, dw, ldh, work):
-        drift, vol = table[:2]
-        z += np.add(drift, np.multiply(vol, dw, out=work.scratch), out=work.scratch)
+    def advance(self, z, table, ldh, work):
+        drift, g = table[:2]
+        z += np.add(drift, np.multiply(g, ldh, out=work.scratch), out=work.scratch)
 
 
-def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, c: float):
-    """Drift and diffusion coefficients of the weight-process SDE at w0.
+def picard_tables_row(w0: np.ndarray, lam_row: np.ndarray, chars: LevyCharacteristics):
+    """Coefficients of the weight-process SDE at w0, per dt and per lambda dH.
 
     Writing w = f(L) with f(x) = delta x / (1 + delta x), Ito's formula on
-    the log-normal rate dynamics gives (with f'(L) L = w (1 - w) and
+    the log-normal rate dynamics gives (with g = f'(L) L = w (1 - w) and
     f''(L) L^2 = -2 w^2 (1 - w))
 
-        drift_k = -c lambda_k w_k (1 - w_k) ( sum_{l>k} w_l lambda_l + w_k lambda_k ),
-        vol_k   = sqrt(c) lambda_k w_k (1 - w_k).
+        dw_k = a_k dt + sqrt(c) lambda_k g_k dW,
+        a_k  = -c lambda_k g_k ( sum_{l>k} w_l lambda_l + w_k lambda_k ).
+
+    A continuous driver has sqrt(c) dW = dH - b dt, so dw_k = (a_k - g_k
+    lambda_k b) dt + g_k lambda_k dH; this returns a - g lambda b and g.
     """
     wl = w0 * lam_row
     tail = _tail_sums(wl)
     g = w0 * (1.0 - w0)
-    drift = -c * lam_row * g * (tail + wl)
-    vol = math.sqrt(c) * lam_row * g
-    return drift, vol
+    drift = -chars.diffusion_c * lam_row * g * (tail + wl)
+    drift -= g * lam_row * chars.drift_b
+    return drift, g
 
 
 def frozen_drift_simulate(

@@ -301,7 +301,7 @@ def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
     # structure: the log density against the terminal measure minus the loaded
     # driver integral must be the same constant on every path; the k * m
     # steps before T_k lie in intervals 0 .. k - 1, m steps each.
-    dh = ctx.driver.increments(fpm.chars)
+    dh = ctx.driver.dh
     spreads = []
     for k in range(1, ctx.cfg.n - 1):
         stoch = np.repeat(fpm.loading_tails[:k, k + 1], m) @ dh[: k * m]

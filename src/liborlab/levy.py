@@ -15,8 +15,9 @@ exp(z H_t - t kappa(z)) is a martingale for z inside the moment domain.
 
 Finite activity keeps path simulation exact: Gaussian increments, Poisson
 jump counts and, per step, the exact law of the sum of its jumps.  Loadings
-in this package are piecewise constant on the simulation grid, so that sum
-is a sufficient statistic and is what ``DriverPathSet`` stores.
+in this package are piecewise constant on the simulation grid, so a rate
+moves by its loading times the step's increment dH, and that one array is
+what ``DriverPathSet`` stores.
 """
 
 from __future__ import annotations
@@ -196,38 +197,21 @@ class LevyCharacteristics:
 
 @dataclass(frozen=True)
 class DriverPathSet:
-    """Per-step driver increments on a fixed grid.
+    """Driver increments on a fixed grid, one array for every consumer.
 
-    ``dw[i]`` holds the standard Brownian increments over
-    [grid[i], grid[i+1]] for every path, and ``jump_sums[i]`` the summed raw
-    jump sizes in that window (``None`` for a continuous driver).  The same
-    seed always regenerates an identical object.
+    ``dh[i]`` holds H(grid[i+1]) - H(grid[i]) for every path, simulated for
+    the triplet ``chars``; the simulators refuse it for a model with another
+    triplet.  The same seed always regenerates an identical object.
     """
 
     grid: np.ndarray = field(repr=False)
-    dw: np.ndarray = field(repr=False)
-    jump_sums: Optional[np.ndarray] = field(repr=False)
+    dh: np.ndarray = field(repr=False)
+    chars: LevyCharacteristics
     antithetic: bool = False
 
     @property
     def n_paths(self) -> int:
-        return self.dw.shape[1]
-
-    @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.grid)
-
-    def increments(self, chars: LevyCharacteristics) -> np.ndarray:
-        """Driver increments dH per (step, path) for the given triplet, in one new array."""
-        if chars.has_jumps and self.jump_sums is None:
-            raise LiborLabError("path set was generated without jumps")
-        dts = self.dts[:, None]
-        dh = math.sqrt(chars.diffusion_c) * self.dw
-        dh += chars.drift_b * dts  # the bits of drift_b * dt + sqrt(c) dw
-        if chars.has_jumps:
-            dh += self.jump_sums
-            dh -= chars.jump_mean_rate * dts
-        return dh
+        return self.dh.shape[1]
 
 
 def simulate_driver(
@@ -237,14 +221,17 @@ def simulate_driver(
     seed: int,
     antithetic: bool = False,
 ) -> DriverPathSet:
-    """Exact path simulation of the driver on ``grid``.
+    """Exact path simulation of the driver increments on ``grid``.
 
-    Brownian increments are N(0, dt) per step (scaled by sqrt(c) when
-    consumed), then jump counts Poisson(intensity * dt); each cell with k >= 1
-    jumps then draws, in C order, its jump sum from the exact law of k i.i.d.
-    jump sizes (Glasserman 2003, section 3.5).  With ``antithetic=True`` the
-    second half of the paths negates the Brownian increments of the first
-    half while sharing its jumps; ``n_paths`` must then be even.
+    The generator first gives the Brownian increments dW ~ N(0, dt) per
+    step, then jump counts Poisson(intensity * dt); each cell with k >= 1
+    jumps then draws, in C order, its jump sum J from the exact law of k
+    i.i.d. jump sizes (Glasserman 2003, section 3.5).  The increments are
+    composed in place, in one array, as sqrt(c) dW, plus b dt, plus J at the
+    cells that drew jumps, minus intensity * E[jump] * dt.  With
+    ``antithetic=True`` the second half of the paths negates the Brownian
+    increments of the first half while sharing its jumps; ``n_paths`` must
+    then be even.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
@@ -258,27 +245,28 @@ def simulate_driver(
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     n_base = n_paths // 2 if antithetic else n_paths
-    dts = np.diff(grid)
-    n_steps = len(dts)
+    dts = np.diff(grid)[:, None]
 
-    dw = rng.standard_normal((n_steps, n_base))
-    dw *= np.sqrt(dts)[:, None]  # the bits and stream of rng.normal(0.0, sqrt(dts)[:, None])
+    dh = np.empty((len(dts), n_paths))
+    base = dh[:, :n_base]
+    for row in base:  # row by row: the stream of one (steps, n_base) call
+        rng.standard_normal(out=row)
+    base *= np.sqrt(dts)  # the bits and stream of rng.normal(0.0, sqrt(dts))
+    if antithetic:
+        np.negative(base, out=dh[:, n_base:])
+    dh *= math.sqrt(chars.diffusion_c)
+    dh += chars.drift_b * dts
 
-    jump_sums = None
     if chars.has_jumps:
         # one scalar-intensity call per step: the stream of the broadcast call, drawn faster
-        counts = np.empty((n_steps, n_base), dtype=np.int64)
-        for i, dt in enumerate(dts):
+        counts = np.empty(base.shape, dtype=np.int64)
+        for i, dt in enumerate(dts[:, 0]):
             counts[i] = rng.poisson(chars.jump_intensity * dt, size=n_base)
-        jump_sums = np.zeros((n_steps, n_base))
         hit = counts > 0
-        jump_sums[hit] = chars.jump_law.sum_sample(rng, counts[hit])
+        sums = chars.jump_law.sum_sample(rng, counts[hit])
+        base[hit] += sums
+        if antithetic:
+            dh[:, n_base:][hit] += sums
+        dh -= chars.jump_mean_rate * dts
 
-    if antithetic:
-        dw = np.concatenate([dw, -dw], axis=1)
-        if jump_sums is not None:
-            jump_sums = np.concatenate([jump_sums, jump_sums], axis=1)
-
-    return DriverPathSet(
-        grid=grid, dw=dw, jump_sums=jump_sums, antithetic=antithetic
-    )
+    return DriverPathSet(grid=grid, dh=dh, chars=chars, antithetic=antithetic)

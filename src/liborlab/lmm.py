@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -369,8 +369,8 @@ class _Step:
         x = np.exp(log_state, out=work.drift)  # delta L; w = x / (1 + x) in three passes
         return table(np.divide(x, np.add(x, 1.0, out=work.w), out=work.w), work.drift, work)
 
-    def advance(self, aux, table, dw, ldh, work: _Work):
-        """Update the auxiliary state after the main update of a step; ``ldh`` is lambda dH."""
+    def advance(self, aux, table, ldh, work: _Work):
+        """Update the auxiliary state after the main update of a step from ``ldh``, lambda dH."""
 
 
 def _n_workers() -> int:
@@ -399,8 +399,9 @@ def _simulate_core(
     drift's loading constants among them), ``start(n)`` gives the initial
     state and auxiliary state of a block of n paths, ``drift`` the
     left-endpoint drift times dt, ``advance`` updates the auxiliary state
-    after each step, and ``rate(s, out)`` / ``forward_price(s, out)`` map
-    states to the rates L and the forward prices 1 + delta L.  Every step
+    after each step from lambda dH, and ``rate(s, out)`` /
+    ``forward_price(s, out)`` map states to the rates L and the forward
+    prices 1 + delta L.  Every step
     applies s += drift * dt + lam_row[:, None] * dH, and the kernel records
     fixings, terminal-measure density weights and optional snapshots at the
     tenor dates.  At T_d it maps to rates only the rows it stores, row d or
@@ -418,18 +419,19 @@ def _simulate_core(
     the states and the buffers.
 
     The paths run in blocks of ``_BLOCK_PATHS`` (8,192) through the whole
-    grid, so a block's state stays in cache, and the blocks run on a pool
-    of ``_n_workers()`` threads that lives for the call (numpy releases the
+    grid, so a block's state stays in cache, and the blocks run on a pool of
+    ``_n_workers()`` threads that lives for the call (numpy releases the
     GIL); ``step`` calls nothing that the benchmark's tracing wraps, since
     only the main thread may.  Each block allocates its buffers (``_Work``)
     once, and every step writes into them instead of into numpy temporaries
-    of a block's size.  Each thread holds its block's state, driver increments
-    and buffers at once, so the block size trades time against peak memory:
-    on the 200,000-path compare benchmark (two runs each, 2 CPUs) blocks of
-    4,096 took 2.13-2.17 s at 137 MB, 8,192 took 1.53-1.75 s at 145 MB,
-    and 16,384 took 1.51-1.56 s at 160-163 MB, 11% above 8,192.  Every
-    operation is local to a path, so the results do not depend on the
-    block size or the number of threads.
+    of a block's size; a step reads its increments straight from the
+    driver's ``dh`` row, so no block copies or rebuilds them.  Each thread
+    holds its block's state and buffers at once, so the block size trades
+    time against peak memory: on the 200,000-path compare benchmark (two
+    runs each, 2 CPUs) blocks of 4,096 took 2.13-2.17 s at 137 MB, 8,192
+    took 1.53-1.75 s at 145 MB, and 16,384 took 1.51-1.56 s at 160-163 MB,
+    11% above 8,192.  Every operation is local to a path, so the results do
+    not depend on the block size or the number of threads.
     """
     tenor, n = model.tenor, model.tenor.n
     grid = np.asarray(grid, dtype=float)
@@ -440,6 +442,8 @@ def _simulate_core(
         driver = simulate_driver(model.chars, grid, n_paths, seed)
     elif not np.array_equal(driver.grid, grid):
         raise LiborLabError("driver path set does not match the simulation grid")
+    elif driver.chars != model.chars:
+        raise LiborLabError("driver path set was simulated for other driver characteristics")
     n_paths = driver.n_paths
 
     delta = tenor.delta
@@ -474,19 +478,17 @@ def _simulate_core(
 
     def run_block(lo: int):
         rows = slice(lo, min(lo + _BLOCK_PATHS, n_paths))
-        jumps = None if driver.jump_sums is None else driver.jump_sums[:, rows]
-        block = replace(driver, dw=driver.dw[:, rows], jump_sums=jumps)
-        dh = block.increments(model.chars)
-        state, aux = step.start(block.n_paths)
-        work = _Work.empty(n, block.n_paths, n_nodes)
+        dh = driver.dh[:, rows]
+        state, aux = step.start(dh.shape[1])
+        work = _Work.empty(n, dh.shape[1], n_nodes)
         record(rows, state, work, 0)
-        for i, dw in enumerate(block.dw):
+        for i, dh_i in enumerate(dh):
             j = i // m
             c0 = live[j]
             s, a, wk = state[c0:], None if aux is None else aux[c0:], work.live(c0)
-            ldh = np.multiply(lam[j, c0:, None], dh[i], out=wk.ldh)
+            ldh = np.multiply(lam[j, c0:, None], dh_i, out=wk.ldh)
             s += np.add(step.drift(s, a, tables[j], wk), ldh, out=wk.drift)
-            step.advance(a, tables[j], dw, ldh, wk)
+            step.advance(a, tables[j], ldh, wk)
             record(rows, state, work, i + 1)
 
     with ThreadPoolExecutor(max_workers=_n_workers()) as pool:

@@ -105,7 +105,7 @@ def test_criterion_1_identity_suite():
 
     # forward-price-model telescoping: the loaded-exponential density
     # equals the product of simulated forward prices
-    dh = driver.increments(fpm.chars)
+    dh = driver.dh
     for k in (1, 2):
         steps = int(round(tenor.dates[k] / (grid[1] - grid[0])))
         det = 0.0
@@ -219,7 +219,7 @@ def test_criterion_4_structure_suite():
 
     lmm, fpm, grid, driver, lmm_paths, fpm_paths = five_tenor_setup(4_000, seed=404)
     # forward-price-model density exponent carries no path dependence
-    dh = driver.increments(fpm.chars)
+    dh = driver.dh
     spread = 0.0
     for k in (1, 2):
         steps = int(round(lmm.tenor.dates[k] / (grid[1] - grid[0])))

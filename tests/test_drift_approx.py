@@ -125,7 +125,7 @@ def test_frozen_paths_consistent_with_law(model, tenor):
     paths = frozen_drift_simulate(model, grid, 8, seed=3, driver=driver)
     k = 2
     mean, _ = frozen_drift_law(model, k, k)
-    dh = driver.increments(model.chars)
+    dh = driver.dh
     loaded = np.zeros(8)
     for i in range(len(grid) - 1):
         lam = model.vols.values[i // 4, k]
@@ -136,20 +136,26 @@ def test_frozen_paths_consistent_with_law(model, tenor):
 
 def test_picard_tables_row_arithmetic(model):
     w0 = forward_price_weights(model.curve.libors, DELTA)
-    drift, vol = picard_tables_row(w0, model.vols.values[0], model.chars.diffusion_c)
+    drift, g = picard_tables_row(w0, model.vols.values[0], model.chars)
     assert w0[1] == pytest.approx(0.02 / 1.02, rel=1e-14)
     w0 = w0[1]
-    # diffusion coefficient: w0 (1 - w0) lambda sqrt(c)
-    assert vol[2] == pytest.approx(w0 * (1.0 - w0) * 0.2, rel=1e-12)
+    # diffusion coefficient: w0 (1 - w0) lambda sqrt(c), with g = w0 (1 - w0)
+    assert math.sqrt(model.chars.diffusion_c) * 0.2 * g[2] == pytest.approx(
+        w0 * (1.0 - w0) * 0.2, rel=1e-12)
     # drift coefficient at the terminal rate: only its own lambda survives
     expected = -0.2 * w0 * (1.0 - w0) * (w0 * 0.2)
     assert drift[4] == pytest.approx(expected, rel=1e-12)
+    # a driver drift b moves dH by b dt, which the table takes back: - g lambda b
+    tilted = LevyCharacteristics(drift_b=0.3, diffusion_c=1.0)
+    drift_b = picard_tables_row(forward_price_weights(model.curve.libors, DELTA),
+                                model.vols.values[0], tilted)[0]
+    assert drift_b[4] == pytest.approx(expected - w0 * (1.0 - w0) * 0.2 * 0.3, rel=1e-12)
     # zero rate: the weight and both coefficients vanish
     w_zero = forward_price_weights(np.zeros(5), DELTA)
     assert np.all(w_zero == 0.0)
     for row in model.vols.values:
-        drift0, vol0 = picard_tables_row(w_zero, row, model.chars.diffusion_c)
-        assert np.all(vol0 == 0.0)
+        drift0, g0 = picard_tables_row(w_zero, row, model.chars)
+        assert np.all(g0 == 0.0)
         assert np.all(drift0 == 0.0)
 
 
@@ -163,9 +169,49 @@ def test_picard_first_iterate_starts_at_zeroth(model):
     work = _Work.empty(len(s), 64)
     beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam, 0.125), work), s.shape)
     assert np.array_equal(picard.drift(s, z, table, work), beta0)
-    dw = np.random.default_rng(2).normal(0.0, math.sqrt(0.125), 64)
-    picard.advance(z, table, dw, lam[:, None] * dw, work)
+    dh = np.random.default_rng(2).normal(0.0, math.sqrt(0.125), 64)
+    picard.advance(z, table, lam[:, None] * dh, work)
     assert not np.array_equal(picard.drift(s, z, table, work), beta0)
+
+
+def test_picard_with_driver_drift_matches_the_dw_loop(tenor):
+    # at b != 0 the kernel moves the iterate on lambda dH and takes the
+    # b dt part back in its table; a plain loop in the dW form, on log L,
+    # with dW rebuilt from the seed's stream, must give the same fixings.
+    # The two forms round differently: 1e-12 relative bounds the gap
+    chars = LevyCharacteristics(drift_b=0.3, diffusion_c=0.6)
+    l0 = np.full(tenor.n, 0.04)
+    vols = VolatilitySurface.flat(tenor, 0.25)
+    model = LmmModel(tenor, InitialCurve.flat(tenor, 0.04), vols, chars)
+    grid = simulation_grid(tenor, 4)
+    n_paths, seed = 64, 21
+    paths = picard_simulate(model, grid, n_paths, seed)
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    dts = np.diff(grid)
+    dw = rng.normal(0.0, np.sqrt(dts)[:, None], size=(len(dts), n_paths))
+    b, c = chars.drift_b, chars.diffusion_c
+
+    def later(x):  # sum over l > k of x[l], per column
+        out = np.zeros_like(x)
+        out[:-1] = np.cumsum(x[:0:-1], axis=0)[::-1]
+        return out
+
+    w0 = (DELTA * l0 / (1.0 + DELTA * l0))[:, None]
+    g = w0 * (1.0 - w0)
+    log_l = np.tile(np.log(l0)[:, None], (1, n_paths))
+    z = np.tile(w0, (1, n_paths))
+    fixings = np.full((n_paths, tenor.n), l0[0])
+    for i, dt in enumerate(dts):
+        lam = vols.values[i // 4][:, None]
+        drift = -lam * b - 0.5 * c * lam**2 - c * lam * later(z * lam)
+        a = -c * lam * g * (later(w0 * lam) + w0 * lam)
+        log_l += drift * dt + lam * (b * dt + math.sqrt(c) * dw[i])
+        z += a * dt + math.sqrt(c) * lam * g * dw[i]
+        if (i + 1) % 4 == 0:
+            d = (i + 1) // 4
+            fixings[:, d] = np.exp(log_l[d])
+    assert np.max(np.abs(paths.fixings / fixings - 1.0)) < 1e-12
 
 
 def test_picard_rejects_jump_driver(jump_model, tenor):
@@ -202,7 +248,7 @@ def test_taylor_first_variation_starts_at_zero(model):
     beta0 = np.broadcast_to(frozen.drift(s, None, frozen.interval(0, 0, lam, 0.125), work), s.shape)
     assert np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-14, atol=0.0)
     dh = np.random.default_rng(9).normal(0.0, math.sqrt(0.125), 16)
-    taylor.advance(y, table, dh, lam[:, None] * dh, work)
+    taylor.advance(y, table, lam[:, None] * dh, work)
     assert not np.allclose(taylor.drift(s, y, table, work), beta0, rtol=1e-12, atol=0.0)
 
 

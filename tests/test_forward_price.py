@@ -111,7 +111,7 @@ def test_density_telescoping_and_determinism(tenor, curve):
     grid = simulation_grid(tenor, 4)
     driver = simulate_driver(model.chars, grid, 2000, seed=23)
     paths = simulate_fpm(model, grid, 2000, seed=23, driver=driver, store_dates=True)
-    dh = driver.increments(model.chars)
+    dh = driver.dh
     l0 = np.asarray(curve.libors)
     for k in (1, 2):
         t_idx = k  # weight at the rate's own fixing date

@@ -125,21 +125,21 @@ def test_kou_cumulant_continues_off_the_real_axis(jump_kou):
 def test_deterministic_driver_all_zero():
     chars = LevyCharacteristics(drift_b=0.0, diffusion_c=0.0)
     paths = simulate_driver(chars, np.linspace(0, 1, 5), 7, seed=1)
-    assert np.all(paths.increments(chars) == 0.0)
+    assert np.all(paths.dh == 0.0)
 
 
 def test_same_seed_bit_identical(jump_kou):
     grid = np.linspace(0.0, 2.0, 17)
     a = simulate_driver(jump_kou, grid, 64, seed=123)
     b = simulate_driver(jump_kou, grid, 64, seed=123)
-    assert np.array_equal(a.dw, b.dw)
-    assert np.array_equal(a.jump_sums, b.jump_sums)
+    assert a.dh.tobytes() == b.dh.tobytes()
+    assert a.chars == b.chars == jump_kou
 
 
-def driver_path(paths, chars):
+def driver_path(paths):
     """H on the grid, shape (len(grid), n_paths), starting at 0."""
     h = np.zeros((len(paths.grid), paths.n_paths))
-    np.cumsum(paths.increments(chars), axis=0, out=h[1:])
+    np.cumsum(paths.dh, axis=0, out=h[1:])
     return h
 
 
@@ -147,7 +147,7 @@ def test_mean_matches_drift(jump_normal):
     # the jump part is compensated, so E[H_T] = b T
     grid = np.linspace(0.0, 2.0, 9)
     paths = simulate_driver(jump_normal, grid, 100_000, seed=5)
-    h_t = driver_path(paths, jump_normal)[-1]
+    h_t = driver_path(paths)[-1]
     se = h_t.std(ddof=1) / math.sqrt(len(h_t))
     assert abs(h_t.mean() - jump_normal.mean(2.0)) <= 3.0 * se
 
@@ -156,7 +156,7 @@ def test_mean_matches_drift(jump_normal):
 def test_exponential_martingale(jump_normal, z):
     grid = np.linspace(0.0, 2.0, 9)
     paths = simulate_driver(jump_normal, grid, 100_000, seed=11)
-    h = driver_path(paths, jump_normal)
+    h = driver_path(paths)
     for idx, t in [(4, 1.0), (8, 2.0)]:
         m = np.exp(z * h[idx] - t * jump_normal.cumulant(z))
         se = m.std(ddof=1) / math.sqrt(len(m))
@@ -166,7 +166,7 @@ def test_exponential_martingale(jump_normal, z):
 def test_increment_stationarity(jump_kou):
     grid = np.linspace(0.0, 2.0, 9)
     paths = simulate_driver(jump_kou, grid, 100_000, seed=17)
-    h = driver_path(paths, jump_kou)
+    h = driver_path(paths)
     first = h[4] - h[0]
     second = h[8] - h[4]
     for stat in (np.mean, np.var):
@@ -177,10 +177,20 @@ def test_increment_stationarity(jump_kou):
 
 
 def test_antithetic_pairs_mirror_brownian(jump_normal):
+    # the first half is the plain draw; the second negates its Brownian part
+    # and shares its jumps, so the halves differ by 2 sqrt(c) dW alone (the
+    # compensated jump and drift terms cancel to round-off), and a driver
+    # with no drift and no jumps mirrors bit for bit
     grid = np.linspace(0.0, 1.0, 5)
     paths = simulate_driver(jump_normal, grid, 64, seed=3, antithetic=True)
-    assert np.array_equal(paths.dw[:, :32], -paths.dw[:, 32:])
-    assert np.array_equal(paths.jump_sums[:, :32], paths.jump_sums[:, 32:])
+    plain = simulate_driver(jump_normal, grid, 32, seed=3)
+    assert paths.dh[:, :32].tobytes() == plain.dh.tobytes()
+    dw = _plain_counts(jump_normal, grid, 32, seed=3)[1]
+    spread = paths.dh[:, :32] - paths.dh[:, 32:] - 2.0 * math.sqrt(jump_normal.diffusion_c) * dw
+    assert np.max(np.abs(spread)) < 1e-14
+    brownian = LevyCharacteristics(drift_b=0.0, diffusion_c=0.5)
+    mirrored = simulate_driver(brownian, grid, 64, seed=3, antithetic=True).dh
+    assert mirrored[:, :32].tobytes() == (-mirrored[:, 32:]).tobytes()
     with pytest.raises(LiborLabError):
         simulate_driver(jump_normal, grid, 63, seed=3, antithetic=True)
 
@@ -228,6 +238,26 @@ def _plain_counts(chars, grid, n_paths, seed):
     return rng, dw, rng.poisson(chars.jump_intensity * dts[:, None], size=dw.shape)
 
 
+def _composed(chars, grid, dw, jump_sums=None):
+    # dH from its parts in the library's order: sqrt(c) dW, plus b dt, plus
+    # the jump sums, minus the compensator (the last two for a jump driver)
+    dts = np.diff(grid)[:, None]
+    dh = math.sqrt(chars.diffusion_c) * dw
+    dh += chars.drift_b * dts
+    if chars.has_jumps:
+        dh += jump_sums
+        dh -= chars.jump_mean_rate * dts
+    return dh
+
+
+def _plain_sums(chars, grid, n_paths, seed):
+    # the plain stream's Brownian increments, counts and per-cell jump sums
+    rng, dw, counts = _plain_counts(chars, grid, n_paths, seed)
+    jump_sums = np.zeros(dw.shape)
+    jump_sums[counts > 0] = chars.jump_law.sum_sample(rng, counts[counts > 0])
+    return dw, counts, jump_sums
+
+
 def _plain_driver(chars, grid, n_paths, seed):
     # the sampling formula written out: after the counts every jump is drawn
     # on its own into a (steps x paths x most jumps) cube, masked and summed
@@ -254,35 +284,34 @@ def jump_variance(law):
 @pytest.mark.parametrize("seed", [4, 4711])
 def test_driver_sampling_matches_plain_formula_bitwise(jump_kou, seed):
     # the Brownian increments and the Poisson counts come first and keep
-    # every bit; a cell holds a nonzero jump sum exactly when it drew a jump
+    # every bit; a cell moves off its jump-free increment exactly when it
+    # drew a jump
     grid = np.linspace(0.0, 2.0, 17)
-    _, dw, counts = _plain_counts(jump_kou, grid, 5_001, seed)
+    dw, counts, jump_sums = _plain_sums(jump_kou, grid, 5_001, seed)
     paths = simulate_driver(jump_kou, grid, 5_001, seed)
-    assert paths.dw.tobytes() == dw.tobytes()
-    assert np.array_equal(paths.jump_sums != 0.0, counts > 0)
+    assert paths.dh.tobytes() == _composed(jump_kou, grid, dw, jump_sums).tobytes()
+    no_jumps = _composed(jump_kou, grid, dw, np.zeros(dw.shape))
+    assert np.array_equal(paths.dh != no_jumps, counts > 0)
 
 
 @pytest.mark.parametrize("jumps, antithetic", [(False, False), (True, False), (True, True)])
 def test_driver_stream_matches_rng_normal_bitwise(jump_normal, jumps, antithetic):
-    # dw is rng.normal(0, sqrt(dt)) from a fresh generator, bit for bit on an
-    # uneven grid, and the jumps drawn after it from the same stream keep
-    # their sums, so the compare prices keep their committed reference
+    # dH is composed from rng.normal(0, sqrt(dt)) of a fresh generator, bit
+    # for bit on an uneven grid, and from the jumps drawn after it from the
+    # same stream, so the compare prices keep their committed reference; the
+    # antithetic half negates dW and shares the jump sums
     chars = jump_normal if jumps else LevyCharacteristics(drift_b=0.01, diffusion_c=0.5)
     grid = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
-    rng, dw, counts = _plain_counts(chars, grid, 2_001, seed=29)
-    jump_sums = None
     if jumps:
-        jump_sums = np.zeros(dw.shape)
-        jump_sums[counts > 0] = chars.jump_law.sum_sample(rng, counts[counts > 0])
+        dw, _, jump_sums = _plain_sums(chars, grid, 2_001, seed=29)
+    else:
+        dw, jump_sums = _plain_counts(chars, grid, 2_001, seed=29)[1], None
     if antithetic:
         dw = np.concatenate([dw, -dw], axis=1)
         jump_sums = np.concatenate([jump_sums, jump_sums], axis=1)
     paths = simulate_driver(chars, grid, dw.shape[1], seed=29, antithetic=antithetic)
-    assert paths.dw.tobytes() == dw.tobytes()
-    if jumps:
-        assert paths.jump_sums.tobytes() == jump_sums.tobytes()
-    else:
-        assert paths.jump_sums is None
+    assert paths.chars == chars and paths.antithetic == antithetic
+    assert paths.dh.tobytes() == _composed(chars, grid, dw, jump_sums).tobytes()
 
 
 @pytest.mark.parametrize("intensity", [0.8, 150.0])
@@ -294,13 +323,11 @@ def test_driver_counts_per_step_match_the_broadcast_call(law, intensity):
     # 10, where numpy switches Poisson samplers
     chars = LevyCharacteristics(diffusion_c=0.3, jump_intensity=intensity, jump_law=law)
     grid = np.array([0.0, 0.05, 0.25, 0.5, 1.0])
-    rng, dw, counts = _plain_counts(chars, grid, 3_001, seed=61)
-    jump_sums = np.zeros(dw.shape)
-    jump_sums[counts > 0] = law.sum_sample(rng, counts[counts > 0])
+    dw, counts, jump_sums = _plain_sums(chars, grid, 3_001, seed=61)
     paths = simulate_driver(chars, grid, 3_001, seed=61)
-    assert np.array_equal(paths.jump_sums != 0.0, counts > 0)
-    assert paths.jump_sums.tobytes() == jump_sums.tobytes()
-    assert paths.dw.tobytes() == dw.tobytes()
+    no_jumps = _composed(chars, grid, dw, np.zeros(dw.shape))
+    assert np.array_equal(paths.dh != no_jumps, counts > 0)
+    assert paths.dh.tobytes() == _composed(chars, grid, dw, jump_sums).tobytes()
 
 
 @pytest.mark.parametrize("law", [NormalJumps(-0.05, 0.2), DoubleExponentialJumps(0.4, 8.0, 6.0)])
@@ -308,12 +335,14 @@ def test_driver_jump_sums_follow_exact_law(law):
     # intensity 16 on steps of 1/8 puts about two jumps in a cell, so every
     # k = 1..4 has thousands of cells; given its count k a cell's sum has
     # mean k E[J] and variance k Var[J], and the same law as the plain
-    # formula's masked cube (drawn from the next seed, so independent)
+    # formula's masked cube (drawn from the next seed, so independent).  The
+    # sums come from the plain stream, which the driver's dH matches bitwise
     chars = LevyCharacteristics(diffusion_c=0.3, jump_intensity=16.0, jump_law=law)
     grid = np.linspace(0.0, 2.0, 17)
     seed = 20240
-    counts = _plain_counts(chars, grid, 2_000, seed)[2]
-    sums = simulate_driver(chars, grid, 2_000, seed).jump_sums
+    dw, counts, sums = _plain_sums(chars, grid, 2_000, seed)
+    assert simulate_driver(chars, grid, 2_000, seed).dh.tobytes() == _composed(
+        chars, grid, dw, sums).tobytes()
     _, ref_counts, ref_sums = _plain_driver(chars, grid, 2_000, seed + 1)
     for k in range(1, 5):
         x, ref = sums[counts == k], ref_sums[ref_counts == k]
@@ -361,13 +390,14 @@ def test_driver_jump_sampling_holds_one_cube(jump_kou):
 
 
 def test_driver_simulates_two_hundred_jumps_a_step(jump_normal, jump_kou):
-    # no cap on the jumps in a step: about 200 expected jumps still simulate
+    # no cap on the jumps in a step: about 200 expected jumps still simulate;
+    # adding back the compensator leaves sqrt(c) dW (mean 0) plus the jump sum
     grid = np.linspace(0.0, 1.0, 5)
     for fixture in (jump_normal, jump_kou):
         chars = LevyCharacteristics(
             diffusion_c=fixture.diffusion_c, jump_intensity=800.0, jump_law=fixture.jump_law
         )
-        sums = simulate_driver(chars, grid, 20_000, seed=31).jump_sums
+        sums = simulate_driver(chars, grid, 20_000, seed=31).dh + chars.jump_mean_rate * 0.25
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - 200.0 * chars.jump_law.jump_mean()) <= 4.0 * se
 

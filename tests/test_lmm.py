@@ -322,6 +322,22 @@ def test_driver_sets_the_path_count(scheme, tenor, curve, vols, brownian):
     assert paths.fixing_weights.shape == (20, tenor.n)
 
 
+@pytest.mark.parametrize("scheme", ["lmm-taylor", "fpm"])
+def test_driver_for_other_characteristics_refused(scheme, tenor, curve, vols, brownian, jumpy):
+    # a driver's increments follow the triplet it was simulated for; a model
+    # with another triplet would read increments of the wrong law
+    grid = simulation_grid(tenor, 4)
+    other_c = LevyCharacteristics(drift_b=0.0, diffusion_c=0.5)
+    for model_chars, driver_chars in ((jumpy, brownian), (brownian, other_c)):
+        driver = simulate_driver(driver_chars, grid, 16, seed=2)
+        with pytest.raises(LiborLabError, match="other driver characteristics"):
+            if scheme == "fpm":
+                simulate_fpm(FpmModel(tenor, curve, vols, model_chars), grid, 16, 2, driver=driver)
+            else:
+                model = LmmModel(tenor, curve, vols, model_chars)
+                _LMM_SCHEMES[scheme](model, grid, 16, 2, driver=driver)
+
+
 @pytest.mark.parametrize(
     "law, loading",
     [(DoubleExponentialJumps(0.45, 7.0, 9.0), 1.7), (DoubleExponentialJumps(0.45, 2.0, 3.0), 0.49)],
@@ -589,8 +605,8 @@ def test_live_columns_match_full_columns(law, loadings, c0, seed):
     w = forward_price_weights(0.04 * np.exp(rng.normal(0.0, 0.5, size=(7, n))), DELTA)
     full = _Drift(lam_row, chars, rule)(w.T).T
     assert full[:, c0:].tobytes() == _Drift(lam_row[c0:], chars, rule)(w[:, c0:].T).T.tobytes()
-    full_tables = picard_tables_row(w[0], lam_row, chars.diffusion_c)
-    live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars.diffusion_c)
+    full_tables = picard_tables_row(w[0], lam_row, chars)
+    live_tables = picard_tables_row(w[0, c0:], lam_row[c0:], chars)
     for whole, live in zip(full_tables, live_tables):
         assert whole[c0:].tobytes() == live.tobytes()
 
