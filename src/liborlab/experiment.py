@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import affine_libor, markov_functional
-from .affine import CirParams
+from .affine import CirParams, cir_flow, explosion_threshold
 from .config import ExperimentConfig
 from .errors import ConfigError, CurveError, LiborLabError
 from .drift_approx import frozen_drift_simulate, picard_simulate, taylor_simulate
@@ -41,8 +41,9 @@ _LMM_SCHEMES = {
     "lmm-picard1": lambda *a, **kw: picard_simulate(*a, order=1, **kw),
     "lmm-taylor": taylor_simulate,
 }
-# a martingale gap with SE 0 is deterministic: held to round-off of L(0, T_k), in ulp
+# a martingale gap with SE 0 is deterministic: held to round-off of the model's state, in ulp
 _ROUNDOFF_ULPS = 4
+_MAX_SE = 3.0  # a Monte Carlo line passes within 3 standard errors
 
 
 class Context:
@@ -222,16 +223,18 @@ class CheckResult:
     check: str
     status: str  # PASS | FAIL | WITNESS
     detail: str
+    statistic: float
 
 
 @dataclass
 class VerifyReport:
     checks: list = field(default_factory=list)
 
-    def add(self, model: str, check: str, ok: bool, detail: str, witness: bool = False):
-        """One line: WITNESS if ``witness``, else PASS or FAIL by ``ok``; FAIL fails the run."""
-        status = "WITNESS" if witness else ("PASS" if ok else "FAIL")
-        self.checks.append(CheckResult(model, check, status, detail))
+    def add(self, model: str, check: str, statistic, lo, hi, text: str, witness: bool = False):
+        """One line, detail ``text.format(statistic)``: PASS iff lo <= statistic <= hi, WITNESS
+        on a witness line above ``hi``, else FAIL (NaN always), which fails the run."""
+        status = "PASS" if lo <= statistic <= hi else "WITNESS" if witness and statistic > hi else "FAIL"
+        self.checks.append(CheckResult(model, check, status, text.format(statistic), statistic))
 
     @property
     def failed(self) -> bool:
@@ -251,18 +254,18 @@ def _worst(values) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
-def _martingale_line(report: VerifyReport, model: str, paths: LiborPathSet) -> None:
-    """Worst martingale gap across rates in SE units, held to 3 SE; with no SE, to round-off."""
+def _martingale_line(report: VerifyReport, model: str, paths: LiborPathSet, ulp) -> None:
+    """Worst martingale gap across rates in SE units, held to 3 SE; with no SE, to 4 ``ulp[k]``."""
     ratios = []
     for k in paths.tenor.rate_indices:
         gap, se = weighted_martingale_gap(paths, k)
         se = 0.0 if np.ptp(paths.fixings[:, k]) == 0.0 else se  # one fixing on every path: no SE
-        tol = _ROUNDOFF_ULPS * np.spacing(paths.initial_libors[k])
+        tol = _ROUNDOFF_ULPS * ulp[k]
         ratios.append(gap / se if se > 0.0 else (0.0 if gap <= tol else math.inf))
     ratios.append(0.0)  # a tenor without rates reports 0 SE at rate 1
     i = int(np.argmax(ratios))  # the first NaN, else the first largest ratio
-    report.add(model, "martingale", ratios[i] <= 3.0,
-               f"worst martingale gap {ratios[i]:.2f} SE (rate {i + 1})")
+    report.add(model, "martingale", ratios[i], 0.0, _MAX_SE,
+               f"worst martingale gap {{:.2f}} SE (rate {i + 1})")
 
 
 def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
@@ -272,22 +275,24 @@ def _lmm_checks(ctx: Context, report: VerifyReport, models: list) -> None:
         if at_t1 is None:
             at_t1 = paths.date_values[:, 1, :].copy()
             paths = replace(paths, date_values=None)  # positivity reads the fixings only
-        min_rate = paths.min_rate()
-        report.add(name, "positivity", min_rate > 0.0 and np.isfinite(min_rate),
-                   f"min simulated rate {min_rate:.3e}")
-        _martingale_line(report, name, paths)
+        report.add(name, "positivity", paths.min_rate(), math.ulp(0.0), np.finfo(float).max,
+                   "min simulated rate {:.3e}")
+        _martingale_line(report, name, paths, np.spacing(paths.initial_libors))
         del paths  # one path set at a time
 
-    # structure witness: rate 1's measure-change data at T_1 depends on the later
-    # rates through their loadings on [T_1, T_2); all of them zero: nothing to witness
+    # structure witness: rate 1's measure change at T_1 reads each later rate l through
+    # its loading on [T_1, T_2); rate l's drift carries its loading too, so it varies at
+    # T_1 only on a random driver (c > 0 or jumps) with a loading on [T_0, T_1) as well.
+    # Only then is a witness expected, and a variance of 0 fails.
     lmm = ctx.lmm
     shift, factor = forward_measure_characteristics(at_t1, 1, 1, lmm.chars, lmm.vols, lmm.delta)
-    jumps = lmm.chars.has_jumps
-    witness = float(np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12)) if jumps else shift))
+    jumps, lam = lmm.chars.has_jumps, lmm.vols.values
+    witness = np.var(factor(0.25 / max(lmm.vols.max_abs, 1e-12)) if jumps else shift)
     label = "compensator factor" if jumps else "Brownian shift"
-    report.add(models[0], "structure", not np.any(lmm.vols.values[1, 2:]),
-               f"forward-measure {label} variance {witness:.3e} (> 0: structure not preserved)",
-               witness=witness > 0.0)
+    expected = (lmm.chars.diffusion_c > 0.0 or jumps) and np.any(lam[0, 2:] * lam[1, 2:])
+    report.add(models[0], "structure", witness, math.inf if expected else 0.0, 0.0,
+               f"forward-measure {label} variance {{:.3e}} (> 0: structure not preserved)",
+               witness=True)
 
 
 def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
@@ -295,9 +300,11 @@ def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
     fpm, m = ctx.fpm, ctx.cfg.steps_per_period
     frac = negative_rate_fraction(paths)  # NaN on a NaN fixing: the line fails
     note = " (reported, not a failure)" if frac > 0.0 else ""
-    report.add("fpm", "positivity", not math.isnan(frac),
-               f"negative fixing fraction {frac:.4f}{note}", witness=frac > 0.0)
-    _martingale_line(report, "fpm", paths)
+    report.add("fpm", "positivity", frac, 0.0, 0.0, f"negative fixing fraction {{:.4f}}{note}",
+               witness=True)
+    # the state is log(1 + delta L): its round-off in L is ulp(1 + delta L(0, T_k)) / delta
+    delta = ctx.cfg.delta
+    _martingale_line(report, "fpm", paths, np.spacing(1.0 + delta * paths.initial_libors) / delta)
     # structure: the log density against the terminal measure minus the loaded
     # driver integral must be the same constant on every path; the k * m
     # steps before T_k lie in intervals 0 .. k - 1, m steps each.
@@ -307,24 +314,23 @@ def _fpm_checks(ctx: Context, report: VerifyReport) -> None:
         stoch = np.repeat(fpm.loading_tails[:k, k + 1], m) @ dh[: k * m]
         resid = np.log(paths.fixing_weights[:, k]) - stoch
         spreads.append(np.max(resid) - np.min(resid))
-    spread = _worst(spreads)
-    report.add("fpm", "structure", spread <= 1e-10,
-               f"density exponent spread across paths {spread:.3e}")
+    report.add("fpm", "structure", _worst(spreads), 0.0, 1e-10,
+               "density exponent spread across paths {:.3e}")
 
 
 def _mfm_checks(ctx: Context, report: VerifyReport) -> None:
     grid = ctx.mfm_grid
     n = ctx.cfg.n
     min_rate = float(np.min([np.min(grid.libor_values[i]) for i in range(1, n)]))
-    report.add("mfm", "positivity", min_rate >= 0.0, f"min rate functional {min_rate:.3e}")
+    report.add("mfm", "positivity", min_rate, 0.0, math.inf, "min rate functional {:.3e}")
     errors = []
     for i in range(1, n):
         target = grid.curve.bond(i + 1)
         errors.append(abs(markov_functional.initial_bond_repricing(grid, i) - target) / target)
-    worst = _worst(errors)
-    report.add("mfm", "martingale", worst <= 1e-7,
-               f"worst initial-curve repricing error {worst:.2e} (tol 1e-7)")
-    report.add("mfm", "structure", True, "all functionals are functions of the scalar driver state")
+    report.add("mfm", "martingale", _worst(errors), 0.0, 1e-7,
+               "worst initial-curve repricing error {:.2e} (tol 1e-7)")
+    report.add("mfm", "structure", 0.0, 0.0, 0.0,
+               "all functionals are functions of the scalar driver state")
 
 
 def _affine_checks(ctx: Context, report: VerifyReport) -> None:
@@ -336,24 +342,25 @@ def _affine_checks(ctx: Context, report: VerifyReport) -> None:
         for t in np.linspace(0.0, tenor.dates[k], 5):
             vals = np.asarray(affine_libor.libor_value(family, k, t, x_grid))
             min_rate = float(np.minimum(min_rate, np.min(vals)))
-    report.add("affine", "positivity", min_rate >= 0.0,
-               f"min rate over the state grid {min_rate:.3e}")
+    report.add("affine", "positivity", min_rate, 0.0, math.inf,
+               "min rate over the state grid {:.3e}")
     paths = affine_libor.simulate_affine_paths(family, cfg.n_paths, cfg.seed + 1)
-    _martingale_line(report, "affine", paths)
-    # structure: the forward-measure exponential moment is log-affine in the state
+    _martingale_line(report, "affine", paths, np.spacing(paths.initial_libors))
+    # structure: the forward-measure exponential moment is log-affine in the state; v = 0.25,
+    # or halfway to the moment domain's edge at horizon r - s where q + 0.25 lies beyond it
     deviations = []
     r = tenor.dates[max(1, cfg.n - 1)]
     s = 0.5 * r
     for k in (1, cfg.n):
-        for v in (-0.5, 0.25):
+        q = cir_flow(family.params, family.horizon - r, family.u_seq[k])[1]
+        for v in (-0.5, min(0.25, 0.5 * (explosion_threshold(family.params, r - s) - q))):
             xs = np.array([0.02, 0.2, 1.0])
             logs = np.log(affine_libor.forward_measure_mgf(family, k, v, s, r, xs))
             slope1 = (logs[1] - logs[0]) / (xs[1] - xs[0])
             slope2 = (logs[2] - logs[1]) / (xs[2] - xs[1])
             deviations.append(abs(slope2 - slope1))
-    worst_dev = _worst(deviations)
-    report.add("affine", "structure", worst_dev <= 1e-10,
-               f"forward-measure moment log-affinity deviation {worst_dev:.2e} (tol 1e-10)")
+    report.add("affine", "structure", _worst(deviations), 0.0, 1e-10,
+               "forward-measure moment log-affinity deviation {:.2e} (tol 1e-10)")
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> VerifyReport:

@@ -181,6 +181,8 @@ def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
     cumulant of log F centred at s0, log F when the driver neither diffuses
     nor jumps: a pure-jump law's atom at s0 then decays on the ray too.  The
     ray stays at a small angle, where Brownian and normal-jump factors decay.
+    With zero loadings, or a driver that neither diffuses nor jumps (the drift
+    -b lambda_k cancels b lambda_k), F(T_k) = F(0) and the price is intrinsic.
     """
     model.tenor.check("rate", k, 1, model.tenor.n - 1)
     delta = model.tenor.delta
@@ -188,10 +190,11 @@ def caplet_price_fourier(model: FpmModel, k: int, strike: float) -> float:
         raise LiborLabError(f"strike must exceed -1/delta = {-1.0 / delta}")
     discount = model.curve.bond(k + 1)
 
-    if not any(model.vols.values[j, k] != 0.0 for j in range(k)):
+    chars = model.chars
+    still = chars.diffusion_c == 0.0 and not chars.has_jumps
+    if still or not any(model.vols.values[j, k] != 0.0 for j in range(k)):
         return discount * delta * max(model.curve.libor(k) - strike, 0.0)
 
-    chars = model.chars
     slope = chars.drift_b  # the cumulant's slope far off the real axis
     if chars.has_jumps:
         slope -= chars.jump_intensity * chars.jump_law.jump_mean()

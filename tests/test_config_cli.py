@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import liborlab
 from liborlab import affine_libor, cli, config, experiment, markov_functional
 from liborlab.config import ExperimentConfig, override, parse_config, serialize_config
-from liborlab.errors import ConfigError
+from liborlab.errors import ConfigError, DomainError
 from liborlab.experiment import run_calibrate_mfm, run_compare, run_price, run_verify
 
 SMALL_COMPARE = """
@@ -486,6 +487,11 @@ def _nan_fixing_weight(paths):
     return paths
 
 
+def _nan_snapshot(paths):
+    paths.date_values[0, 1, 2] = np.nan  # rate 2 at T_1 on the first path
+    return paths
+
+
 # models run, (module, attribute, poison) patches, and the lines that must fail
 NAN_CASES = {
     "positivity": (
@@ -516,7 +522,15 @@ NAN_CASES = {
         [(experiment, "simulate_fpm", _nan_fixing)],
         [("fpm", "positivity")],
     ),
+    "lmm-structure": (
+        "lmm-exact",
+        [(experiment.Context, "simulate", _nan_snapshot)],
+        [("lmm-exact", "structure")],
+    ),
 }
+# loadings of a case other than flat 0.15: zero on [T_1, T_2) for rates 2 and 3,
+# so the structure line expects no witness, and a NaN variance must still fail it
+NAN_LOADINGS = {"lmm-structure": "rate_1 = 0.15\nrate_2 = 0.15, 0.0\nrate_3 = 0.15, 0.0, 0.15"}
 
 
 @pytest.mark.parametrize("case", list(NAN_CASES))
@@ -525,12 +539,57 @@ def test_run_verify_fails_on_nan(monkeypatch, case):
     models, patches, lines = NAN_CASES[case]
     for module, name, poison in patches:
         monkeypatch.setattr(module, name, _poisoned(getattr(module, name), poison))
-    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", f"run = {models}"))
+    text = VERIFY_ALL.replace("flat = 0.15", NAN_LOADINGS.get(case, "flat = 0.15"))
+    cfg = parse_config(text.replace("run = lmm-exact, fpm, mfm, affine", f"run = {models}"))
     report = run_verify(override(cfg, n_paths=500))
     by_key = {(c.model, c.check): c for c in report.checks}
     for line in lines:
-        assert by_key[line].status == "FAIL"
+        assert by_key[line].status == "FAIL" and math.isnan(by_key[line].statistic)
     assert report.failed
+
+
+BIG = np.finfo(float).max
+TINY = math.ulp(0.0)
+
+
+# statistic, lo, hi, witness line, status: NaN and inf, both edges of an
+# interval, and the market model's expected witness (lo = inf), where no
+# value passes and a variance of 0 fails
+VERDICTS = [
+    (math.nan, 0.0, 3.0, False, "FAIL"),
+    (math.nan, 0.0, math.inf, False, "FAIL"),
+    (math.nan, 0.0, 0.0, True, "FAIL"),
+    (math.nan, math.inf, 0.0, True, "FAIL"),
+    (math.inf, 0.0, 3.0, False, "FAIL"),
+    (math.inf, 0.0, math.inf, False, "PASS"),
+    (math.inf, TINY, BIG, False, "FAIL"),
+    (-math.inf, 0.0, math.inf, False, "FAIL"),
+    (math.inf, 0.0, 0.0, True, "WITNESS"),
+    (0.0, 0.0, 3.0, False, "PASS"),
+    (-TINY, 0.0, 3.0, False, "FAIL"),
+    (3.0, 0.0, 3.0, False, "PASS"),
+    (math.nextafter(3.0, 4.0), 0.0, 3.0, False, "FAIL"),
+    (TINY, TINY, BIG, False, "PASS"),
+    (0.0, TINY, BIG, False, "FAIL"),
+    (BIG, TINY, BIG, False, "PASS"),
+    (0.0, 0.0, 0.0, True, "PASS"),
+    (TINY, 0.0, 0.0, True, "WITNESS"),
+    (TINY, 0.0, 0.0, False, "FAIL"),
+    (-TINY, 0.0, 0.0, True, "FAIL"),
+    (0.0, math.inf, 0.0, True, "FAIL"),
+    (1e-3, math.inf, 0.0, True, "WITNESS"),
+]
+
+
+@pytest.mark.parametrize("statistic, lo, hi, witness, status", VERDICTS)
+def test_verify_report_decides_each_line_by_its_interval(statistic, lo, hi, witness, status):
+    report = experiment.VerifyReport()
+    report.add("model", "check", statistic, lo, hi, "statistic {:.3e}", witness=witness)
+    (line,) = report.checks
+    assert line.status == status
+    assert line.detail == f"statistic {statistic:.3e}"
+    assert line.statistic == statistic or math.isnan(statistic)
+    assert report.failed == (status == "FAIL")
 
 
 def test_zero_loadings_hold_a_deterministic_gap_to_round_off(monkeypatch):
@@ -566,8 +625,105 @@ def test_zero_loadings_hold_a_deterministic_gap_to_round_off(monkeypatch):
         assert by_key[("lmm-exact", "structure")].status == structure
         for scheme in ("lmm-frozen", "lmm-taylor"):
             line = by_key[(scheme, "martingale")]
-            assert line.status == "FAIL" and "inf SE" in line.detail, (vols, line.detail)
+            assert line.status == "FAIL" and line.statistic == math.inf, (vols, line.detail)
         assert report.failed
+
+
+def _committed_variant(tmp_path, name, replacements):
+    """The committed config ``name`` with each (old, new) replaced, written under tmp_path."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text()
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new)
+    cfg_file = tmp_path / name
+    cfg_file.write_text(text)
+    return cfg_file
+
+
+# verify_all.cfg's driver block, and a Brownian one without diffusion at drift b
+JUMP_DRIVER = ("type = jump-double-exp\ndrift_b = 0.0\ndiffusion_c = 0.4\njump_intensity = 0.6\n"
+               "p_up = 0.45\nalpha_pos = 9.0\nalpha_neg = 7.0")
+
+
+def _still_driver(drift_b):
+    return JUMP_DRIVER, f"type = brownian\ndrift_b = {drift_b}\ndiffusion_c = 0.0"
+
+
+# the later rates are still at T_1 without diffusion or jumps, and where no rate
+# l >= 2 has a loading on [T_0, T_1) as well as on [T_1, T_2): their measure
+# change at T_1 is the same on every path, so no witness is expected
+STILL_AT_T1 = {
+    "no-diffusion": ("compare_brownian.cfg", [
+        ("diffusion_c = 1.0", "diffusion_c = 0.0"),
+        ("run = lmm-exact, lmm-frozen, lmm-picard1, lmm-taylor", "run = lmm-exact"),
+    ]),
+    "no-loading-before-t1": ("verify_all.cfg", [("flat = 0.15", "rate_1 = 0.15\n" + "\n".join(
+        f"rate_{k} = 0.0" + ", 0.15" * (k - 1) for k in range(2, 5)))]),
+}
+
+
+@pytest.mark.parametrize("case", list(STILL_AT_T1))
+def test_cli_verify_expects_no_witness_where_the_later_rates_are_still(tmp_path, case):
+    cfg_file = _committed_variant(tmp_path, *STILL_AT_T1[case])
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
+    report = (out / "verify_report.txt").read_text()
+    assert "lmm-exact  structure   PASS     forward-measure" in report
+    assert "variance 0.000e+00" in report
+
+
+def test_cli_verify_holds_a_still_fpm_gap_to_the_round_off_of_its_state(tmp_path):
+    # no diffusion and no jumps: every FPM fixing is the same on every path.  The
+    # state is log(1 + delta L), so at L(0) = 1e-6 its gaps (about 1e-17) exceed
+    # 4 ulp of L(0) (8.5e-22) but lie within 4 ulp(1 + delta L(0)) / delta
+    cfg_file = _committed_variant(tmp_path, "verify_all.cfg", [
+        _still_driver(-0.133), ("run = lmm-exact, lmm-frozen, lmm-taylor, fpm, mfm, affine", "run = fpm"),
+        ("delta = 0.5", "delta = 1.0"), ("n = 5", "n = 8"), ("flat_libor = 0.04", "flat_libor = 1e-6"),
+    ])
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
+    assert "fpm        martingale  PASS     worst martingale gap 0.00 SE" in (
+        out / "verify_report.txt").read_text()
+
+
+@pytest.mark.parametrize("drift_b", [-0.16, -0.05, 0.16])
+def test_cli_price_values_a_still_fpm_at_intrinsic(tmp_path, drift_b):
+    # no diffusion and no jumps: the drift -b lambda_k cancels b lambda_k, so
+    # F(T_k) = F(0) and the Fourier price is delta B(0, T_{k+1}) (L(0, T_k) - K)^+
+    cfg_file = _committed_variant(tmp_path, "verify_all.cfg", [
+        _still_driver(drift_b), ("run = lmm-exact, lmm-frozen, lmm-taylor, fpm, mfm, affine", "run = fpm"),
+        ("delta = 0.5", "delta = 1.0"), ("flat = 0.15", "flat = 0.2"),
+    ])
+    out = tmp_path / "out"
+    assert cli.main(["price", str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
+    curve = experiment.Context(parse_config(cfg_file)).curve
+    rows = [line.split(",") for line in (out / "prices.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 4 * 3  # two schemes, rates 1..4, three strikes
+    for model, scheme, k, strike, price, *_ in rows:
+        k, strike, price = int(k), float(strike), float(price)
+        intrinsic = curve.bond(k + 1) * curve.tenor.delta * max(curve.libor(k) - strike, 0.0)
+        if scheme == "fourier":
+            assert price == intrinsic
+        else:
+            assert abs(price - intrinsic) <= 1e-15
+
+
+def test_verify_affine_structure_keeps_inside_the_moment_domain():
+    # q = psi_{T_N - r}(u_k) lies less than 0.25 below the moment domain's edge
+    # at horizon r - s = 2.5, so v = 0.25 is outside it; the line takes v
+    # halfway to the edge instead
+    cfg = parse_config(VERIFY_ALL.replace("run = lmm-exact, fpm, mfm, affine", "run = mfm, affine")
+                       .replace("delta = 0.5", "delta = 1.0").replace("n = 4", "n = 6")
+                       .replace("mean_reversion = 1.2", "mean_reversion = 1.079")
+                       .replace("long_run_level = 0.06", "long_run_level = 0.00989")
+                       .replace("vol_of_vol = 0.5", "vol_of_vol = 1.416")
+                       .replace("x0 = 0.06", "x0 = 0.1395"))
+    family = experiment.Context(cfg).affine_family
+    with pytest.raises(DomainError, match="horizon 2.5"):
+        affine_libor.forward_measure_mgf(family, 1, 0.25, 2.5, 5.0, np.array([0.02]))
+    report = run_verify(override(cfg, n_paths=500))
+    by_key = {(c.model, c.check): c for c in report.checks}
+    assert by_key[("affine", "structure")].status == "PASS"
 
 
 EDGE_VARIANTS = {
@@ -582,12 +738,7 @@ EDGE_VARIANTS = {
 def test_cli_edge_configs_run_without_nan(tmp_path, variant):
     # zero loadings, a zero MFM driver and the shortest tenor: every command
     # exits 0 and writes no nan or inf
-    text = (Path(__file__).resolve().parent.parent / "configs" / "verify_all.cfg").read_text()
-    for old, new in EDGE_VARIANTS[variant]:
-        assert old in text
-        text = text.replace(old, new)
-    cfg_file = tmp_path / "edge.cfg"
-    cfg_file.write_text(text)
+    cfg_file = _committed_variant(tmp_path, "verify_all.cfg", EDGE_VARIANTS[variant])
     for command in ("compare", "verify", "price", "calibrate-mfm"):
         out = tmp_path / command
         assert cli.main([command, str(cfg_file), "--paths", "2000", "--out-dir", str(out)]) == 0
